@@ -6,9 +6,12 @@ table trials default to seeds 1..trials). Outputs are CSV files plus SVG
 plots rendered purely from the CSV contents; all files are written atomically.
 
 Config files are plain key=value text; command-line flags override file
-values. The default output directory comes from --out or the SCONF_OUT_DIR
-environment variable. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numeric guard (class prior too balanced for the pair estimators).
+values; a key given twice in one file is an error. The default output
+directory comes from --out or the SCONF_OUT_DIR environment variable. Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numeric guard
+(class prior too balanced for the pair estimators), 5 training diverged (a
+train or validation risk became NaN or infinite; no report or checkpoint is
+written).
 """
 
 import argparse
@@ -20,10 +23,10 @@ import sys
 import numpy as np
 
 from . import dataset_io, experiments, model, svgplot, trainer
-from .datagen import (add_confidence_noise, load_setup_file, make_pairs, preset,
-                      preset_synth, sample_labeled)
-from .errors import BalancedPriorError, ConfigError, DataError
-from .prior import estimate_prior
+from .datagen import (PRESET_PI_PLUS, add_confidence_noise, load_setup_file, make_pairs,
+                      preset, preset_synth, sample_train_test)
+from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
+from .fileio import parse_key_values, write_atomic
 from .risk import RiskSpec
 from .rng import make_rng
 from .trainer import TrainConfig
@@ -31,6 +34,7 @@ from .trainer import TrainConfig
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_GUARD = 4
+EXIT_DIVERGED = 5
 
 
 def _out_dir(args):
@@ -45,10 +49,7 @@ def write_csv(path, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    write_atomic(path, buf.getvalue())
 
 
 def read_csv(path):
@@ -116,8 +117,8 @@ def cmd_collapse_demo(args):
                       [ (float(r[0]) + float(r[1])) / 2.0 for r in hrows
                         for _ in range(int(r[2])) ],
                       bins=40, title="Similarity confidence of unlabeled pairs",
-                      xlabel="s", vlines=((experiments.PRESET_PI, "pi+"),
-                                          (1 - experiments.PRESET_PI, "pi-")))
+                      xlabel="s", vlines=((PRESET_PI_PLUS, "pi+"),
+                                          (1 - PRESET_PI_PLUS, "pi-")))
     points = [(float(x[0]), float(x[1]), 0 if y > 0 else 1)
               for x, y in zip(test.X, test.y)]
     lines = {}
@@ -199,12 +200,10 @@ def cmd_gen_synth(args):
     synth = (load_setup_file(args.setup_file) if args.setup_file
              else preset_synth(args.setup, args.seed))
     seed = args.seed if args.seed is not None else synth.seed
-    train = sample_labeled(synth.setup, synth.n_plus, synth.n_minus, seed)
+    train, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
     ds = make_pairs(train.X, synth.setup, seed)
     if args.noise_std > 0:
         ds = add_confidence_noise(ds, args.noise_std, seed)
-    test = sample_labeled(synth.setup, 2 * synth.n_plus, 2 * synth.n_minus,
-                          make_rng(seed, 6).integers(2**31))
     pairs_path = os.path.join(out, "pairs.csv")
     write_csv(pairs_path, ("x1", "x2", "xp1", "xp2", "s"),
               [(float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(s))
@@ -236,17 +235,8 @@ TRAIN_KEYS = {
 
 def parse_config(text, source="<config>"):
     values = dict(TRAIN_KEYS)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in TRAIN_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
+    for key, (_, val) in parse_key_values(text, TRAIN_KEYS, source).items():
+        values[key] = val
     return values
 
 
@@ -261,9 +251,7 @@ def _train_from_config(cfg, out):
     if cfg["setup"]:
         synth = preset_synth(cfg["setup"], seed)
         pi_plus = num("pi_plus") if cfg["pi_plus"] else synth.setup.pi_plus
-        train_pts = sample_labeled(synth.setup, synth.n_plus, synth.n_minus, seed)
-        test = sample_labeled(synth.setup, 2 * synth.n_plus, 2 * synth.n_minus,
-                              make_rng(seed, 6).integers(2**31))
+        train_pts, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
         if cfg["estimator"] == "supervised":
             train_ds, val_ds = train_pts, None
         else:
@@ -442,6 +430,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonFiniteRiskError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -10,11 +10,12 @@ Gaussian, clipped back into [0, 1].
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import parse_key_values
 from .rng import make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -105,20 +106,12 @@ class LabeledData:
         self.y = np.asarray(self.y)
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
             raise ConfigError("X must be (n, d) and y must be (n,)")
+        _check_finite(X=self.X)
         if not np.all(np.isin(self.y, (-1, 1))):
             raise ConfigError("labels must be -1 or +1")
 
     def __len__(self):
         return self.X.shape[0]
-
-
-@dataclass(frozen=True)
-class SconfPair:
-    """One unlabeled pair with its similarity confidence."""
-
-    x: np.ndarray
-    x_prime: np.ndarray
-    s: float
 
 
 @dataclass
@@ -146,14 +139,19 @@ class SconfDataset:
             raise ConfigError("x and x_prime must both be (n, d)")
         if self.s.shape != (self.x.shape[0],):
             raise ConfigError("s must be (n,)")
+        _check_finite(x=self.x, x_prime=self.x_prime, s=self.s)
         if len(self.s) and (self.s.min() < 0.0 or self.s.max() > 1.0):
             raise ConfigError("confidences must lie in [0, 1]")
 
     def __len__(self):
         return self.x.shape[0]
 
-    def __getitem__(self, i):
-        return SconfPair(self.x[i], self.x_prime[i], float(self.s[i]))
+
+def _check_finite(**arrays):
+    for name, arr in arrays.items():
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            raise ConfigError(f"{name} has a non-finite value in row {bad[0][0]}")
 
 
 def sample_labeled(setup, n_plus, n_minus, seed):
@@ -173,6 +171,13 @@ def sample_labeled(setup, n_plus, n_minus, seed):
     X = np.vstack([xp, xm])
     y = np.concatenate([np.ones(n_plus, dtype=int), -np.ones(n_minus, dtype=int)])
     return LabeledData(X, y)
+
+
+def sample_train_test(setup, n_plus, n_minus, seed):
+    """Training sample and its held-out test set: the test set has twice the
+    training counts and is drawn from the stream (seed, 6)."""
+    return (sample_labeled(setup, n_plus, n_minus, seed),
+            sample_labeled(setup, 2 * n_plus, 2 * n_minus, make_rng(seed, 6).integers(2**31)))
 
 
 def _log_density(X, mu, sigma):
@@ -285,24 +290,11 @@ def preset_synth(name, seed):
 def parse_setup(text, source="<string>"):
     """Parse key=value setup text into a SynthSpec.
 
-    Unknown keys are rejected; every key in SETUP_FILE_KEYS is required.
+    Unknown and repeated keys are rejected; every key in SETUP_FILE_KEYS is
+    required.
     Covariances are given as four row-major numbers.
     """
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in SETUP_FILE_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = (lineno, val.strip())
-
+    values = parse_key_values(text, SETUP_FILE_KEYS, source)
     missing = [k for k in SETUP_FILE_KEYS if k not in values]
     if missing:
         raise ConfigError(f"{source}: missing keys: {', '.join(missing)}")

@@ -7,21 +7,21 @@ by 1/255.
 
 Binary corruption maps a multiclass label space onto {-1, +1} by a fixed
 positive-class set. Similarity confidences for such data come from a
-probabilistic classifier trained with logistic loss on the labeled points;
-its sigmoid outputs play the role of the class posterior.
+probabilistic classifier trained with logistic loss on the labeled points,
+through the trainer's minibatch loop and its labeled-batch gradient; its
+sigmoid outputs play the role of the class posterior.
 """
 
 import gzip
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, optim
+from . import model, optim, trainer
 from .datagen import LabeledData, SconfDataset, similarity_confidence
 from .errors import ConfigError, DataError
-from .losses import loss_derivative
+from .fileio import write_atomic
 from .rng import make_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -93,7 +93,7 @@ def write_idx_images(path, images):
     if images.ndim != 3:
         raise ConfigError("images must be (n, rows, cols) uint8")
     header = struct.pack(">IIII", IDX_IMAGE_MAGIC, *images.shape)
-    _atomic_write(path, header + images.tobytes())
+    write_atomic(path, header + images.tobytes())
 
 
 def write_idx_labels(path, labels):
@@ -101,14 +101,7 @@ def write_idx_labels(path, labels):
     if labels.ndim != 1:
         raise ConfigError("labels must be a flat uint8 vector")
     header = struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0])
-    _atomic_write(path, header + labels.tobytes())
-
-
-def _atomic_write(path, payload):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, header + labels.tobytes())
 
 
 @dataclass(frozen=True)
@@ -190,14 +183,9 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
     p = model.init(arch, seed)
     state = optim.AdamState.for_predictor(p, lr0)
     n = len(labeled)
-    bsz = min(batch, n)
-    for epoch in range(epochs):
-        order = make_rng(seed, 4, epoch).permutation(n)
-        for lo in range(0, n, bsz):
-            idx = order[lo:lo + bsz]
-            scores = model.forward(p, labeled.X[idx])
-            model.backward(p, loss_derivative("logistic", scores, labeled.y[idx]) / len(idx))
-            optim.step(state, p, epoch)
+    for _ in trainer.minibatch_epochs(p, state, n, batch, seed, epochs,
+                                      trainer.labeled_grad(p, labeled.X, labeled.y)):
+        pass
 
     scores = model.forward(p, labeled.X)
     p.discard_cache()

@@ -5,13 +5,16 @@ with logistic loss by full-batch Adam (lr 0.1, divided by 10 every 30 epochs,
 100 epochs) on the confidences of *all* unordered pairs of the training
 points. Using every pair rather than a disjoint matching is what makes the
 800-point runs land within a fraction of a point of the reference accuracies
-with sub-point spread: the objective that weighs each point's positive and
-negative losses by its summed pair coefficients is algebraically identical to
+with sub-point spread. all_pairs_point_weights sums each point's unbiased
+pair weights (risk.pair_weights) over its partners into one (a_i, b_i); the
+objective sum_i a_i l(z_i, +1) + b_i l(z_i, -1) is algebraically identical to
 the full pair risk, but costs O(n) per step instead of O(n^2).
+train_weighted_points minimizes it through the trainer's minibatch loop.
 
-Sampling conventions for the built-in setups: 500 positive / 300 negative
-training points (class prior 0.625), a test set twice the training size
-(1000/600), everything keyed off one integer seed per trial.
+Sampling conventions for the built-in setups: the datagen preset counts of
+500 positive / 300 negative training points (class prior 0.625) and the test
+set of datagen.sample_train_test, twice the training size (1000/600),
+everything keyed off one integer seed per trial.
 """
 
 from dataclasses import dataclass
@@ -19,17 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, optim, trainer
-from .datagen import (GaussianSetup, SconfDataset, make_pairs, posterior_plus,
-                      preset, sample_labeled, similarity_confidence)
+from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSetup,
+                      SconfDataset, make_pairs, posterior_plus, preset, sample_labeled,
+                      sample_train_test, similarity_confidence)
 from .errors import ConfigError
-from .losses import loss_derivative, loss_value
+from .losses import loss_derivative
 from .rng import make_rng
 from .risk import RiskSpec
 from .trainer import TrainConfig
 
-PRESET_PI = 0.625
-TRAIN_COUNTS = (500, 300)
-TEST_COUNTS = (1000, 600)
+TRAIN_COUNTS = (PRESET_N_PLUS, PRESET_N_MINUS)
 
 # appendix protocol for the linear synthetic runs
 SYNTH_EPOCHS = 100
@@ -39,7 +41,7 @@ SYNTH_DROP = 30
 # the two-Gaussian layout of the one-sided failure demonstration
 COLLAPSE_SETUP = GaussianSetup([-4.0, 0.0], [2.0, 2.0],
                                [[2.0, 0.0], [0.0, 2.0]],
-                               [[3.0, 0.0], [0.0, 3.0]], PRESET_PI)
+                               [[3.0, 0.0], [0.0, 3.0]], PRESET_PI_PLUS)
 
 
 def bayes_predict(X, setup):
@@ -95,46 +97,28 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0):
     return a, b, sigma_n
 
 
-def all_pairs_dataset(X, setup, seed=0):
-    """Materialized SconfDataset of every unordered pair (i < j) of X."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    i, j = np.triu_indices(n, 1)
-    r = posterior_plus(X, setup)
-    s = similarity_confidence(r[i], r[j])
-    return SconfDataset(X[i], X[j], np.atleast_1d(s), provenance="exact")
-
-
 def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
                           drop_factor=10.0, weight_decay=0.0, batch=None):
     """Minimize sum_i a_i l(z_i, +1) + b_i l(z_i, -1) (logistic) with Adam.
 
-    Minibatches are rescaled by n/|batch| so each step estimates the full
-    gradient. Full batch (the synthetic protocol) when batch is None.
+    Runs trainer.minibatch_epochs; minibatch gradients are rescaled by
+    n/|batch| so each step estimates the full gradient. Full batch (the
+    synthetic protocol) when batch is None.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     p = model.init(arch, seed)
     state = optim.AdamState.for_predictor(p, lr0, weight_decay=weight_decay,
                                           drop_every=drop_every, drop_factor=drop_factor)
-    bsz = n if batch is None else min(batch, n)
-    for epoch in range(epochs):
-        order = make_rng(seed, 4, epoch).permutation(n)
-        for lo in range(0, n, bsz):
-            idx = order[lo:lo + bsz]
-            z = model.forward(p, X[idx])
-            scale = n / len(idx)
-            upstream = scale * (a[idx] * loss_derivative("logistic", z, 1)
-                                + b[idx] * loss_derivative("logistic", z, -1))
-            model.backward(p, upstream)
-            optim.step(state, p, epoch)
+
+    def score_grad(idx):
+        z = model.forward(p, X[idx])
+        return n / len(idx) * (a[idx] * loss_derivative("logistic", z, 1)
+                               + b[idx] * loss_derivative("logistic", z, -1))
+
+    for _ in trainer.minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
+        pass
     return p
-
-
-def weighted_point_risk(p, X, a, b):
-    z = model.forward(p, X)
-    p.discard_cache()
-    return float(np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +138,7 @@ class TableRun:
 
 def synth_trial_data(setup_name, seed):
     setup = preset(setup_name)
-    train = sample_labeled(setup, *TRAIN_COUNTS, seed)
-    test = sample_labeled(setup, *TEST_COUNTS, make_rng(seed, 6).integers(2**31))
-    return setup, train, test
+    return (setup, *sample_train_test(setup, *TRAIN_COUNTS, seed))
 
 
 def run_sconf_trial(setup_name, seed, noise_std=0.0):
@@ -275,8 +257,7 @@ def collapse_demo(seed):
     collapsed. Returns per-method records plus the pooled confidences.
     """
     setup = COLLAPSE_SETUP
-    train = sample_labeled(setup, *TRAIN_COUNTS, seed)
-    test = sample_labeled(setup, *TEST_COUNTS, make_rng(seed, 6).integers(2**31))
+    train, test = sample_train_test(setup, *TRAIN_COUNTS, seed)
     sim_ds, dis_ds, all_ds = split_pairs_by_label(train, setup, seed)
     axis = setup.mu_minus - setup.mu_plus
 
@@ -287,33 +268,25 @@ def collapse_demo(seed):
                           epochs=30, seed=seed, batch_pairs=128, lr0=0.1,
                           weight_decay=1e-3)
         p, _ = trainer.train(ds, None, test, cfg)
-        scores = model.forward(p, test.X)
-        p.discard_cache()
         _, oracle_frac = threshold_collapse_oracle(ds, spec, axis)
-        results.append({
-            "method": kind,
-            "n_pairs": len(ds),
-            "frac_positive": float(np.mean(scores >= 0.0)),
-            "test_acc": float(np.mean(np.where(scores >= 0, 1, -1) == test.y)),
-            "oracle_frac_positive": oracle_frac,
-            "predictor": p,
-        })
+        results.append(_collapse_record(kind, len(ds), p, test, oracle_frac))
 
     a, b, _ = all_pairs_point_weights(train.X, setup)
     p = train_weighted_points(train.X, a, b, model.Architecture.linear(setup.dim),
                               epochs=30, lr0=0.1, seed=seed, weight_decay=1e-3,
                               batch=128)
+    n_pairs = len(train) * (len(train) - 1) // 2
+    results.append(_collapse_record("unbiased", n_pairs, p, test, float("nan")))
+    return results, all_ds, test, bayes_accuracy(test, setup)
+
+
+def _collapse_record(method, n_pairs, p, test, oracle_frac):
     scores = model.forward(p, test.X)
     p.discard_cache()
-    results.append({
-        "method": "unbiased",
-        "n_pairs": len(train) * (len(train) - 1) // 2,
-        "frac_positive": float(np.mean(scores >= 0.0)),
-        "test_acc": float(np.mean(np.where(scores >= 0, 1, -1) == test.y)),
-        "oracle_frac_positive": float("nan"),
-        "predictor": p,
-    })
-    return results, all_ds, test, bayes_accuracy(test, setup)
+    return {"method": method, "n_pairs": n_pairs,
+            "frac_positive": float(np.mean(scores >= 0.0)),
+            "test_acc": float(np.mean(np.where(scores >= 0, 1, -1) == test.y)),
+            "oracle_frac_positive": oracle_frac, "predictor": p}
 
 
 # ---------------------------------------------------------------------------

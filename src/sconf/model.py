@@ -7,12 +7,12 @@ activations of its batch; backward() consumes the cache and invalidates it,
 so memory stays bounded at one batch.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fileio import write_atomic
 from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"SCONF-CKPT-1"
@@ -164,10 +164,7 @@ def save_checkpoint(p, path):
     float64 parameters. The write is atomic (temp file + rename)."""
     payload = CHECKPOINT_MAGIC + b"\n" + p.arch.descriptor().encode() + b"\n"
     payload += p.params.astype("<f8").tobytes()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, payload)
 
 
 def load_checkpoint(path):

@@ -1,25 +1,28 @@
 """Risk estimators over unlabeled pairs with similarity confidence.
 
 Writing l+_i = l(z_i, +1) + l(z'_i, +1) and l-_i = l(z_i, -1) + l(z'_i, -1)
-for the summed pair losses, the two partial risks over an n-pair batch are
+for the summed pair losses, every pair estimator over an n-pair batch is
 
-    r+ = sum_i (s_i - pi-) l+_i / (2 n (pi+ - pi-))
-    r- = sum_i (pi+ - s_i) l-_i / (2 n (pi+ - pi-))
+    f(r+) + f(r-),   r+ = sum_i a_i l+_i,   r- = sum_i b_i l-_i,
 
-Their sum is an unbiased estimate of the supervised classification risk, but
+with the per-pair weights (a, b) of pair_weights() and the correction f of
+correction(); the public risks and gradient weights are kind checks over
+these two. For the paired kinds a_i = (s_i - pi-) / (2 n (pi+ - pi-)) and
+b_i = (pi+ - s_i) / (2 n (pi+ - pi-)). With f the identity ("unbiased") the
+total is an unbiased estimate of the supervised classification risk, but
 either partial can go negative in a finite sample. The corrected estimators
-wrap each partial with f(x) = x for x >= 0 and k|x| for x < 0:
+use f(x) = x for x >= 0 and k|x| for x < 0:
 
     nn           k -> 0 limit, implemented as max(0, x)
     abs          k = 1, |x|
     corrected(k) any k > 0
 
 The one-sided estimators apply to pair sets conditioned on being similar
-(resp. dissimilar); they reweight each pair by 1/s_i (resp. 1/(1 - s_i)) with
-a leading factor pi+^2 + pi-^2 (resp. 2 pi+ pi-). They are unbiased too, but
-when the confidences are skewed past the prior their empirical minimizer
-collapses to a one-class solution, which is the failure mode the paired
-estimators exist to avoid.
+(resp. dissimilar); they fold lead / s_i (resp. lead / (1 - s_i)) into a_i
+and b_i, with lead = pi+^2 + pi-^2 (resp. 2 pi+ pi-), and f is the identity.
+They are unbiased too, but when the confidences are skewed past the prior
+their empirical minimizer collapses to a one-class solution, which is the
+failure mode the paired estimators exist to avoid.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,10 @@ import numpy as np
 from .errors import BalancedPriorError, ConfigError
 from .losses import LOSS_KINDS, loss_value
 
-PAIR_KINDS = ("unbiased", "nn", "abs", "corrected", "similar_only", "dissimilar_only")
+CORRECTED_KINDS = ("unbiased", "nn", "abs", "corrected")
+ONE_SIDED_KINDS = ("similar_only", "dissimilar_only")
+IDENTITY_KINDS = ("unbiased",) + ONE_SIDED_KINDS  # f(x) = x
+PAIR_KINDS = CORRECTED_KINDS + ONE_SIDED_KINDS
 RISK_KINDS = PAIR_KINDS + ("supervised",)
 
 # Coefficients blow up as pi+ -> pi-; refuse to construct a spec there.
@@ -76,93 +82,19 @@ class PartialRisks:
     r_minus: float
 
 
-def _pair_coefficients(s, spec):
-    # per-pair multipliers of the summed +1 and -1 pair losses
-    n = len(s)
-    denom = 2.0 * n * (spec.pi_plus - spec.pi_minus)
-    return (s - spec.pi_minus) / denom, (spec.pi_plus - s) / denom
-
-
-def _check_pair_batch(z, z_prime, s, spec, kinds):
-    if spec.kind not in kinds:
-        raise ConfigError(f"risk kind {spec.kind!r} not valid here; expected one of {kinds}")
-    z = np.asarray(z, dtype=float)
-    z_prime = np.asarray(z_prime, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if not (z.shape == z_prime.shape == s.shape) or z.ndim != 1:
-        raise ConfigError("scores and confidences must be equal-length 1-d arrays")
-    if len(s) == 0:
-        raise ConfigError("empty pair batch")
-    return z, z_prime, s
-
-
-def partial_risks(z, z_prime, s, spec):
-    """The two partial risks of a pair batch under the given spec.
-
-    z and z_prime are the scores of the first and second pair members.
-    Summation is numpy pairwise summation, which keeps the accumulation error
-    well under the 1e-12 oracle tolerance for batches in the thousands.
-    """
-    corrected_kinds = ("unbiased", "nn", "abs", "corrected")
-    z, z_prime, s = _check_pair_batch(z, z_prime, s, spec, corrected_kinds)
-    cp, cm = _pair_coefficients(s, spec)
-    lp = loss_value(spec.loss, z, 1) + loss_value(spec.loss, z_prime, 1)
-    lm = loss_value(spec.loss, z, -1) + loss_value(spec.loss, z_prime, -1)
-    return PartialRisks(float(np.sum(cp * lp)), float(np.sum(cm * lm)))
-
-
-def correction_value(x, spec):
-    """The correction f applied to one partial risk."""
-    if spec.kind == "unbiased" or x >= 0.0:
-        return float(x)
-    if spec.kind == "nn":
-        return 0.0
-    if spec.kind == "abs":
-        return float(-x)
-    if spec.kind == "corrected":
-        return float(spec.k * -x)
-    raise ConfigError(f"no correction for kind {spec.kind!r}")
-
-
-def correction_slope(x, spec):
-    """f'(x) with the kink convention f'(0) = 1 (identity branch)."""
-    if spec.kind == "unbiased" or x >= 0.0:
-        return 1.0
-    if spec.kind == "nn":
-        return 0.0
-    if spec.kind == "abs":
-        return -1.0
-    if spec.kind == "corrected":
-        return -spec.k
-    raise ConfigError(f"no correction for kind {spec.kind!r}")
-
-
-def total_risk(pr, spec):
-    """f(r+) + f(r-) for the spec's correction; plain sum when unbiased."""
-    return correction_value(pr.r_plus, spec) + correction_value(pr.r_minus, spec)
-
-
-def risk_gradient_weights(s, pr, spec):
-    """Per-pair weights (w+, w-) so that d total / d z_i decomposes as
-
-        w+_i * dl(z_i, +1)/dz + w-_i * dl(z_i, -1)/dz
-
-    and identically for z'_i. For the corrected kinds the outer chain factor
-    f'(r+/-) multiplies the raw pair coefficients; for the one-sided kinds
-    (pr unused, may be None) the weights carry the 1/s or 1/(1-s) reweighting.
-    """
+def pair_weights(s, spec):
+    """Per-pair weights (a, b) of the summed +1 and -1 pair losses, any pair kind."""
     s = np.asarray(s, dtype=float)
     if len(s) == 0:
         raise ConfigError("empty pair batch")
-    if spec.kind in ("unbiased", "nn", "abs", "corrected"):
-        cp, cm = _pair_coefficients(s, spec)
-        return (correction_slope(pr.r_plus, spec) * cp,
-                correction_slope(pr.r_minus, spec) * cm)
-    if spec.kind in ("similar_only", "dissimilar_only"):
+    if spec.kind not in PAIR_KINDS:
+        raise ConfigError(f"risk kind {spec.kind!r} has no pair weights")
+    denom = 2.0 * len(s) * (spec.pi_plus - spec.pi_minus)
+    a, b = (s - spec.pi_minus) / denom, (spec.pi_plus - s) / denom
+    if spec.kind in ONE_SIDED_KINDS:
         lead, div = _one_sided_factors(s, spec)
-        cp, cm = _pair_coefficients(s, spec)
-        return lead * cp / div, lead * cm / div
-    raise ConfigError(f"risk kind {spec.kind!r} has no pair gradient weights")
+        a, b = lead * a / div, lead * b / div
+    return a, b
 
 
 def _one_sided_factors(s, spec):
@@ -177,15 +109,80 @@ def _one_sided_factors(s, spec):
     return 2.0 * spec.pi_plus * spec.pi_minus, 1.0 - s
 
 
-def one_sided_risk(z, z_prime, s, spec):
-    """Risk estimate from similar-only or dissimilar-only pair data."""
-    z, z_prime, s = _check_pair_batch(z, z_prime, s, spec,
-                                      ("similar_only", "dissimilar_only"))
-    lead, div = _one_sided_factors(s, spec)
-    cp, cm = _pair_coefficients(s, spec)
+def _partials(z, z_prime, s, spec, kinds):
+    # the one computation behind every pair risk: r+ = sum a l+, r- = sum b l-
+    if spec.kind not in kinds:
+        raise ConfigError(f"risk kind {spec.kind!r} not valid here; expected one of {kinds}")
+    z = np.asarray(z, dtype=float)
+    z_prime = np.asarray(z_prime, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if not (z.shape == z_prime.shape == s.shape) or z.ndim != 1:
+        raise ConfigError("scores and confidences must be equal-length 1-d arrays")
+    a, b = pair_weights(s, spec)
     lp = loss_value(spec.loss, z, 1) + loss_value(spec.loss, z_prime, 1)
     lm = loss_value(spec.loss, z, -1) + loss_value(spec.loss, z_prime, -1)
-    return float(np.sum(lead * (cp * lp + cm * lm) / div))
+    return PartialRisks(float(np.sum(a * lp)), float(np.sum(b * lm)))
+
+
+def partial_risks(z, z_prime, s, spec):
+    """The two partial risks of a pair batch under a corrected (or unbiased) spec.
+
+    z and z_prime are the scores of the first and second pair members.
+    Summation is numpy pairwise summation, which keeps the accumulation error
+    well under the 1e-12 oracle tolerance for batches in the thousands.
+    """
+    return _partials(z, z_prime, s, spec, CORRECTED_KINDS)
+
+
+def correction(x, spec):
+    """(f(x), f'(x)) for the spec's correction of one partial risk.
+
+    f is the identity for the unbiased and one-sided kinds and for x >= 0 (so
+    f'(0) = 1 at the kink); a NaN passes through unchanged.
+    """
+    if spec.kind not in PAIR_KINDS:
+        raise ConfigError(f"no correction for kind {spec.kind!r}")
+    if spec.kind in IDENTITY_KINDS or not x < 0.0:
+        return float(x), 1.0
+    if spec.kind == "nn":
+        return 0.0, 0.0
+    slope = -1.0 if spec.kind == "abs" else -spec.k
+    return float(slope * x), slope
+
+
+def correction_value(x, spec):
+    """The correction f applied to one partial risk."""
+    return correction(x, spec)[0]
+
+
+def correction_slope(x, spec):
+    """f'(x) with the kink convention f'(0) = 1 (identity branch)."""
+    return correction(x, spec)[1]
+
+
+def total_risk(pr, spec):
+    """f(r+) + f(r-) for the spec's correction; plain sum when unbiased."""
+    return correction(pr.r_plus, spec)[0] + correction(pr.r_minus, spec)[0]
+
+
+def risk_gradient_weights(s, pr, spec):
+    """Per-pair weights (w+, w-) so that d total / d z_i decomposes as
+
+        w+_i * dl(z_i, +1)/dz + w-_i * dl(z_i, -1)/dz
+
+    and identically for z'_i: the pair weights (a, b), times the outer chain
+    factor f'(r+/-) for the corrected kinds. The one-sided kinds have no
+    correction, so pr is unused there and may be None.
+    """
+    a, b = pair_weights(s, spec)
+    if spec.kind in ONE_SIDED_KINDS:
+        return a, b
+    return correction(pr.r_plus, spec)[1] * a, correction(pr.r_minus, spec)[1] * b
+
+
+def one_sided_risk(z, z_prime, s, spec):
+    """Risk estimate from similar-only or dissimilar-only pair data."""
+    return total_risk(_partials(z, z_prime, s, spec, ONE_SIDED_KINDS), spec)
 
 
 def supervised_risk(z, y, loss="logistic"):
@@ -201,7 +198,5 @@ def supervised_risk(z, y, loss="logistic"):
 
 
 def pair_risk(z, z_prime, s, spec):
-    """Total risk of a pair batch for any pair kind (corrected or one-sided)."""
-    if spec.kind in ("similar_only", "dissimilar_only"):
-        return one_sided_risk(z, z_prime, s, spec)
-    return total_risk(partial_risks(z, z_prime, s, spec), spec)
+    """Total risk f(r+) + f(r-) of a pair batch for any pair kind."""
+    return total_risk(_partials(z, z_prime, s, spec, PAIR_KINDS), spec)

@@ -5,7 +5,8 @@ to CSV, so these are conveniences, not records.
 """
 
 import math
-import os
+
+from .fileio import write_atomic
 
 W, H = 640, 420
 ML, MR, MT, MB = 64, 16, 28, 46
@@ -77,10 +78,7 @@ class _Canvas:
 
     def save(self, path):
         self.parts.append("</svg>")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.parts))
-        os.replace(tmp, path)
+        write_atomic(path, "\n".join(self.parts))
 
 
 def _limits(vals, pad=0.05, log=False):

@@ -1,27 +1,33 @@
-"""ERM loop over pair (or labeled) data with risk-based model selection.
+"""The package's only minibatch loop, and ERM with risk-based model selection.
 
-Each epoch shuffles the training pairs with a stream keyed by (seed, epoch),
-walks them in minibatches (a final partial batch is kept and self-normalized
-by its own size), and takes one optimizer step per batch. After every epoch
-the full-train risk, full-validation risk (same estimator kind), and test
-accuracy are recorded. The returned predictor is the parameter snapshot at
+minibatch_epochs() shuffles the rows with a stream keyed by (seed, epoch),
+walks them in minibatches (a final partial batch is kept), backpropagates the
+caller's gradient with respect to the batch scores, and takes one Adam step
+per batch. train() feeds it the gradient of the spec's risk, self-normalized
+by the batch size; experiments.train_weighted_points and
+dataset_io.posterior_model_confidences feed it their own.
+
+After every epoch train() records the full-train risk, full-validation risk
+(same estimator kind), and test accuracy, and stops with NonFiniteRiskError
+if a risk is not finite. The returned predictor is the parameter snapshot at
 the epoch of minimum validation risk; test labels are touched only inside
 evaluate().
 """
 
 import csv
 import io
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model, optim
 from .datagen import LabeledData, SconfDataset
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteRiskError
+from .fileio import write_atomic
 from .losses import loss_derivative
 from .rng import make_rng
-from .risk import RiskSpec, pair_risk, partial_risks, risk_gradient_weights, supervised_risk
+from .risk import (ONE_SIDED_KINDS, RiskSpec, pair_risk, partial_risks, risk_gradient_weights,
+                   supervised_risk)
 
 REPORT_COLUMNS = ("epoch", "train_risk", "val_risk", "test_acc", "test_01_risk", "lr")
 
@@ -62,10 +68,7 @@ class TrainReport:
             writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
         text = buf.getvalue()
         if path is not None:
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            write_atomic(path, text)
         return text
 
     def val_risks(self):
@@ -117,13 +120,52 @@ def _check_dataset(ds, spec, role):
         raise ConfigError(f"{role} dataset is empty")
 
 
+def minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
+    """The package's only minibatch loop; yields each epoch after its last step.
+
+    score_grad(idx) scores the rows of batch idx with model.forward(p, ...)
+    and returns the objective's gradient with respect to those scores. batch
+    None means full batch.
+    """
+    size = n if batch is None else min(batch, n)
+    for epoch in range(epochs):
+        order = make_rng(seed, 4, epoch).permutation(n)
+        for lo in range(0, n, size):
+            model.backward(p, score_grad(order[lo:lo + size]))
+            optim.step(state, p, epoch)
+        yield epoch
+
+
+def labeled_grad(p, X, y, loss="logistic"):
+    """score_grad of the mean loss over a labeled batch."""
+    return lambda idx: loss_derivative(loss, model.forward(p, X[idx]), y[idx]) / len(idx)
+
+
+def _risk_grad(p, ds, spec):
+    if spec.kind == "supervised":
+        return labeled_grad(p, ds.X, ds.y, spec.loss)
+
+    def score_grad(idx):
+        z, zp = _pair_scores(p, ds, idx)
+        s = ds.s[idx]
+        pr = None if spec.kind in ONE_SIDED_KINDS else partial_risks(z, zp, s, spec)
+        w_plus, w_minus = risk_gradient_weights(s, pr, spec)
+        return np.concatenate([
+            w_plus * loss_derivative(spec.loss, z, 1) + w_minus * loss_derivative(spec.loss, z, -1),
+            w_plus * loss_derivative(spec.loss, zp, 1) + w_minus * loss_derivative(spec.loss, zp, -1),
+        ])
+
+    return score_grad
+
+
 def train(train_ds, val_ds, test, cfg):
     """Run ERM and return (predictor at the best-validation epoch, report).
 
     train_ds / val_ds are SconfDatasets for the pair estimator kinds and
     LabeledData for the supervised kind. val_ds may be None, in which case the
     training set doubles as the validation set (selection then follows the
-    training risk).
+    training risk). Raises NonFiniteRiskError if the train or validation risk
+    of an epoch is NaN or infinite.
     """
     spec = cfg.risk
     _check_dataset(train_ds, spec, "training")
@@ -133,26 +175,20 @@ def train(train_ds, val_ds, test, cfg):
         _check_dataset(val_ds, spec, "validation")
 
     p = model.init(cfg.arch, cfg.seed)
-    state = optim.AdamState.for_predictor(
-        p, cfg.lr0, weight_decay=cfg.weight_decay,
-        drop_every=cfg.drop_every, drop_factor=cfg.drop_factor,
-    )
-    n = len(train_ds)
-    batch = n if cfg.batch_pairs is None else min(cfg.batch_pairs, n)
-
+    state = optim.AdamState.for_predictor(p, cfg.lr0, weight_decay=cfg.weight_decay,
+                                          drop_every=cfg.drop_every, drop_factor=cfg.drop_factor)
     report = TrainReport()
     if isinstance(train_ds, SconfDataset) and train_ds.reference_s is not None:
         report.sigma_n = float(np.abs(train_ds.s - train_ds.reference_s).sum())
 
     best = (np.inf, None, 0)
-    for epoch in range(cfg.epochs):
-        order = make_rng(cfg.seed, 4, epoch).permutation(n)
-        for lo in range(0, n, batch):
-            idx = order[lo:lo + batch]
-            _train_step(p, state, train_ds, idx, spec, epoch)
-
+    for epoch in minibatch_epochs(p, state, len(train_ds), cfg.batch_pairs, cfg.seed,
+                                  cfg.epochs, _risk_grad(p, train_ds, spec)):
         train_risk = _dataset_risk(p, train_ds, spec)
         val_risk = _dataset_risk(p, val_ds, spec)
+        for role, value in (("train", train_risk), ("validation", val_risk)):
+            if not np.isfinite(value):
+                raise NonFiniteRiskError(epoch, role, value)
         test_acc, test_01 = evaluate(p, test)
         lr = optim.effective_lr(state, epoch)
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
@@ -163,29 +199,3 @@ def train(train_ds, val_ds, test, cfg):
     report.best_epoch = best[2]
     chosen = model.Predictor(cfg.arch, best[1], np.zeros_like(p.params))
     return chosen, report
-
-
-def _train_step(p, state, ds, idx, spec, epoch):
-    if spec.kind == "supervised":
-        X, y = ds.X[idx], ds.y[idx]
-        scores = model.forward(p, X)
-        upstream = loss_derivative(spec.loss, scores, y) / len(idx)
-        model.backward(p, upstream)
-    else:
-        z, zp = _pair_scores(p, ds, idx)
-        s = ds.s[idx]
-        if spec.kind in ("similar_only", "dissimilar_only"):
-            w_plus, w_minus = risk_gradient_weights(s, None, spec)
-        else:
-            pr = partial_risks(z, zp, s, spec)
-            w_plus, w_minus = risk_gradient_weights(s, pr, spec)
-        dz_p = loss_derivative(spec.loss, z, 1)
-        dz_m = loss_derivative(spec.loss, z, -1)
-        dzp_p = loss_derivative(spec.loss, zp, 1)
-        dzp_m = loss_derivative(spec.loss, zp, -1)
-        upstream = np.concatenate([
-            w_plus * dz_p + w_minus * dz_m,
-            w_plus * dzp_p + w_minus * dzp_m,
-        ])
-        model.backward(p, upstream)
-    optim.step(state, p, epoch)

@@ -83,6 +83,22 @@ class TestTrain:
         assert run_cli(["train", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert ":2" in capsys.readouterr().err
 
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "setup=B\nepochs=3\nseed=1\nepochs=2\n")
+        out = tmp_path / "o"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:4: duplicate key 'epochs'" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_diverged_training_exit_code_no_partial_files(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "setup=B\nepochs=3\nseed=1\nlr0=1e308\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run_cli(["train", str(cfg), "--out", str(out)]) == 5
+        assert "epoch 0: train risk is nan" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        assert not (out / "model.ckpt").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["train", str(tmp_path / "absent.cfg"),
                         "--out", str(tmp_path / "o")]) == 2

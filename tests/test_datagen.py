@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sconf.datagen import (GaussianSetup, SconfDataset, add_confidence_noise,
+from sconf.datagen import (GaussianSetup, LabeledData, SconfDataset, add_confidence_noise,
                            make_pairs, parse_setup, posterior_plus, preset,
-                           sample_labeled, similarity_confidence)
+                           sample_labeled, sample_train_test, similarity_confidence)
+from sconf.rng import make_rng
 from sconf.errors import ConfigError
 
 
@@ -56,6 +57,13 @@ class TestSampleLabeled:
         c = sample_labeled(preset("C"), 40, 20, seed=6)
         assert np.array_equal(a.X, b.X)
         assert not np.array_equal(a.X, c.X)
+
+    def test_train_test_recipe(self):
+        setup = preset("C")
+        train, test = sample_train_test(setup, 5, 3, seed=4)
+        assert np.array_equal(train.X, sample_labeled(setup, 5, 3, 4).X)
+        expected = sample_labeled(setup, 10, 6, make_rng(4, 6).integers(2**31))
+        assert np.array_equal(test.X, expected.X) and np.array_equal(test.y, expected.y)
 
     def test_bad_covariance_is_named(self):
         with pytest.raises(ConfigError, match="sigma_minus"):
@@ -114,6 +122,27 @@ class TestSimilarityConfidence:
             similarity_confidence(1.2, 0.5)
         with pytest.raises(ConfigError):
             similarity_confidence(0.5, -0.01)
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_labeled_data_rejects_non_finite_features(self, bad):
+        X = np.zeros((3, 2))
+        X[2, 1] = bad
+        with pytest.raises(ConfigError, match="X has a non-finite value in row 2"):
+            LabeledData(X, [1, -1, 1])
+
+    def test_nan_confidence_rejected(self):
+        # both range comparisons are False for NaN, so it needs its own check
+        with pytest.raises(ConfigError, match="s has a non-finite value in row 1"):
+            SconfDataset(np.zeros((3, 2)), np.zeros((3, 2)), [0.5, np.nan, 0.5])
+
+    @pytest.mark.parametrize("field", ("x", "x_prime"))
+    def test_non_finite_pair_member_rejected(self, field):
+        cols = {"x": np.zeros((2, 2)), "x_prime": np.zeros((2, 2))}
+        cols[field][0, 0] = np.inf
+        with pytest.raises(ConfigError, match=f"{field} has a non-finite value in row 0"):
+            SconfDataset(cols["x"], cols["x_prime"], [0.5, 0.5])
 
 
 class TestMakePairs:
@@ -228,6 +257,10 @@ class TestSetupFiles:
     def test_missing_keys(self):
         with pytest.raises(ConfigError, match="missing keys"):
             parse_setup("mu_plus = 0 0\n")
+
+    def test_repeated_key_names_line(self):
+        with pytest.raises(ConfigError, match="setup.txt:3: duplicate key 'mu_plus'"):
+            parse_setup("mu_plus = 0 0\nmu_minus = 4 0\nmu_plus = 1 1\n", source="setup.txt")
 
     def test_presets_are_valid(self):
         for name in "ABCD":

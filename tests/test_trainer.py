@@ -4,7 +4,7 @@ import pytest
 from sconf import model
 from sconf.datagen import (LabeledData, SconfDataset, add_confidence_noise,
                            make_pairs, preset, sample_labeled)
-from sconf.errors import ConfigError
+from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
 from sconf.model import Architecture
 from sconf.risk import RiskSpec, pair_risk
 from sconf.trainer import TrainConfig, TrainReport, evaluate, train
@@ -129,6 +129,19 @@ class TestTrainBasics:
             train(test, None, test, linear_cfg(RiskSpec("unbiased", 0.625)))
         with pytest.raises(ConfigError):
             train(ds, None, test, linear_cfg(RiskSpec("supervised", 0.625)))
+
+
+    @pytest.mark.parametrize("kind", ("unbiased", "nn", "supervised"))
+    def test_divergence_raises_naming_the_epoch(self, kind):
+        # lr0 = 1e308 sends the parameters to +-inf after the first step
+        setup, ds = small_pair_data()
+        test = small_test(setup)
+        train_ds = test if kind == "supervised" else ds
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteRiskError, match=r"^epoch \d+: train risk is (nan|inf)") as info:
+            train(train_ds, None, test, linear_cfg(RiskSpec(kind, 0.625), lr0=1e308))
+        assert isinstance(info.value, SconfError)
+        assert info.value.role == "train" and info.value.epoch >= 0
 
 
 class TestEstimatorKinds:
