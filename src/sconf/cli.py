@@ -58,6 +58,14 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def parse_list(text, cast, name):
+    """The comma-separated values of one flag or config key, each cast."""
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{name} expects comma-separated numbers, got {text!r}") from None
+
+
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -136,7 +144,7 @@ def cmd_collapse_demo(args):
 
 def cmd_sweep_n(args):
     out = _out_dir(args)
-    grid = [int(v) for v in args.n_grid.split(",")]
+    grid = parse_list(args.n_grid, int, "--n-grid")
     rows, slope = experiments.sweep_n(args.setup, grid, args.trials, base_seed=args.seed)
     csv_path = os.path.join(out, "sweep_n.csv")
     write_csv(csv_path, ("n_pairs", "mean_excess_01_risk", "std_excess_01_risk"), rows)
@@ -159,7 +167,7 @@ def cmd_sweep_n(args):
 
 def cmd_sweep_noise(args):
     out = _out_dir(args)
-    stds = [float(v) for v in args.stds.split(",")]
+    stds = parse_list(args.stds, float, "--stds")
     rows = experiments.sweep_noise(args.setup, stds, args.trials)
     csv_path = os.path.join(out, "sweep_noise.csv")
     write_csv(csv_path, ("noise_std", "mean_acc", "std_acc", "mean_sigma_n"), rows)
@@ -325,10 +333,7 @@ def _split_pairs(ds, val_fraction, seed):
     if n_val == 0 or n_val >= len(ds):
         raise ConfigError("val_fraction leaves an empty split")
     perm = make_rng(seed, 8).permutation(len(ds))
-    cls = type(ds)
-    take = lambda idx: cls(ds.x[idx], ds.x_prime[idx], ds.s[idx], provenance=ds.provenance,
-                           reference_s=None if ds.reference_s is None else ds.reference_s[idx])
-    return take(perm[n_val:]), take(perm[:n_val])
+    return ds.subset(perm[n_val:]), ds.subset(perm[:n_val])
 
 
 def _parse_arch(text, d):
@@ -337,8 +342,9 @@ def _parse_arch(text, d):
     if text == "mlp":
         return model.Architecture.mlp(d)
     if text.startswith("mlp:"):
-        h1, h2 = (int(v) for v in text[4:].split(","))
-        return model.Architecture.mlp(d, h1, h2)
+        sizes = parse_list(text[4:], int, "arch")
+        if len(sizes) == 2:
+            return model.Architecture.mlp(d, *sizes)
     raise ConfigError(f"unknown arch {text!r} (use linear, mlp, or mlp:H1,H2)")
 
 

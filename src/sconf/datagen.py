@@ -7,6 +7,11 @@ confidence s = P(y = y' | x, x') = r(x) r(x') + (1 - r(x)) (1 - r(x')),
 where r is the positive-class posterior. Confidence noise is zero-mean
 Gaussian, clipped back into [0, 1].
 
+An SconfDataset of n pairs keeps both members in one (2n, d) row block, x
+over x'. pair_up is the one pairing recipe: pair_indices permutes the points
+with the stream (seed, 1) and pairs consecutive entries, and each pair's
+confidence comes from the posteriors of its two points.
+
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
 
@@ -116,7 +121,8 @@ class LabeledData:
 
 @dataclass
 class SconfDataset:
-    """Unlabeled pairs (x_i, x'_i) with confidences s_i, stored columnwise.
+    """Unlabeled pairs (x_i, x'_i) with confidences s_i, both members copied
+    into one (2n, d) block rows whose halves x and x_prime are views.
 
     provenance is "exact" for posterior-derived confidences, "noisy(std=...)"
     after noise injection, or "model" when the confidences come from a trained
@@ -130,21 +136,29 @@ class SconfDataset:
     s: np.ndarray
     provenance: str = "exact"
     reference_s: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.x_prime = np.asarray(self.x_prime, dtype=float)
+        x = np.asarray(self.x, dtype=float)
+        x_prime = np.asarray(self.x_prime, dtype=float)
         self.s = np.asarray(self.s, dtype=float)
-        if self.x.shape != self.x_prime.shape or self.x.ndim != 2:
+        if x.shape != x_prime.shape or x.ndim != 2:
             raise ConfigError("x and x_prime must both be (n, d)")
-        if self.s.shape != (self.x.shape[0],):
+        if self.s.shape != (x.shape[0],):
             raise ConfigError("s must be (n,)")
-        _check_finite(x=self.x, x_prime=self.x_prime, s=self.s)
+        _check_finite(x=x, x_prime=x_prime, s=self.s)
         if len(self.s) and (self.s.min() < 0.0 or self.s.max() > 1.0):
             raise ConfigError("confidences must lie in [0, 1]")
+        self.rows = np.concatenate([x, x_prime])
+        self.x, self.x_prime = self.rows[:len(x)], self.rows[len(x):]
 
     def __len__(self):
         return self.x.shape[0]
+
+    def subset(self, idx):
+        """The pairs at idx, keeping provenance and reference confidences."""
+        return SconfDataset(self.x[idx], self.x_prime[idx], self.s[idx], provenance=self.provenance,
+                            reference_s=None if self.reference_s is None else self.reference_s[idx])
 
 
 def _check_finite(**arrays):
@@ -230,21 +244,30 @@ def similarity_confidence(r_x, r_xp):
     return float(s) if s.ndim == 0 else s
 
 
+def pair_indices(n, seed):
+    """Index arrays (i1, i2) of the n // 2 pairs of n points: a permutation
+    from the stream (seed, 1), consecutive entries paired, an odd one out."""
+    perm = make_rng(seed, 1).permutation(n)[:n - n % 2]
+    return perm[0::2], perm[1::2]
+
+
+def pair_up(X, r, seed, provenance):
+    """Pair the rows of X (pair_indices) with confidences from their
+    positive-class posteriors r. |pairs| = n // 2."""
+    i1, i2 = pair_indices(len(X), seed)
+    return SconfDataset(X[i1], X[i2], similarity_confidence(r[i1], r[i2]), provenance=provenance)
+
+
 def make_pairs(points, setup, seed):
     """Pair up an even batch of marginal draws and attach exact confidences.
 
-    The points are permuted with the seeded stream and consecutive entries are
-    paired, which keeps the pairs i.i.d. when the points are. |pairs| = n/2.
+    Random pairing keeps the pairs i.i.d. when the points are. |pairs| = n/2.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n % 2 != 0:
         raise ConfigError(f"need an even number of points to pair, got {n}; drop one point")
-    perm = make_rng(seed, 1).permutation(n)
-    x = points[perm[0::2]]
-    x_prime = points[perm[1::2]]
-    s = similarity_confidence(posterior_plus(x, setup), posterior_plus(x_prime, setup))
-    return SconfDataset(x, x_prime, np.atleast_1d(s), provenance="exact")
+    return pair_up(points, posterior_plus(points, setup), seed, "exact")
 
 
 def add_confidence_noise(ds, std, seed):
@@ -257,8 +280,8 @@ def add_confidence_noise(ds, std, seed):
         raise ConfigError("noise std must be nonnegative")
     noisy = ds.s + make_rng(seed, 2).normal(0.0, std, size=len(ds)) if std > 0 else ds.s.copy()
     return SconfDataset(
-        ds.x.copy(),
-        ds.x_prime.copy(),
+        ds.x,
+        ds.x_prime,
         np.clip(noisy, 0.0, 1.0),
         provenance=f"noisy(std={std:g})",
         reference_s=ds.s.copy(),

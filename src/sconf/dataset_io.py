@@ -7,9 +7,10 @@ by 1/255.
 
 Binary corruption maps a multiclass label space onto {-1, +1} by a fixed
 positive-class set. Similarity confidences for such data come from a
-probabilistic classifier trained with logistic loss on the labeled points,
-through the trainer's minibatch loop and its labeled-batch gradient; its
-sigmoid outputs play the role of the class posterior.
+probabilistic classifier trained with logistic loss on the labeled points:
+trainer.train_weighted_points with the one-hot point weights
+trainer.one_hot(y). Its sigmoid outputs play the role of the class
+posterior, and datagen.pair_up pairs the points with them.
 """
 
 import gzip
@@ -18,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, optim, trainer
-from .datagen import LabeledData, SconfDataset, similarity_confidence
+from . import model, trainer
+from .datagen import LabeledData, pair_up
 from .errors import ConfigError, DataError
 from .fileio import write_atomic
-from .rng import make_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -156,44 +156,22 @@ def corrupt_binary(X, labels, rule):
     return LabeledData(X, np.where(pos, 1, -1))
 
 
-def split_train_val(data, n_val, seed):
-    """Deterministic validation split: seeded permutation, then cut at n_val."""
-    n = len(data)
-    if not 0 < n_val < n:
-        raise ConfigError(f"n_val must lie strictly between 0 and {n}")
-    perm = make_rng(seed, 5).permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    return (LabeledData(data.X[train_idx], data.y[train_idx]),
-            LabeledData(data.X[val_idx], data.y[val_idx]))
-
-
 def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=1e-2):
     """Pairs with similarity confidence generated by a trained classifier.
 
     Trains the given architecture on (X, y) with logistic loss, reads the
     sigmoid of its scores as positive-class posteriors, drops the labels, and
-    pairs the points exactly like the synthetic pipeline (seeded permutation,
-    consecutive pairing), with s computed from the model posteriors.
+    pairs the points like the synthetic pipeline (datagen.pair_up), with s
+    computed from the model posteriors.
 
     Returns (dataset, posteriors), the posteriors aligned with the input
     order. An odd point is dropped from the pairing but keeps its posterior.
     """
     if len(labeled) == 0:
         raise ConfigError("need labeled data to fit a confidence model")
-    p = model.init(arch, seed)
-    state = optim.AdamState.for_predictor(p, lr0)
-    n = len(labeled)
-    for _ in trainer.minibatch_epochs(p, state, n, batch, seed, epochs,
-                                      trainer.labeled_grad(p, labeled.X, labeled.y)):
-        pass
-
+    p = trainer.train_weighted_points(labeled.X, *trainer.one_hot(labeled.y), arch, epochs, lr0,
+                                      seed=seed, batch=batch)
     scores = model.forward(p, labeled.X)
     p.discard_cache()
     posteriors = 1.0 / (1.0 + np.exp(-scores))
-
-    m = n - (n % 2)
-    perm = make_rng(seed, 1).permutation(n)[:m]
-    i1, i2 = perm[0::2], perm[1::2]
-    s = similarity_confidence(posteriors[i1], posteriors[i2])
-    ds = SconfDataset(labeled.X[i1], labeled.X[i2], np.atleast_1d(s), provenance="model")
-    return ds, posteriors
+    return pair_up(labeled.X, posteriors, seed, "model"), posteriors

@@ -9,7 +9,8 @@ with sub-point spread. all_pairs_point_weights sums each point's unbiased
 pair weights (risk.pair_weights) over its partners into one (a_i, b_i); the
 objective sum_i a_i l(z_i, +1) + b_i l(z_i, -1) is algebraically identical to
 the full pair risk, but costs O(n) per step instead of O(n^2).
-train_weighted_points minimizes it through the trainer's minibatch loop.
+run_table_trial minimizes it, or the supervised arm's one-hot weights, with
+trainer.train_weighted_points (also importable from here).
 
 Sampling conventions for the built-in setups: the datagen preset counts of
 500 positive / 300 negative training points (class prior 0.625) and the test
@@ -21,15 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, optim, trainer
+from . import model, trainer
 from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSetup,
-                      SconfDataset, make_pairs, posterior_plus, preset, sample_labeled,
-                      sample_train_test, similarity_confidence)
+                      make_pairs, pair_indices, pair_up, posterior_plus, preset, sample_labeled,
+                      sample_train_test)
 from .errors import ConfigError
-from .losses import loss_derivative
 from .rng import make_rng
-from .risk import RiskSpec
-from .trainer import TrainConfig
+from .risk import RiskSpec, pair_risk
+from .trainer import TrainConfig, train_weighted_points
 
 TRAIN_COUNTS = (PRESET_N_PLUS, PRESET_N_MINUS)
 
@@ -97,30 +97,6 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0):
     return a, b, sigma_n
 
 
-def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
-                          drop_factor=10.0, weight_decay=0.0, batch=None):
-    """Minimize sum_i a_i l(z_i, +1) + b_i l(z_i, -1) (logistic) with Adam.
-
-    Runs trainer.minibatch_epochs; minibatch gradients are rescaled by
-    n/|batch| so each step estimates the full gradient. Full batch (the
-    synthetic protocol) when batch is None.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    p = model.init(arch, seed)
-    state = optim.AdamState.for_predictor(p, lr0, weight_decay=weight_decay,
-                                          drop_every=drop_every, drop_factor=drop_factor)
-
-    def score_grad(idx):
-        z = model.forward(p, X[idx])
-        return n / len(idx) * (a[idx] * loss_derivative("logistic", z, 1)
-                               + b[idx] * loss_derivative("logistic", z, -1))
-
-    for _ in trainer.minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
-        pass
-    return p
-
-
 # ---------------------------------------------------------------------------
 # benchmark table: setups A-D x {exact, noisy confidences, supervised}
 
@@ -132,50 +108,44 @@ class TableRun:
     noise_std: float
     seed: int
     acc_final: float
-    acc_best_val: float
     sigma_n: float
 
 
-def synth_trial_data(setup_name, seed):
+def run_table_trial(setup_name, seed, method="sconf", noise_std=0.0):
+    """Final test accuracy of one table run: the points weighted by all-pairs
+    confidences (method "sconf") or one-hot labels ("supervised")."""
     setup = preset(setup_name)
-    return (setup, *sample_train_test(setup, *TRAIN_COUNTS, seed))
-
-
-def run_sconf_trial(setup_name, seed, noise_std=0.0):
-    """One all-pairs Sconf run under the synthetic protocol; final accuracy."""
-    setup, train, test = synth_trial_data(setup_name, seed)
-    a, b, sigma_n = all_pairs_point_weights(train.X, setup, noise_std=noise_std, seed=seed)
+    train, test = sample_train_test(setup, *TRAIN_COUNTS, seed)
+    if method == "supervised":
+        (a, b), sigma_n = trainer.one_hot(train.y), 0.0
+    else:
+        a, b, sigma_n = all_pairs_point_weights(train.X, setup, noise_std=noise_std, seed=seed)
     p = train_weighted_points(train.X, a, b, model.Architecture.linear(setup.dim),
                               epochs=SYNTH_EPOCHS, lr0=SYNTH_LR0, seed=seed,
                               drop_every=SYNTH_DROP)
     acc, _ = trainer.evaluate(p, test)
-    return TableRun(setup_name, "sconf", noise_std, seed, acc, acc, sigma_n)
+    return TableRun(setup_name, method, noise_std, seed, acc, sigma_n)
 
 
-def run_supervised_trial(setup_name, seed):
-    """Fully supervised baseline under the same optimizer protocol."""
-    setup, train, test = synth_trial_data(setup_name, seed)
-    spec = RiskSpec("supervised", setup.pi_plus)
-    cfg = TrainConfig(risk=spec, arch=model.Architecture.linear(setup.dim),
-                      epochs=SYNTH_EPOCHS, seed=seed, lr0=SYNTH_LR0,
-                      drop_every=SYNTH_DROP)
-    p_best, report = trainer.train(train, None, test, cfg)
-    final_acc = report.rows[-1][3]
-    best_acc = report.row_at(report.best_epoch)[3]
-    return TableRun(setup_name, "supervised", 0.0, seed, final_acc, best_acc, 0.0)
+def trial_seeds(trials, seeds=None):
+    """The given seeds, or 1..trials; at least one is required."""
+    seeds = list(seeds) if seeds is not None else list(range(1, trials + 1))
+    if not seeds:
+        raise ConfigError("need at least one trial")
+    return seeds
 
 
 def reproduce_table(trials=5, setups=("A", "B", "C", "D"), noise_stds=(0.0, 0.1, 0.2, 0.3),
                     seeds=None):
     """All runs behind the benchmark table; seeds default to 1..trials."""
-    seeds = list(seeds) if seeds is not None else list(range(1, trials + 1))
+    seeds = trial_seeds(trials, seeds)
     runs = []
     for name in setups:
         for std in noise_stds:
             for seed in seeds:
-                runs.append(run_sconf_trial(name, seed, noise_std=std))
+                runs.append(run_table_trial(name, seed, noise_std=std))
         for seed in seeds:
-            runs.append(run_supervised_trial(name, seed))
+            runs.append(run_table_trial(name, seed, method="supervised"))
     return runs
 
 
@@ -204,12 +174,10 @@ def threshold_collapse_oracle(ds, spec, direction):
     minimizing threshold and the fraction of training pair members it calls
     positive.
     """
-    from .risk import pair_risk
-
     direction = np.asarray(direction, dtype=float)
-    proj1 = ds.x @ direction
-    proj2 = ds.x_prime @ direction
-    allproj = np.sort(np.concatenate([proj1, proj2]))
+    proj = ds.rows @ direction
+    proj1, proj2 = proj[:len(ds)], proj[len(ds):]
+    allproj = np.sort(proj)
     cuts = [allproj[0] - 1.0]
     cuts += [(allproj[k] + allproj[k + 1]) / 2.0 for k in range(len(allproj) - 1)]
     cuts += [allproj[-1] + 1.0]
@@ -220,7 +188,7 @@ def threshold_collapse_oracle(ds, spec, direction):
         if risk < best[0]:
             best = (risk, t)
     t = best[1]
-    frac_pos = float(np.mean(np.concatenate([proj1, proj2]) >= t))
+    frac_pos = float(np.mean(proj >= t))
     return t, frac_pos
 
 
@@ -233,17 +201,12 @@ def split_pairs_by_label(train, setup, seed):
     collapses; without it a handful of near-boundary pairs with extreme 1/s
     (or 1/(1-s)) weights dominate the objective.
     """
-    n = len(train)
-    perm = make_rng(seed, 1).permutation(n - (n % 2))
-    i1, i2 = perm[0::2], perm[1::2]
-    r1 = posterior_plus(train.X[i1], setup)
-    r2 = posterior_plus(train.X[i2], setup)
-    s = similarity_confidence(r1, r2)
+    all_ds = pair_up(train.X, posterior_plus(train.X, setup), seed, "exact")
+    i1, i2 = pair_indices(len(train), seed)
     same = train.y[i1] == train.y[i2]
-    sim = same & (s >= setup.pi_plus)
-    dis = ~same & (s <= setup.pi_minus)
-    mk = lambda m: SconfDataset(train.X[i1[m]], train.X[i2[m]], s[m], provenance="exact")
-    return mk(sim), mk(dis), SconfDataset(train.X[i1], train.X[i2], s, provenance="exact")
+    sim = same & (all_ds.s >= setup.pi_plus)
+    dis = ~same & (all_ds.s <= setup.pi_minus)
+    return all_ds.subset(sim), all_ds.subset(dis), all_ds
 
 
 def collapse_demo(seed):
@@ -333,14 +296,15 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
     grid is degenerate)."""
     if list(n_grid) != sorted(n_grid):
         raise ConfigError("n grid must be ascending")
+    seeds = trial_seeds(trials)
     setup = preset(setup_name)
     test = sweep_test_set(setup)
     bayes_risk = 1.0 - bayes_accuracy(test, setup)
     rows = []
     for n_pairs in n_grid:
         excesses = []
-        for t in range(trials):
-            seed = base_seed * 100_000 + 7 * n_pairs + t + 1
+        for t in seeds:
+            seed = base_seed * 100_000 + 7 * n_pairs + t
             # final-epoch model of the fixed-budget protocol
             excesses.append(sweep_n_run(setup, n_pairs, seed, test, bayes_risk))
         rows.append((n_pairs, float(np.mean(excesses)), float(np.std(excesses))))
@@ -358,10 +322,10 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
 
 def sweep_noise(setup_name, stds, trials, seeds=None):
     """Accuracy and summed confidence deviation per noise level."""
-    seeds = list(seeds) if seeds is not None else list(range(1, trials + 1))
+    seeds = trial_seeds(trials, seeds)
     rows = []
     for std in stds:
-        runs = [run_sconf_trial(setup_name, seed, noise_std=std) for seed in seeds]
+        runs = [run_table_trial(setup_name, seed, noise_std=std) for seed in seeds]
         accs = np.array([r.acc_final for r in runs])
         sig = np.array([r.sigma_n for r in runs])
         rows.append((float(std), 100.0 * accs.mean(), 100.0 * accs.std(), float(sig.mean())))

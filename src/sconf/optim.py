@@ -31,6 +31,12 @@ class AdamState:
             raise ConfigError("betas must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight decay must be nonnegative")
+        if not (np.isfinite(self.lr0) and self.lr0 >= 0.0):
+            raise ConfigError(f"learning rate lr0 must be finite and nonnegative, got {self.lr0}")
+        if self.drop_every is not None and self.drop_every < 1:
+            raise ConfigError(f"drop_every must be at least 1 when set, got {self.drop_every}")
+        if not self.drop_factor > 0.0:
+            raise ConfigError(f"drop_factor must be positive, got {self.drop_factor}")
 
     @staticmethod
     def for_predictor(p, lr0, weight_decay=0.0, drop_every=None, drop_factor=10.0):

@@ -150,16 +150,6 @@ def correction(x, spec):
     return float(slope * x), slope
 
 
-def correction_value(x, spec):
-    """The correction f applied to one partial risk."""
-    return correction(x, spec)[0]
-
-
-def correction_slope(x, spec):
-    """f'(x) with the kink convention f'(0) = 1 (identity branch)."""
-    return correction(x, spec)[1]
-
-
 def total_risk(pr, spec):
     """f(r+) + f(r-) for the spec's correction; plain sum when unbiased."""
     return correction(pr.r_plus, spec)[0] + correction(pr.r_minus, spec)[0]

@@ -1,11 +1,13 @@
-"""The package's only minibatch loop, and ERM with risk-based model selection.
+"""The package's only minibatch loop, the two trainers that run it, and ERM
+with risk-based model selection.
 
 minibatch_epochs() shuffles the rows with a stream keyed by (seed, epoch),
 walks them in minibatches (a final partial batch is kept), backpropagates the
 caller's gradient with respect to the batch scores, and takes one Adam step
-per batch. train() feeds it the gradient of the spec's risk, self-normalized
-by the batch size; experiments.train_weighted_points and
-dataset_io.posterior_model_confidences feed it their own.
+per batch. train() feeds it the gradient of the spec's pair risk,
+self-normalized by the batch size; train_weighted_points() feeds it
+point_grad(), the one point gradient, of sum_i a_i l(z_i, +1) + b_i l(z_i, -1).
+Supervised training is its one_hot(y) case, a = [y = +1]/n, b = [y = -1]/n.
 
 After every epoch train() records the full-train risk, full-validation risk
 (same estimator kind), and test accuracy, and stops with NonFiniteRiskError
@@ -93,11 +95,10 @@ def evaluate(p, test):
 
 
 def _pair_scores(p, ds, idx=None):
-    x = ds.x if idx is None else ds.x[idx]
-    xp = ds.x_prime if idx is None else ds.x_prime[idx]
-    n = x.shape[0]
-    z = model.forward(p, np.vstack([x, xp]))
-    return z[:n], z[n:]
+    rows = ds.rows if idx is None else ds.rows[np.concatenate([idx, idx + len(ds)])]
+    z = model.forward(p, rows)
+    half = len(z) // 2
+    return z[:half], z[half:]
 
 
 def _dataset_risk(p, ds, spec):
@@ -136,14 +137,41 @@ def minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
         yield epoch
 
 
-def labeled_grad(p, X, y, loss="logistic"):
-    """score_grad of the mean loss over a labeled batch."""
-    return lambda idx: loss_derivative(loss, model.forward(p, X[idx]), y[idx]) / len(idx)
+def one_hot(y):
+    """Point weights (a, b) = ([y = +1]/n, [y = -1]/n): under them the point
+    objective is the mean loss against the labels y."""
+    return (y == 1) / len(y), (y == -1) / len(y)
+
+
+def point_grad(p, X, a, b, loss="logistic"):
+    """score_grad of sum_i a_i l(z_i, +1) + b_i l(z_i, -1) over the rows of X;
+    a minibatch's gradient is rescaled by n/|batch|."""
+    n = len(X)
+
+    def score_grad(idx):
+        z = model.forward(p, X[idx])
+        return n / len(idx) * (a[idx] * loss_derivative(loss, z, 1)
+                               + b[idx] * loss_derivative(loss, z, -1))
+
+    return score_grad
+
+
+def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
+                          weight_decay=0.0, batch=None):
+    """Minimize sum_i a_i l(z_i, +1) + b_i l(z_i, -1) (logistic) with Adam;
+    full batch when batch is None. Returns the final predictor."""
+    X = np.asarray(X, dtype=float)
+    p = model.init(arch, seed)
+    state = optim.AdamState.for_predictor(p, lr0, weight_decay=weight_decay,
+                                          drop_every=drop_every)
+    for _ in minibatch_epochs(p, state, len(X), batch, seed, epochs, point_grad(p, X, a, b)):
+        pass
+    return p
 
 
 def _risk_grad(p, ds, spec):
     if spec.kind == "supervised":
-        return labeled_grad(p, ds.X, ds.y, spec.loss)
+        return point_grad(p, ds.X, *one_hot(ds.y), spec.loss)
 
     def score_grad(idx):
         z, zp = _pair_scores(p, ds, idx)

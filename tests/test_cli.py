@@ -199,3 +199,46 @@ class TestCollapseDemo:
         assert (tmp_path / "confidence_hist.csv").exists()
         assert (tmp_path / "confidence_hist.svg").exists()
         assert (tmp_path / "boundaries.svg").exists()
+
+
+class TestInputValidation:
+    """Malformed lists and out-of-range counts or rates exit 2 before writing."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["sweep-n", "--n-grid", "50,x", "--trials", "1"], "--n-grid"),
+        (["sweep-noise", "--stds", "0.1,abc", "--trials", "1"], "--stds"),
+    ])
+    def test_malformed_flag_list(self, tmp_path, capsys, argv, named):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("arch", ("mlp:5", "mlp:a,b"))
+    def test_malformed_arch(self, tmp_path, capsys, arch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"setup=B\nepochs=1\nseed=1\narch={arch}\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "arch" in err and "Traceback" not in err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("command,output", [
+        ("sweep-n", "sweep_n.csv"),
+        ("sweep-noise", "sweep_noise.csv"),
+        ("reproduce-table1", "table1.csv"),
+    ])
+    def test_zero_trials(self, tmp_path, capsys, command, output):
+        assert run_cli([command, "--trials", "0", "--out", str(tmp_path)]) == 2
+        assert "at least one trial" in capsys.readouterr().err
+        assert not (tmp_path / output).exists()
+
+    @pytest.mark.parametrize("setting", ("lr0=-1", "lr0=nan", "drop_every=0", "drop_factor=0"))
+    def test_bad_learning_rate_schedule(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"setup=B\nepochs=1\nseed=1\n{setting}\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (out / "report.csv").exists() and not (out / "model.ckpt").exists()

@@ -181,6 +181,43 @@ class TestMakePairs:
         d2 = make_pairs(pts, setup, seed=4)
         assert np.array_equal(d1.x, d2.x) and np.array_equal(d1.s, d2.s)
 
+    @pytest.mark.parametrize("seed,n_points", [(1, 2), (4, 80), (9, 800)])
+    def test_reproduces_reference_pairing(self, seed, n_points):
+        # the recipe make_pairs had before pair_up: permute with the stream
+        # (seed, 1), pair consecutive entries, posteriors of each half
+        setup = preset("C")
+        pts = sample_labeled(setup, n_points // 2, n_points - n_points // 2, seed).X
+        perm = make_rng(seed, 1).permutation(n_points)
+        x, xp = pts[perm[0::2]], pts[perm[1::2]]
+        s = similarity_confidence(posterior_plus(x, setup), posterior_plus(xp, setup))
+        ds = make_pairs(pts, setup, seed)
+        assert np.array_equal(ds.x, x) and np.array_equal(ds.x_prime, xp)
+        assert np.array_equal(ds.s, np.atleast_1d(s))
+
+
+class TestPairBlock:
+    def test_members_are_views_of_one_block(self):
+        x, xp = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
+        ds = SconfDataset(x, xp, [0.1, 0.5, 0.9])
+        assert ds.rows.shape == (6, 2)
+        assert np.array_equal(ds.rows, np.vstack([x, xp]))
+        assert np.shares_memory(ds.x, ds.rows) and np.shares_memory(ds.x_prime, ds.rows)
+        assert np.array_equal(ds.x, x) and np.array_equal(ds.x_prime, xp)
+        x[0, 0] = 99.0  # the block is a copy of the inputs
+        assert ds.x[0, 0] == 0.0
+
+    def test_subset_keeps_provenance_and_reference(self):
+        setup = preset("B")
+        ds = make_pairs(sample_labeled(setup, 25, 15, 3).X, setup, 3)
+        noisy = add_confidence_noise(ds, 0.2, seed=3)
+        idx = np.array([7, 0, 19, 3])
+        sub = noisy.subset(idx)
+        assert sub.provenance == noisy.provenance == "noisy(std=0.2)"
+        assert np.array_equal(sub.reference_s, ds.s[idx])
+        assert np.array_equal(sub.s, noisy.s[idx])
+        assert np.array_equal(sub.rows, np.vstack([ds.x[idx], ds.x_prime[idx]]))
+        assert ds.subset(idx).reference_s is None
+
 
 def clipped_noise_mad(s, std):
     # closed-form E|clip(s + e, 0, 1) - s| for e ~ N(0, std^2)

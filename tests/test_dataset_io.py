@@ -4,11 +4,12 @@ import struct
 import numpy as np
 import pytest
 
+from sconf.cli import _split_pairs
 from sconf.dataset_io import (BinaryCorruption, corrupt_binary, corruption,
                               load_idx, posterior_model_confidences,
-                              read_idx_images, read_idx_labels, split_train_val,
+                              read_idx_images, read_idx_labels,
                               write_idx_images, write_idx_labels)
-from sconf.datagen import LabeledData
+from sconf.datagen import LabeledData, SconfDataset
 from sconf.errors import ConfigError, DataError
 from sconf.model import Architecture
 
@@ -123,22 +124,28 @@ class TestCorruption:
 
 
 class TestSplit:
+    # the validation split of model-confidence pairs, through SconfDataset.subset
     def test_exact_counts_and_determinism(self):
-        data = LabeledData(np.arange(100, dtype=float).reshape(50, 2),
-                           np.where(np.arange(50) % 2 == 0, 1, -1))
-        tr1, va1 = split_train_val(data, 5, seed=3)
-        tr2, va2 = split_train_val(data, 5, seed=3)
+        x = np.arange(100, dtype=float).reshape(50, 2)
+        data = SconfDataset(x, -x, np.linspace(0.0, 1.0, 50), provenance="model")
+        tr1, va1 = _split_pairs(data, 0.1, seed=3)
+        tr2, va2 = _split_pairs(data, 0.1, seed=3)
         assert len(va1) == 5 and len(tr1) == 45
-        assert np.array_equal(tr1.X, tr2.X) and np.array_equal(va1.X, va2.X)
-        merged = np.vstack([tr1.X, va1.X])
-        assert np.array_equal(np.sort(merged, axis=0), np.sort(data.X, axis=0))
+        assert np.array_equal(tr1.rows, tr2.rows) and np.array_equal(va1.rows, va2.rows)
+        merged = np.vstack([tr1.x, va1.x])
+        assert np.array_equal(np.sort(merged, axis=0), np.sort(data.x, axis=0))
+        # each pair keeps its second member and confidence
+        for part in (tr1, va1):
+            row = (part.x[:, 0] / 2).astype(int)
+            assert np.array_equal(part.x_prime, -part.x) and np.array_equal(part.s, data.s[row])
+            assert part.provenance == "model"
 
     def test_bad_counts(self):
-        data = LabeledData(np.zeros((10, 2)), np.ones(10, dtype=int))
-        with pytest.raises(ConfigError):
-            split_train_val(data, 0, seed=1)
-        with pytest.raises(ConfigError):
-            split_train_val(data, 10, seed=1)
+        data = SconfDataset(np.zeros((10, 2)), np.zeros((10, 2)), np.full(10, 0.5))
+        with pytest.raises(ConfigError, match="empty split"):
+            _split_pairs(data, 0.05, seed=1)
+        with pytest.raises(ConfigError, match="empty split"):
+            _split_pairs(data, 1.0, seed=1)
 
 
 class TestModelConfidences:

@@ -1,19 +1,23 @@
 """Invariants across code paths that share one objective or one loop.
 
 The table protocol's per-point weights must reproduce the unbiased pair risk
-over every materialized pair, and the weighted-point trainer must reproduce
-the confidence model's supervised fit when the weights are one-hot labels.
+over every materialized pair, the weighted-point trainer must reproduce
+the confidence model's supervised fit when the weights are one-hot labels,
+and the score gradient the trainer backpropagates must be the gradient of
+the dataset risk it reports, for every risk kind.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sconf import model
+from sconf import model, trainer
 from sconf.dataset_io import posterior_model_confidences
-from sconf.datagen import SconfDataset, posterior_plus, preset, sample_labeled
+from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
 from sconf.experiments import all_pairs_point_weights, train_weighted_points
 from sconf.losses import loss_value
-from sconf.risk import RiskSpec, pair_risk
+from sconf.risk import RISK_KINDS, RiskSpec, pair_risk, partial_risks, supervised_risk
 from sconf.rng import make_rng
 
 
@@ -60,3 +64,47 @@ def test_weighted_points_reproduce_confidence_model(arch):
     p = train_weighted_points(labeled.X, a, b, arch, epochs, lr0, seed=seed, batch=batch)
     weighted = 1.0 / (1.0 + np.exp(-model.forward(p, labeled.X)))
     assert np.max(np.abs(weighted - posteriors)) <= 1e-12
+
+
+def _dataset_risk_of(p, ds, spec):
+    if spec.kind == "supervised":
+        return supervised_risk(model.forward(p, ds.X), ds.y, spec.loss)
+    return pair_risk(model.forward(p, ds.x), model.forward(p, ds.x_prime), ds.s, spec)
+
+
+@pytest.mark.parametrize("kind", RISK_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pi_plus=st.floats(0.1, 0.9).filter(lambda v: abs(v - 0.5) > 0.05),
+       n=st.integers(2, 12), s_mid=st.floats(0.05, 0.95))
+def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_mid):
+    rng = np.random.default_rng(seed)
+    d = 3
+    spec = RiskSpec(kind, pi_plus, k=0.5 if kind == "corrected" else None)
+    if kind == "supervised":
+        ds = LabeledData(rng.normal(size=(n, d)), rng.choice([-1, 1], size=n))
+    else:
+        # confidences bunched around s_mid: below pi- (above pi+) the
+        # partial risk r+ (r-) tends to go negative
+        ds = SconfDataset(rng.normal(size=(n, d)), rng.normal(size=(n, d)),
+                          np.clip(rng.normal(s_mid, 0.15, size=n), 0.02, 0.98))
+    p = model.init(model.Architecture.linear(d))
+    p.params[:] = rng.normal(0.0, 0.7, d + 1)
+    if kind in ("nn", "abs", "corrected"):
+        # stay away from the kink of f at 0
+        pr = partial_risks(model.forward(p, ds.x), model.forward(p, ds.x_prime), ds.s, spec)
+        assume(min(abs(pr.r_plus), abs(pr.r_minus)) > 1e-3)
+
+    # the trainer's own full-batch step: score gradient, then backward
+    model.backward(p, trainer._risk_grad(p, ds, spec)(np.arange(n)))
+    analytic = p.grads.copy()
+
+    h = 1e-6
+    for j in range(d + 1):
+        orig = p.params[j]
+        p.params[j] = orig + h
+        hi = _dataset_risk_of(p, ds, spec)
+        p.params[j] = orig - h
+        lo = _dataset_risk_of(p, ds, spec)
+        p.params[j] = orig
+        assert analytic[j] == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-8)

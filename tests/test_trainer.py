@@ -7,7 +7,8 @@ from sconf.datagen import (LabeledData, SconfDataset, add_confidence_noise,
 from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
 from sconf.model import Architecture
 from sconf.risk import RiskSpec, pair_risk
-from sconf.trainer import TrainConfig, TrainReport, evaluate, train
+from sconf.rng import make_rng
+from sconf.trainer import TrainConfig, TrainReport, _pair_scores, evaluate, train
 
 
 def small_pair_data(seed=1, n_points=160, setup_name="B"):
@@ -202,3 +203,15 @@ class TestReportCsv:
             assert got[0] == row[0]
             for a, b in zip(row[1:], got[1:]):
                 assert float(repr(float(a))) == b
+
+
+@pytest.mark.parametrize("arch", (Architecture.linear(2), Architecture.mlp(2, 8, 6)))
+def test_pair_scores_equal_stacked_members(arch):
+    _, ds = small_pair_data(n_points=80)
+    p = model.init(arch, seed=4)
+    idx = make_rng(5).permutation(len(ds))[:17]
+    z, zp = _pair_scores(p, ds, idx)
+    stacked = model.forward(p, np.vstack([ds.x[idx], ds.x_prime[idx]]))
+    assert np.array_equal(np.concatenate([z, zp]), stacked)
+    z, zp = _pair_scores(p, ds)
+    assert np.array_equal(np.concatenate([z, zp]), model.forward(p, np.vstack([ds.x, ds.x_prime])))
