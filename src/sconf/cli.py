@@ -26,7 +26,7 @@ from . import dataset_io, experiments, model, svgplot, trainer
 from .datagen import (PRESET_PI_PLUS, add_confidence_noise, load_setup_file, make_pairs,
                       preset, preset_synth, sample_train_test)
 from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
-from .fileio import parse_key_values, write_atomic
+from .fileio import parse_key_values, parse_list, write_atomic
 from .risk import RiskSpec
 from .rng import make_rng
 from .trainer import TrainConfig
@@ -56,14 +56,6 @@ def read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
-
-
-def parse_list(text, cast, name):
-    """The comma-separated values of one flag or config key, each cast."""
-    try:
-        return [cast(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{name} expects comma-separated numbers, got {text!r}") from None
 
 
 def _fmt(v):

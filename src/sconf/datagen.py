@@ -8,9 +8,11 @@ where r is the positive-class posterior. Confidence noise is zero-mean
 Gaussian, clipped back into [0, 1].
 
 An SconfDataset of n pairs keeps both members in one (2n, d) row block, x
-over x'. pair_up is the one pairing recipe: pair_indices permutes the points
-with the stream (seed, 1) and pairs consecutive entries, and each pair's
-confidence comes from the posteriors of its two points.
+over x'; subset and pair_up build their block with one take of the rows and
+hand it over with SconfDataset.from_rows. pair_up is the one pairing recipe:
+pair_indices permutes the points with the stream (seed, 1) and pairs
+consecutive entries, and each pair's confidence comes from the posteriors of
+its two points.
 
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import parse_key_values
+from .fileio import parse_key_values, parse_list
 from .rng import make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -141,24 +143,42 @@ class SconfDataset:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         x_prime = np.asarray(self.x_prime, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
         if x.shape != x_prime.shape or x.ndim != 2:
             raise ConfigError("x and x_prime must both be (n, d)")
-        if self.s.shape != (x.shape[0],):
+        self._adopt(np.concatenate([x, x_prime]))
+
+    @classmethod
+    def from_rows(cls, rows, s, provenance="exact", reference_s=None):
+        """Pairs from a (2n, d) block, x over x'; the block is kept, not copied."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or len(rows) % 2:
+            raise ConfigError("rows must be (2n, d)")
+        ds = cls.__new__(cls)
+        ds.s, ds.provenance, ds.reference_s = s, provenance, reference_s
+        ds._adopt(rows)
+        return ds
+
+    def _adopt(self, rows):
+        # rows becomes the block, x and x_prime its halves; s is checked against it
+        n = len(rows) // 2
+        self.rows, self.x, self.x_prime = rows, rows[:n], rows[n:]
+        self.s = np.asarray(self.s, dtype=float)
+        if self.s.shape != (n,):
             raise ConfigError("s must be (n,)")
-        _check_finite(x=x, x_prime=x_prime, s=self.s)
-        if len(self.s) and (self.s.min() < 0.0 or self.s.max() > 1.0):
+        _check_finite(x=self.x, x_prime=self.x_prime, s=self.s)
+        if n and (self.s.min() < 0.0 or self.s.max() > 1.0):
             raise ConfigError("confidences must lie in [0, 1]")
-        self.rows = np.concatenate([x, x_prime])
-        self.x, self.x_prime = self.rows[:len(x)], self.rows[len(x):]
 
     def __len__(self):
         return self.x.shape[0]
 
     def subset(self, idx):
-        """The pairs at idx, keeping provenance and reference confidences."""
-        return SconfDataset(self.x[idx], self.x_prime[idx], self.s[idx], provenance=self.provenance,
-                            reference_s=None if self.reference_s is None else self.reference_s[idx])
+        """The pairs at idx (indices or a boolean mask), keeping provenance and
+        reference confidences; the rows are one take of the block."""
+        idx = np.arange(len(self))[idx]
+        return SconfDataset.from_rows(
+            self.rows[np.concatenate([idx, idx + len(self)])], self.s[idx], self.provenance,
+            None if self.reference_s is None else self.reference_s[idx])
 
 
 def _check_finite(**arrays):
@@ -255,7 +275,8 @@ def pair_up(X, r, seed, provenance):
     """Pair the rows of X (pair_indices) with confidences from their
     positive-class posteriors r. |pairs| = n // 2."""
     i1, i2 = pair_indices(len(X), seed)
-    return SconfDataset(X[i1], X[i2], similarity_confidence(r[i1], r[i2]), provenance=provenance)
+    return SconfDataset.from_rows(X[np.concatenate([i1, i2])],
+                                  similarity_confidence(r[i1], r[i2]), provenance)
 
 
 def make_pairs(points, setup, seed):
@@ -324,13 +345,10 @@ def parse_setup(text, source="<string>"):
 
     def floats(key, count):
         lineno, val = values[key]
-        parts = val.replace(",", " ").split()
+        parts = parse_list(val, float, f"{source}:{lineno}: {key}")
         if len(parts) != count:
             raise ConfigError(f"{source}:{lineno}: {key} needs {count} numbers, got {len(parts)}")
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"{source}:{lineno}: {key} is not numeric") from None
+        return parts
 
     def integer(key):
         lineno, val = values[key]

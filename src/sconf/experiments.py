@@ -63,11 +63,13 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0):
     Returns (a, b, sigma_n) where the objective is
     sum_i a_i l(z_i, +1) + b_i l(z_i, -1): point i's coefficient aggregates
     (s_ij - pi-) resp. (pi+ - s_ij) over its n-1 partners, normalized by the
-    ordered pair count and 2 (pi+ - pi-) exactly as in the pair risk. With
-    exact confidences the aggregation is closed-form O(n); with confidence
-    noise the pair matrix is materialized once, one symmetric draw per
-    unordered pair, clipped to [0, 1]. sigma_n is the summed absolute
-    confidence deviation over unordered pairs (0 when exact).
+    ordered pair count and 2 (pi+ - pi-) exactly as in the pair risk. The
+    exact confidences aggregate in closed form, O(n). Confidence noise is one
+    draw per unordered pair (i < j, row-major) from the stream (seed, 2),
+    clipped to [0, 1]; each point adds the change it makes to its pair
+    confidences to the closed form (_noise_deltas), without materializing the
+    pair matrix. sigma_n is the summed absolute confidence deviation over
+    unordered pairs (0 when exact).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -75,26 +77,53 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0):
         raise ConfigError("need at least two points to form pairs")
     r = posterior_plus(X, setup)
     pi_p, pi_m = setup.pi_plus, 1.0 - setup.pi_plus
+    total_r = r.sum()
+    # sum over j != i of s_ij, expanded from s = r r' + (1-r)(1-r')
+    s_row = r * (total_r - r) + (1.0 - r) * ((n - 1) - (total_r - r))
     sigma_n = 0.0
-    if noise_std == 0.0:
-        total_r = r.sum()
-        # sum over j != i of s_ij, expanded from s = r r' + (1-r)(1-r')
-        s_row = r * (total_r - r) + (1.0 - r) * ((n - 1) - (total_r - r))
-    else:
-        S = np.outer(r, r) + np.outer(1.0 - r, 1.0 - r)
-        iu = np.triu_indices(n, 1)
-        noise = make_rng(seed, 2).normal(0.0, noise_std, size=len(iu[0]))
-        noisy = np.clip(S[iu] + noise, 0.0, 1.0)
-        sigma_n = float(np.abs(noisy - S[iu]).sum())
-        S[iu] = noisy
-        S.T[iu] = noisy
-        np.fill_diagonal(S, 0.0)
-        s_row = S.sum(axis=1)
+    if noise_std != 0.0:
+        noise = make_rng(seed, 2).normal(0.0, noise_std, size=n * (n - 1) // 2)
+        delta_row, sigma_n = _noise_deltas(r, noise)
+        s_row += delta_row
     ordered = n * (n - 1)
     denom = ordered * (pi_p - pi_m)
     a = (s_row - (n - 1) * pi_m) / denom
     b = ((n - 1) * pi_p - s_row) / denom
     return a, b, sigma_n
+
+
+def _noise_deltas(r, noise):
+    """Per-point sums of delta_ij = clip(s_ij + noise_ij, 0, 1) - s_ij over
+    its partners, and sum |delta_ij| over i < j.
+
+    noise holds the pairs i < j in row-major order. A block of rows at a time
+    takes its segment of noise into the upper triangle of a zeroed buffer;
+    each block adds its row sums to its own points and its column sums to
+    their partners.
+    """
+    n = len(r)
+    q = 1.0 - r
+    cols = np.arange(n)
+    sums = np.zeros(n)
+    sigma_n, start = 0.0, 0
+    block = max(1, 2**15 // n)  # rows per block: ~2^15 pairs keep the buffers in cache
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        upper = cols[lo:hi, None] < cols
+        S = np.multiply.outer(r[lo:hi], r)
+        S += np.multiply.outer(q[lo:hi], q)
+        delta = np.zeros_like(S)
+        stop = start + np.count_nonzero(upper)
+        delta[upper] = noise[start:stop]
+        start = stop
+        delta += S
+        np.clip(delta, 0.0, 1.0, out=delta)
+        delta -= S
+        delta *= upper
+        sums[lo:hi] += delta.sum(axis=1)
+        sums += delta.sum(axis=0)
+        sigma_n += float(np.abs(delta, out=delta).sum())
+    return sums, sigma_n
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Atomic file writes, and the key=value text format of setup files and
-training configs ('#' starts a comment, blank lines are skipped)."""
+"""Atomic file writes, the key=value text format of setup files and
+training configs ('#' starts a comment, blank lines are skipped), and the
+number lists of CLI flags and config values."""
 
 import os
+import re
 
 from .errors import ConfigError
 
@@ -37,3 +39,13 @@ def parse_key_values(text, keys, source):
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         values[key] = (lineno, val.strip())
     return values
+
+
+def parse_list(text, cast, name):
+    """The values of a list separated by commas or whitespace, each cast; an
+    empty item or a value that cast rejects raises ConfigError naming name."""
+    try:
+        return [cast(v) for v in re.split(r"\s*,\s*|\s+", text.strip())]
+    except ValueError:
+        raise ConfigError(f"{name} expects a list of numbers separated by commas or spaces, "
+                          f"got {text!r}") from None

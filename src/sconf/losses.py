@@ -13,7 +13,8 @@ LOSS_KINDS = ("logistic", "zero_one")
 
 
 def _check_labels(y):
-    if not np.all(np.isin(y, (-1, 1))):
+    ok = (y == 1 or y == -1) if y.ndim == 0 else np.all((y == 1) | (y == -1))
+    if not ok:
         raise ConfigError("labels must be -1 or +1")
 
 

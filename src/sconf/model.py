@@ -30,6 +30,9 @@ class Architecture:
             raise ConfigError(f"unknown architecture {self.kind!r}")
         if self.d < 1:
             raise ConfigError("input dimension must be positive")
+        if self.kind == "mlp" and min(self.h1, self.h2) < 1:
+            raise ConfigError("architecture hidden widths must be positive, "
+                              f"got {self.h1}, {self.h2}")
 
     @staticmethod
     def linear(d):

@@ -4,10 +4,12 @@ with risk-based model selection.
 minibatch_epochs() shuffles the rows with a stream keyed by (seed, epoch),
 walks them in minibatches (a final partial batch is kept), backpropagates the
 caller's gradient with respect to the batch scores, and takes one Adam step
-per batch. train() feeds it the gradient of the spec's pair risk,
-self-normalized by the batch size; train_weighted_points() feeds it
-point_grad(), the one point gradient, of sum_i a_i l(z_i, +1) + b_i l(z_i, -1).
-Supervised training is its one_hot(y) case, a = [y = +1]/n, b = [y = -1]/n.
+per batch. A full batch is not shuffled, since the order of its rows cannot
+change its gradient: each epoch scores every row in stored order (ALL_ROWS).
+train() feeds it the gradient of the spec's pair risk, self-normalized by the
+batch size; train_weighted_points() feeds it point_grad(), the one point
+gradient, of sum_i a_i l(z_i, +1) + b_i l(z_i, -1). Supervised training is its
+one_hot(y) case, a = [y = +1]/n, b = [y = -1]/n.
 
 After every epoch train() records the full-train risk, full-validation risk
 (same estimator kind), and test accuracy, and stops with NonFiniteRiskError
@@ -32,6 +34,9 @@ from .risk import (ONE_SIDED_KINDS, RiskSpec, pair_risk, partial_risks, risk_gra
                    supervised_risk)
 
 REPORT_COLUMNS = ("epoch", "train_risk", "val_risk", "test_acc", "test_01_risk", "lr")
+
+# the batch index of a full batch: every row in stored order; X[ALL_ROWS] is a view
+ALL_ROWS = slice(None)
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,9 @@ def evaluate(p, test):
     return acc, 1.0 - acc
 
 
-def _pair_scores(p, ds, idx=None):
-    rows = ds.rows if idx is None else ds.rows[np.concatenate([idx, idx + len(ds)])]
+def _pair_scores(p, ds, idx=ALL_ROWS):
+    full = isinstance(idx, slice) and idx == ALL_ROWS
+    rows = ds.rows if full else ds.rows[np.concatenate([idx, idx + len(ds)])]
     z = model.forward(p, rows)
     half = len(z) // 2
     return z[:half], z[half:]
@@ -125,14 +131,20 @@ def minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
     """The package's only minibatch loop; yields each epoch after its last step.
 
     score_grad(idx) scores the rows of batch idx with model.forward(p, ...)
-    and returns the objective's gradient with respect to those scores. batch
-    None means full batch.
+    and returns the objective's gradient with respect to those scores. A
+    minibatch's idx is a slice of the permutation drawn from the stream
+    (seed, 4, epoch). A full batch (batch None or >= n) is not shuffled:
+    idx is ALL_ROWS, every row in stored order, and no stream is drawn.
     """
     size = n if batch is None else min(batch, n)
     for epoch in range(epochs):
-        order = make_rng(seed, 4, epoch).permutation(n)
-        for lo in range(0, n, size):
-            model.backward(p, score_grad(order[lo:lo + size]))
+        if size == n:
+            batches = (ALL_ROWS,)
+        else:
+            order = make_rng(seed, 4, epoch).permutation(n)
+            batches = (order[lo:lo + size] for lo in range(0, n, size))
+        for idx in batches:
+            model.backward(p, score_grad(idx))
             optim.step(state, p, epoch)
         yield epoch
 
@@ -150,8 +162,8 @@ def point_grad(p, X, a, b, loss="logistic"):
 
     def score_grad(idx):
         z = model.forward(p, X[idx])
-        return n / len(idx) * (a[idx] * loss_derivative(loss, z, 1)
-                               + b[idx] * loss_derivative(loss, z, -1))
+        return n / len(z) * (a[idx] * loss_derivative(loss, z, 1)
+                             + b[idx] * loss_derivative(loss, z, -1))
 
     return score_grad
 

@@ -214,7 +214,7 @@ class TestInputValidation:
         assert named in err and "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("arch", ("mlp:5", "mlp:a,b"))
+    @pytest.mark.parametrize("arch", ("mlp:5", "mlp:a,b", "mlp:0,5"))
     def test_malformed_arch(self, tmp_path, capsys, arch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"setup=B\nepochs=1\nseed=1\narch={arch}\n")

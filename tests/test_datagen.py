@@ -218,6 +218,45 @@ class TestPairBlock:
         assert np.array_equal(sub.rows, np.vstack([ds.x[idx], ds.x_prime[idx]]))
         assert ds.subset(idx).reference_s is None
 
+    def test_subset_rows_equal_stacked_members(self):
+        setup = preset("B")
+        ds = make_pairs(sample_labeled(setup, 25, 15, 3).X, setup, 3)
+        mask = ds.s > 0.6
+        assert 0 < mask.sum() < len(ds)
+        idx = np.array([7, 0, 19, 3, 7, -1])
+        for sel, members in ((idx, idx), (mask, np.flatnonzero(mask))):
+            sub = ds.subset(sel)
+            assert np.array_equal(sub.rows, np.vstack([ds.x[members], ds.x_prime[members]]))
+            assert np.array_equal(sub.x, ds.x[members])
+            assert np.array_equal(sub.x_prime, ds.x_prime[members])
+            assert np.array_equal(sub.s, ds.s[members])
+            assert np.shares_memory(sub.x, sub.rows) and np.shares_memory(sub.x_prime, sub.rows)
+            assert not np.shares_memory(sub.rows, ds.rows)
+
+    def test_subset_rejects_indices_outside_the_pairs(self):
+        setup = preset("B")
+        ds = make_pairs(sample_labeled(setup, 5, 5, 3).X, setup, 3)
+        # index n would read the first x' member as an x member
+        with pytest.raises(IndexError):
+            ds.subset(np.array([len(ds)]))
+        with pytest.raises(IndexError):
+            ds.subset(np.ones(len(ds) - 1, dtype=bool))
+
+    def test_from_rows_keeps_the_block_and_validates(self):
+        rows = np.arange(8.0).reshape(4, 2)
+        ds = SconfDataset.from_rows(rows, [0.2, 0.7], provenance="model")
+        assert ds.rows is rows and ds.provenance == "model" and len(ds) == 2
+        assert np.array_equal(ds.x, rows[:2]) and np.array_equal(ds.x_prime, rows[2:])
+        with pytest.raises(ConfigError, match="confidences must lie in"):
+            SconfDataset.from_rows(rows, [0.2, 1.5])
+        with pytest.raises(ConfigError, match="s must be"):
+            SconfDataset.from_rows(rows, [0.2, 0.5, 0.5])
+        with pytest.raises(ConfigError, match=r"rows must be \(2n, d\)"):
+            SconfDataset.from_rows(rows[:3], [0.2])
+        rows[3, 0] = np.nan
+        with pytest.raises(ConfigError, match="x_prime has a non-finite value in row 1"):
+            SconfDataset.from_rows(rows, [0.2, 0.7])
+
 
 def clipped_noise_mad(s, std):
     # closed-form E|clip(s + e, 0, 1) - s| for e ~ N(0, std^2)
@@ -294,6 +333,21 @@ class TestSetupFiles:
     def test_missing_keys(self):
         with pytest.raises(ConfigError, match="missing keys"):
             parse_setup("mu_plus = 0 0\n")
+
+    def test_numbers_separated_by_commas_or_spaces(self):
+        spec = parse_setup(self.GOOD.replace("sigma_plus = 3 0 0 3", "sigma_plus = 3, 0,0 3"))
+        assert np.array_equal(spec.setup.sigma_plus, 3 * np.eye(2))
+
+    @pytest.mark.parametrize("value,message", [
+        ("4", "setup.txt:4: mu_minus needs 2 numbers, got 1"),
+        ("4 0 1", "setup.txt:4: mu_minus needs 2 numbers, got 3"),
+        ("4 x", "setup.txt:4: mu_minus expects a list of numbers"),
+        ("4,,0", "setup.txt:4: mu_minus expects a list of numbers"),
+    ])
+    def test_bad_number_list_names_line(self, value, message):
+        text = self.GOOD.replace("mu_minus = 4 0", f"mu_minus = {value}")
+        with pytest.raises(ConfigError, match=message):
+            parse_setup(text, source="setup.txt")
 
     def test_repeated_key_names_line(self):
         with pytest.raises(ConfigError, match="setup.txt:3: duplicate key 'mu_plus'"):

@@ -1,7 +1,7 @@
 """Invariants across code paths that share one objective or one loop.
 
 The table protocol's per-point weights must reproduce the unbiased pair risk
-over every materialized pair, the weighted-point trainer must reproduce
+over every materialized pair, with exact or noisy confidences, the weighted-point trainer must reproduce
 the confidence model's supervised fit when the weights are one-hot labels,
 and the score gradient the trainer backpropagates must be the gradient of
 the dataset risk it reports, for every risk kind.
@@ -51,6 +51,26 @@ def test_point_weights_equal_materialized_pair_risk(noise_std):
     assert abs(point_form - pair_form) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 60), noise_std=st.floats(0.0, 0.5, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1), setup_name=st.sampled_from("ABCD"))
+def test_noisy_point_weights_equal_materialized_pair_risk(n, noise_std, seed, setup_name):
+    setup = preset(setup_name)
+    rng = np.random.default_rng(seed)
+    n_plus = int(rng.integers(0, n + 1))
+    X = sample_labeled(setup, n_plus, n - n_plus, seed).X
+    z = X @ rng.normal(size=2) + rng.normal()
+    a, b, sigma_n = all_pairs_point_weights(X, setup, noise_std=noise_std, seed=seed)
+    point_form = np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1))
+
+    noisy = all_pairs_dataset(X, setup, noise_std=noise_std, seed=seed)
+    i, j = np.triu_indices(n, 1)
+    pair_form = pair_risk(z[i], z[j], noisy.s, RiskSpec("unbiased", setup.pi_plus))
+    assert abs(point_form - pair_form) <= 1e-12
+    exact = all_pairs_dataset(X, setup)
+    assert sigma_n == pytest.approx(np.abs(noisy.s - exact.s).sum(), rel=1e-12, abs=1e-15)
+
+
 @pytest.mark.parametrize("arch", (model.Architecture.linear(2), model.Architecture.mlp(2, 8, 6)))
 def test_weighted_points_reproduce_confidence_model(arch):
     # 100 points in batches of 32: the final partial batch of 4 is exercised
@@ -95,9 +115,14 @@ def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_m
         pr = partial_risks(model.forward(p, ds.x), model.forward(p, ds.x_prime), ds.s, spec)
         assume(min(abs(pr.r_plus), abs(pr.r_minus)) > 1e-3)
 
-    # the trainer's own full-batch step: score gradient, then backward
-    model.backward(p, trainer._risk_grad(p, ds, spec)(np.arange(n)))
-    analytic = p.grads.copy()
+    # the trainer's own full-batch step: score gradient, then backward; both
+    # as a batch of every index and as the loop's shuffle-free ALL_ROWS
+    score_grad = trainer._risk_grad(p, ds, spec)
+    analytic = []
+    for idx in (np.arange(n), trainer.ALL_ROWS):
+        p.grads[...] = 0.0  # backward accumulates
+        model.backward(p, score_grad(idx))
+        analytic.append(p.grads.copy())
 
     h = 1e-6
     for j in range(d + 1):
@@ -107,4 +132,5 @@ def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_m
         p.params[j] = orig - h
         lo = _dataset_risk_of(p, ds, spec)
         p.params[j] = orig
-        assert analytic[j] == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-8)
+        for grads in analytic:
+            assert grads[j] == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-8)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from sconf import model
+from sconf import model, optim, trainer
 from sconf.datagen import (LabeledData, SconfDataset, add_confidence_noise,
                            make_pairs, preset, sample_labeled)
 from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
+from sconf.experiments import all_pairs_point_weights
 from sconf.model import Architecture
 from sconf.risk import RiskSpec, pair_risk
 from sconf.rng import make_rng
-from sconf.trainer import TrainConfig, TrainReport, _pair_scores, evaluate, train
+from sconf.trainer import (TrainConfig, TrainReport, _pair_scores, evaluate, point_grad, train,
+                           train_weighted_points)
 
 
 def small_pair_data(seed=1, n_points=160, setup_name="B"):
@@ -215,3 +217,69 @@ def test_pair_scores_equal_stacked_members(arch):
     assert np.array_equal(np.concatenate([z, zp]), stacked)
     z, zp = _pair_scores(p, ds)
     assert np.array_equal(np.concatenate([z, zp]), model.forward(p, np.vstack([ds.x, ds.x_prime])))
+
+    z, zp = _pair_scores(p, ds, trainer.ALL_ROWS)
+    assert np.array_equal(np.concatenate([z, zp]), model.forward(p, ds.rows))
+
+
+class TestFullBatchOrder:
+    """A full batch is scored in stored order; the loop it replaced shuffled
+    every epoch with make_rng(seed, 4, epoch), which changes only rounding."""
+
+    SEED, EPOCHS, DROP = 3, 30, 10
+
+    def _shuffled_full_batch(self, p, state, n, score_grad, after_epoch=lambda: None):
+        for epoch in range(self.EPOCHS):
+            model.backward(p, score_grad(make_rng(self.SEED, 4, epoch).permutation(n)))
+            optim.step(state, p, epoch)
+            after_epoch()
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_weighted_points(self):
+        setup = preset("B")
+        X = sample_labeled(setup, 50, 30, 1).X
+        a, b, _ = all_pairs_point_weights(X, setup, noise_std=0.2, seed=1)
+        got = train_weighted_points(X, a, b, Architecture.linear(2), self.EPOCHS, 0.1,
+                                    seed=self.SEED, drop_every=self.DROP)
+
+        p = model.init(Architecture.linear(2), self.SEED)
+        state = optim.AdamState.for_predictor(p, 0.1, drop_every=self.DROP)
+        self._shuffled_full_batch(p, state, len(X), point_grad(p, X, a, b))
+        assert not np.array_equal(got.params, model.init(Architecture.linear(2), self.SEED).params)
+        self._assert_close(got.params, p.params)
+
+    def test_pair_risk_training(self):
+        setup, ds = small_pair_data()
+        spec = RiskSpec("unbiased", setup.pi_plus)
+        cfg = linear_cfg(spec, epochs=self.EPOCHS, seed=self.SEED, drop_every=self.DROP)
+        chosen, report = train(ds, None, small_test(setup), cfg)
+
+        p = model.init(cfg.arch, self.SEED)
+        state = optim.AdamState.for_predictor(p, cfg.lr0, drop_every=self.DROP)
+        risks, snapshots = [], []
+
+        def record():
+            risks.append(trainer._dataset_risk(p, ds, spec))
+            snapshots.append(p.params.copy())
+
+        self._shuffled_full_batch(p, state, len(ds), trainer._risk_grad(p, ds, spec), record)
+        self._assert_close(np.array([row[1] for row in report.rows]), np.array(risks))
+        self._assert_close(chosen.params, snapshots[report.best_epoch])
+
+    @pytest.mark.parametrize("batch,draws", [(None, False), (80, False), (79, True)])
+    def test_only_minibatches_draw_a_shuffle(self, monkeypatch, batch, draws):
+        setup = preset("B")
+        X = sample_labeled(setup, 50, 30, 1).X
+        a, b, _ = all_pairs_point_weights(X, setup)
+        keys = []
+
+        def recording_rng(*key):
+            keys.append(key)
+            return make_rng(*key)
+
+        monkeypatch.setattr(trainer, "make_rng", recording_rng)
+        train_weighted_points(X, a, b, Architecture.linear(2), 3, 0.1, seed=self.SEED, batch=batch)
+        assert keys == ([(self.SEED, 4, epoch) for epoch in range(3)] if draws else [])
