@@ -25,9 +25,11 @@ class BalancedPriorError(SconfError, ValueError):
 
 
 class NonFiniteRiskError(SconfError, ArithmeticError):
-    """Training diverged: the train or validation risk of an epoch is NaN or
-    infinite (too large a learning rate, for instance)."""
+    """Training diverged: the train or validation risk of an epoch, or a
+    parameter of one trial of a weighted-point fit, is NaN or infinite (too
+    large a learning rate, for instance)."""
 
-    def __init__(self, epoch, role, value):
-        super().__init__(f"epoch {epoch}: {role} risk is {value!r}; training diverged")
-        self.epoch, self.role, self.value = epoch, role, value
+    def __init__(self, epoch, role, value, trial=None):
+        what = f"{role} risk" if trial is None else f"trial {trial} {role} parameter"
+        super().__init__(f"epoch {epoch}: {what} is {value!r}; training diverged")
+        self.epoch, self.role, self.value, self.trial = epoch, role, value, trial

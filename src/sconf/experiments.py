@@ -9,8 +9,16 @@ with sub-point spread. all_pairs_point_weights sums each point's unbiased
 pair weights (risk.pair_weights) over its partners into one (a_i, b_i); the
 objective sum_i a_i l(z_i, +1) + b_i l(z_i, -1) is algebraically identical to
 the full pair risk, but costs O(n) per step instead of O(n^2).
-run_table_trial minimizes it, or the supervised arm's one-hot weights, with
-trainer.train_weighted_points (also importable from here).
+
+The linear protocols are many independent fits of one shape, so each is run
+as a trial stack (see trainer.train_weighted_points, also importable from
+here): one full-batch Adam run over a (T, d + 1) parameter block. table_runs
+fits every (seed, method, noise level) trial of one setup at once, which
+serves reproduce_table, sweep_noise and run_table_trial (the T = 1 case);
+sweep_n fits the trials of each n at once, every trial being the unbiased
+disjoint-pair risk in point form. Each trial is scored on its test set
+alone, after the last epoch. Stacks are full batch and linear only;
+collapse_demo's minibatch arm trains one predictor.
 
 Sampling conventions for the built-in setups: the datagen preset counts of
 500 positive / 300 negative training points (class prior 0.625) and the test
@@ -28,7 +36,7 @@ from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSet
                       sample_train_test)
 from .errors import ConfigError
 from .rng import make_rng
-from .risk import RiskSpec, pair_risk
+from .risk import RiskSpec, pair_risk, pair_weights
 from .trainer import TrainConfig, train_weighted_points
 
 TRAIN_COUNTS = (PRESET_N_PLUS, PRESET_N_MINUS)
@@ -140,20 +148,40 @@ class TableRun:
     sigma_n: float
 
 
-def run_table_trial(setup_name, seed, method="sconf", noise_std=0.0):
-    """Final test accuracy of one table run: the points weighted by all-pairs
-    confidences (method "sconf") or one-hot labels ("supervised")."""
+def table_runs(setup_name, trials):
+    """One TableRun per (seed, method, noise_std) trial of one setup.
+
+    Each trial weights its seed's training points by all-pairs confidences
+    (method "sconf") or one-hot labels ("supervised"). Every trial has the
+    same (800, 2) shape, so all of them are fit as one stack; each final
+    predictor is scored on its seed's test set.
+    """
+    if not trials:
+        return []
     setup = preset(setup_name)
-    train, test = sample_train_test(setup, *TRAIN_COUNTS, seed)
-    if method == "supervised":
-        (a, b), sigma_n = trainer.one_hot(train.y), 0.0
-    else:
-        a, b, sigma_n = all_pairs_point_weights(train.X, setup, noise_std=noise_std, seed=seed)
-    p = train_weighted_points(train.X, a, b, model.Architecture.linear(setup.dim),
-                              epochs=SYNTH_EPOCHS, lr0=SYNTH_LR0, seed=seed,
-                              drop_every=SYNTH_DROP)
-    acc, _ = trainer.evaluate(p, test)
-    return TableRun(setup_name, method, noise_std, seed, acc, sigma_n)
+    data = {seed: sample_train_test(setup, *TRAIN_COUNTS, seed) for seed in {t[0] for t in trials}}
+    a, b, sigma_n = [], [], []
+    for seed, method, noise_std in trials:
+        train = data[seed][0]
+        if method == "supervised":
+            (a_t, b_t), sigma_t = trainer.one_hot(train.y), 0.0
+        else:
+            a_t, b_t, sigma_t = all_pairs_point_weights(train.X, setup, noise_std=noise_std,
+                                                        seed=seed)
+        a.append(a_t)
+        b.append(b_t)
+        sigma_n.append(sigma_t)
+    X = np.stack([data[seed][0].X for seed, _, _ in trials])
+    p = train_weighted_points(X, np.stack(a), np.stack(b), model.Architecture.linear(setup.dim),
+                              epochs=SYNTH_EPOCHS, lr0=SYNTH_LR0, drop_every=SYNTH_DROP)
+    return [TableRun(setup_name, method, noise_std, seed,
+                     trainer.evaluate(p.trial(t), data[seed][1])[0], sigma_n[t])
+            for t, (seed, method, noise_std) in enumerate(trials)]
+
+
+def run_table_trial(setup_name, seed, method="sconf", noise_std=0.0):
+    """Final test accuracy of one table run: table_runs with one trial."""
+    return table_runs(setup_name, [(seed, method, noise_std)])[0]
 
 
 def trial_seeds(trials, seeds=None):
@@ -170,11 +198,8 @@ def reproduce_table(trials=5, setups=("A", "B", "C", "D"), noise_stds=(0.0, 0.1,
     seeds = trial_seeds(trials, seeds)
     runs = []
     for name in setups:
-        for std in noise_stds:
-            for seed in seeds:
-                runs.append(run_table_trial(name, seed, noise_std=std))
-        for seed in seeds:
-            runs.append(run_table_trial(name, seed, method="supervised"))
+        runs += table_runs(name, [(seed, "sconf", std) for std in noise_stds for seed in seeds]
+                           + [(seed, "supervised", 0.0) for seed in seeds])
     return runs
 
 
@@ -296,8 +321,9 @@ def sweep_test_set(setup, seed=424242):
     return sample_labeled(setup, n_plus, SWEEP_TEST_N - n_plus, seed)
 
 
-def sweep_n_run(setup, n_pairs, seed, test, bayes_risk):
-    """Train on n disjoint exact-confidence pairs; 0-1 excess over Bayes.
+def sweep_n_excess(setup, n_pairs, seeds, test, bayes_risk):
+    """0-1 excess over Bayes of one fit per seed on n disjoint exact-confidence
+    pairs, the trials fit as one stack.
 
     The sweep protocol is a fixed 40-epoch full-batch budget (lr 0.1, divided
     by 10 every 15 epochs) at every n, so the curve reflects sample size, not
@@ -305,19 +331,28 @@ def sweep_n_run(setup, n_pairs, seed, test, bayes_risk):
     benchmark protocol because fully minimizing the pair risk at small n
     chases estimator noise into one-class solutions and inflates the
     small-sample end of the curve.
+
+    Each trial is the unbiased pair risk in point form: the pair block
+    ds.rows with pair_weights(ds.s) on both halves. Its correction f is the
+    identity, so the gradient is trainer.train's. The final-epoch model is
+    scored once: there is no independent validation set here, so the
+    best-epoch snapshot would just echo the training minimum.
     """
     n_points = 2 * n_pairs
     n_plus = round(n_points * setup.pi_plus)
-    train_points = sample_labeled(setup, n_plus, n_points - n_plus, seed)
-    ds = make_pairs(train_points.X, setup, seed)
     spec = RiskSpec("unbiased", setup.pi_plus)
-    cfg = TrainConfig(risk=spec, arch=model.Architecture.linear(setup.dim),
-                      epochs=SWEEP_EPOCHS, seed=seed, lr0=SWEEP_LR0,
-                      drop_every=SWEEP_DROP)
-    # final-epoch test risk; there is no independent validation set here, so
-    # the best-epoch snapshot would just echo the training minimum
-    _, report = trainer.train(ds, None, test, cfg)
-    return report.rows[-1][4] - bayes_risk
+    rows, a, b = [], [], []
+    for seed in seeds:
+        ds = make_pairs(sample_labeled(setup, n_plus, n_points - n_plus, seed).X, setup, seed)
+        a_t, b_t = pair_weights(ds.s, spec)
+        rows.append(ds.rows)
+        a.append(np.tile(a_t, 2))
+        b.append(np.tile(b_t, 2))
+    p = train_weighted_points(np.stack(rows), np.stack(a), np.stack(b),
+                              model.Architecture.linear(setup.dim), epochs=SWEEP_EPOCHS,
+                              lr0=SWEEP_LR0, drop_every=SWEEP_DROP)
+    # one trial at a time: a (200k, T) score block would raise peak memory T-fold
+    return [trainer.evaluate(p.trial(t), test)[1] - bayes_risk for t in range(len(seeds))]
 
 
 def sweep_n(setup_name, n_grid, trials, base_seed=1):
@@ -331,11 +366,8 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
     bayes_risk = 1.0 - bayes_accuracy(test, setup)
     rows = []
     for n_pairs in n_grid:
-        excesses = []
-        for t in seeds:
-            seed = base_seed * 100_000 + 7 * n_pairs + t
-            # final-epoch model of the fixed-budget protocol
-            excesses.append(sweep_n_run(setup, n_pairs, seed, test, bayes_risk))
+        excesses = sweep_n_excess(setup, n_pairs, [base_seed * 100_000 + 7 * n_pairs + t
+                                                   for t in seeds], test, bayes_risk)
         rows.append((n_pairs, float(np.mean(excesses)), float(np.std(excesses))))
     slope = None
     if len(rows) >= 2:
@@ -352,9 +384,10 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
 def sweep_noise(setup_name, stds, trials, seeds=None):
     """Accuracy and summed confidence deviation per noise level."""
     seeds = trial_seeds(trials, seeds)
+    all_runs = table_runs(setup_name, [(seed, "sconf", std) for std in stds for seed in seeds])
     rows = []
-    for std in stds:
-        runs = [run_table_trial(setup_name, seed, noise_std=std) for seed in seeds]
+    for k, std in enumerate(stds):
+        runs = all_runs[k * len(seeds):(k + 1) * len(seeds)]
         accs = np.array([r.acc_final for r in runs])
         sig = np.array([r.sigma_n for r in runs])
         rows.append((float(std), 100.0 * accs.mean(), 100.0 * accs.std(), float(sig.mean())))

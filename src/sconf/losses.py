@@ -3,6 +3,8 @@
 logistic: ln(1 + exp(-y z)), evaluated in softplus form for overflow safety.
 zero_one: 1 on misclassification, with sign(0) = +1 so ties are deterministic.
 Only the logistic loss has a derivative; zero_one is evaluation-only.
+weighted_derivative() is the derivative of a_i l(z_i, +1) + b_i l(z_i, -1),
+the point objective's per-row gradient, fused into one sigmoid.
 """
 
 import numpy as np
@@ -46,3 +48,18 @@ def loss_derivative(kind, z, y):
     t = np.exp(-np.abs(m))
     out = np.where(m >= 0, -y * t / (1.0 + t), -y / (1.0 + t))
     return float(out) if out.ndim == 0 else out
+
+
+def weighted_derivative(kind, z, a, b):
+    """d/dz of a l(z, +1) + b l(z, -1), elementwise; logistic only.
+
+    l'(z, +1) = -sigmoid(-z) and l'(z, -1) = sigmoid(z) = 1 - sigmoid(-z), so
+    the sum is b - (a + b) sigmoid(-z): one stable sigmoid, and no labels to
+    check. Equal to a loss_derivative(z, 1) + b loss_derivative(z, -1) up to
+    rounding.
+    """
+    if kind != "logistic":
+        raise ConfigError(f"loss kind {kind!r} has no derivative")
+    t = np.exp(-np.abs(z))
+    # sigmoid(-z) = t / (1 + t) for z >= 0 and 1 / (1 + t) for z < 0
+    return b - (a + b) * (np.where(z >= 0, t, 1.0) / (1.0 + t))

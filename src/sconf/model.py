@@ -5,6 +5,13 @@ multilayer perceptron d-h1-h2-1. Parameters live in one flat float64 vector;
 gradients accumulate into a same-shape buffer. forward() caches the
 activations of its batch; backward() consumes the cache and invalidates it,
 so memory stays bounded at one batch.
+
+The linear model also comes as a stack of T independent trials
+(init(arch, seed, trials=T)): parameters and gradients are a (T, d + 1)
+block, a batch is a (T, n, d) block scored into (T, n) by
+einsum("tnd,td->tn") plus each trial's bias, and backward() sums each
+trial's rows on its own. The MLP is never stacked. trial(t) is trial t as
+an ordinary one-trial predictor that shares the stack's parameters.
 """
 
 from dataclasses import dataclass, field
@@ -87,10 +94,20 @@ class Predictor:
     def copy(self):
         return Predictor(self.arch, self.params.copy(), np.zeros_like(self.grads))
 
+    @property
+    def stacked(self):
+        return self.params.ndim == 2
+
+    def trial(self, t):
+        """Trial t of a stack as a one-trial predictor (a view of its parameters)."""
+        if not self.stacked:
+            raise ConfigError("trial() needs a stacked predictor")
+        return Predictor(self.arch, self.params[t], np.zeros_like(self.params[t]))
+
 
 def _views(arch, buf):
-    if arch.kind == "linear":
-        return {"w": buf[: arch.d], "b": buf[arch.d:]}
+    if arch.kind == "linear":  # buf is (d + 1,), or (T, d + 1) for a stack
+        return {"w": buf[..., :arch.d], "b": buf[..., arch.d:]}
     d, h1, h2 = arch.d, arch.h1, arch.h2
     off = 0
     out = {}
@@ -102,26 +119,39 @@ def _views(arch, buf):
     return out
 
 
-def init(arch, seed=0):
-    """Fresh predictor: zeros for linear, He-normal weights for the MLP."""
-    params = np.zeros(arch.param_count)
+def init(arch, seed=0, trials=None):
+    """Fresh predictor: zeros for linear, He-normal weights for the MLP.
+
+    trials=T gives a linear stack of T trials, a (T, d + 1) block of zeros.
+    """
+    if trials is not None and (arch.kind != "linear" or trials < 1):
+        raise ConfigError(f"only the linear model stacks trials, got {arch.kind} x {trials}")
+    params = np.zeros(arch.param_count if trials is None else (trials, arch.param_count))
     if arch.kind == "mlp":
         rng = make_rng(seed, 3)
         v = _views(arch, params)
         v["W1"][...] = rng.normal(0.0, np.sqrt(2.0 / arch.d), v["W1"].shape)
         v["W2"][...] = rng.normal(0.0, np.sqrt(2.0 / arch.h1), v["W2"].shape)
         v["w3"][...] = rng.normal(0.0, np.sqrt(2.0 / arch.h2), v["w3"].shape)
-    return Predictor(arch, params, np.zeros(arch.param_count))
+    return Predictor(arch, params, np.zeros_like(params))
 
 
 def forward(p, X):
-    """Scores for a batch; caches activations for one backward() call."""
+    """Scores for a batch; caches activations for one backward() call.
+
+    A stack scores a (T, n, d) batch, one (n, d) block per trial, into (T, n).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != p.arch.d:
-        raise ConfigError(f"input dim {X.shape[1]} does not match architecture dim {p.arch.d}")
+    if X.shape[-1] != p.arch.d:
+        raise ConfigError(f"input dim {X.shape[-1]} does not match architecture dim {p.arch.d}")
+    if X.ndim != 2 + p.stacked or (p.stacked and len(X) != len(p.params)):
+        raise ConfigError(f"a batch of shape {X.shape} does not fit parameters of shape "
+                          f"{p.params.shape}")
     v = p.views()
     if p.arch.kind == "linear":
         p._cache = {"X": X}
+        if p.stacked:
+            return np.einsum("tnd,td->tn", X, v["w"]) + v["b"]
         return X @ v["w"] + v["b"][0]
     a1 = np.maximum(X @ v["W1"] + v["b1"], 0.0)
     a2 = np.maximum(a1 @ v["W2"] + v["b2"], 0.0)
@@ -140,13 +170,17 @@ def backward(p, upstream):
     u = np.asarray(upstream, dtype=float)
     cache, p._cache = p._cache, None
     X = cache["X"]
-    if u.shape != (X.shape[0],):
+    if u.shape != X.shape[:-1]:
         raise ConfigError("upstream must have one entry per batch row")
     p.grads_ready = True
     g = p.grad_views()
     if p.arch.kind == "linear":
-        g["w"] += X.T @ u
-        g["b"] += u.sum()
+        if p.stacked:
+            g["w"] += np.einsum("tnd,tn->td", X, u)
+            g["b"] += u.sum(axis=1, keepdims=True)
+        else:
+            g["w"] += X.T @ u
+            g["b"] += u.sum()
         return
     v = p.views()
     a1, a2 = cache["a1"], cache["a2"]

@@ -4,6 +4,8 @@ The decay term is added to the gradient before the moment updates (classic
 Adam-with-L2, not decoupled decay). The schedule divides the base rate by
 drop_factor after every drop_every completed epochs:
 lr(epoch) = lr0 / drop_factor ** floor(epoch / drop_every).
+Every update is elementwise, so a stack of T trials, whose parameters and
+moments are (T, d + 1) blocks, takes T independent Adam steps in one.
 """
 
 from dataclasses import dataclass, field
@@ -40,9 +42,9 @@ class AdamState:
 
     @staticmethod
     def for_predictor(p, lr0, weight_decay=0.0, drop_every=None, drop_factor=10.0):
-        n = p.params.shape[0]
         return AdamState(lr0=lr0, weight_decay=weight_decay, drop_every=drop_every,
-                         drop_factor=drop_factor, m=np.zeros(n), v=np.zeros(n))
+                         drop_factor=drop_factor, m=np.zeros_like(p.params),
+                         v=np.zeros_like(p.params))
 
 
 def effective_lr(state, epoch):

@@ -11,10 +11,18 @@ batch size; train_weighted_points() feeds it point_grad(), the one point
 gradient, of sum_i a_i l(z_i, +1) + b_i l(z_i, -1). Supervised training is its
 one_hot(y) case, a = [y = +1]/n, b = [y = -1]/n.
 
-After every epoch train() records the full-train risk, full-validation risk
-(same estimator kind), and test accuracy, and stops with NonFiniteRiskError
-if a risk is not finite. The returned predictor is the parameter snapshot at
-the epoch of minimum validation risk; test labels are touched only inside
+train_weighted_points() also fits T independent same-shape trials at once: X
+of shape (T, n, d) and a, b of shape (T, n) train a stacked linear predictor
+(model.init(arch, seed, trials=T)) through the same loop, point gradient and
+Adam step. A stack trains full batch only, and only the linear model stacks.
+It checks the parameter block once per epoch and stops with
+NonFiniteRiskError naming the epoch and the trial.
+
+After every epoch train() records the full-train risk and full-validation
+risk (same estimator kind), and stops with NonFiniteRiskError if a risk is not
+finite; the test set is scored only on the epochs it reports (every
+eval_every-th and the last). The returned predictor is the parameter snapshot
+at the epoch of minimum validation risk; test labels are touched only inside
 evaluate().
 """
 
@@ -28,7 +36,7 @@ from . import model, optim
 from .datagen import LabeledData, SconfDataset
 from .errors import ConfigError, NonFiniteRiskError
 from .fileio import write_atomic
-from .losses import loss_derivative
+from .losses import loss_derivative, weighted_derivative
 from .rng import make_rng
 from .risk import (ONE_SIDED_KINDS, RiskSpec, pair_risk, partial_risks, risk_gradient_weights,
                    supervised_risk)
@@ -157,13 +165,13 @@ def one_hot(y):
 
 def point_grad(p, X, a, b, loss="logistic"):
     """score_grad of sum_i a_i l(z_i, +1) + b_i l(z_i, -1) over the rows of X;
-    a minibatch's gradient is rescaled by n/|batch|."""
-    n = len(X)
+    a minibatch's gradient is rescaled by n/|batch|. For a stack, X is
+    (T, n, d), a and b are (T, n), and idx is ALL_ROWS."""
+    n = X.shape[-2]
 
     def score_grad(idx):
         z = model.forward(p, X[idx])
-        return n / len(z) * (a[idx] * loss_derivative(loss, z, 1)
-                             + b[idx] * loss_derivative(loss, z, -1))
+        return n / z.shape[-1] * weighted_derivative(loss, z, a[idx], b[idx])
 
     return score_grad
 
@@ -171,14 +179,34 @@ def point_grad(p, X, a, b, loss="logistic"):
 def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
                           weight_decay=0.0, batch=None):
     """Minimize sum_i a_i l(z_i, +1) + b_i l(z_i, -1) (logistic) with Adam;
-    full batch when batch is None. Returns the final predictor."""
+    full batch when batch is None. Returns the final predictor.
+
+    X of shape (T, n, d) with a, b of shape (T, n) fits T linear trials as one
+    stack, full batch only; trial t of the result is p.trial(t). Raises
+    NonFiniteRiskError, naming the epoch and the trial (0 for a single fit),
+    if a parameter is not finite after an epoch.
+    """
     X = np.asarray(X, dtype=float)
-    p = model.init(arch, seed)
+    trials, n = (len(X) if X.ndim == 3 else None), X.shape[-2]
+    if trials is not None and batch is not None and batch < n:
+        raise ConfigError(f"a stack of {trials} trials trains full batch only, got batch {batch}")
+    p = model.init(arch, seed, trials)
     state = optim.AdamState.for_predictor(p, lr0, weight_decay=weight_decay,
                                           drop_every=drop_every)
-    for _ in minibatch_epochs(p, state, len(X), batch, seed, epochs, point_grad(p, X, a, b)):
-        pass
+    for epoch in minibatch_epochs(p, state, n, batch, seed, epochs, point_grad(p, X, a, b)):
+        _check_finite_params(p, epoch)
     return p
+
+
+def _check_finite_params(p, epoch):
+    # A non-finite gradient makes the Adam update non-finite, so the
+    # parameter block shows it; it also shows parameters that overflowed to
+    # +-inf while every score sat at +-inf with a finite gradient.
+    if np.isfinite(p.params).all():
+        return
+    block = np.atleast_2d(p.params)
+    trial, j = np.argwhere(~np.isfinite(block))[0]
+    raise NonFiniteRiskError(epoch, "train", float(block[trial, j]), trial=int(trial))
 
 
 def _risk_grad(p, ds, spec):
@@ -229,9 +257,9 @@ def train(train_ds, val_ds, test, cfg):
         for role, value in (("train", train_risk), ("validation", val_risk)):
             if not np.isfinite(value):
                 raise NonFiniteRiskError(epoch, role, value)
-        test_acc, test_01 = evaluate(p, test)
-        lr = optim.effective_lr(state, epoch)
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+            test_acc, test_01 = evaluate(p, test)
+            lr = optim.effective_lr(state, epoch)
             report.rows.append((epoch, train_risk, val_risk, test_acc, test_01, lr))
         if val_risk < best[0]:
             best = (val_risk, p.params.copy(), epoch)

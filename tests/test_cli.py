@@ -99,6 +99,33 @@ class TestTrain:
         assert not (out / "report.csv").exists()
         assert not (out / "model.ckpt").exists()
 
+    def test_diverged_confidence_model_exit_code(self, tmp_path, capsys):
+        # the IDX confidence model is a weighted-point fit: its parameter check
+        # names the epoch and the trial (0 for a single fit)
+        from sconf.dataset_io import write_idx_images, write_idx_labels
+
+        rng = np.random.default_rng(3)
+        for stem, n in (("train", 120), ("test", 40)):
+            write_idx_images(tmp_path / f"{stem}.idx", rng.integers(0, 256, (n, 4, 4), np.uint8))
+            write_idx_labels(tmp_path / f"{stem}-labels.idx", rng.integers(0, 10, n, np.uint8))
+        cfg = self.write_cfg(tmp_path, f"""
+            idx_images={tmp_path / 'train.idx'}
+            idx_labels={tmp_path / 'train-labels.idx'}
+            idx_test_images={tmp_path / 'test.idx'}
+            idx_test_labels={tmp_path / 'test-labels.idx'}
+            corruption=mnist
+            epochs=2
+            seed=1
+            confidence_epochs=5
+            confidence_batch=32
+            confidence_lr0=1e308
+        """)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run_cli(["train", str(cfg), "--out", str(out)]) == 5
+        assert "trial 0 train parameter is" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["train", str(tmp_path / "absent.cfg"),
                         "--out", str(tmp_path / "o")]) == 2

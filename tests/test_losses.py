@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sconf.errors import ConfigError
-from sconf.losses import loss_derivative, loss_value
+from sconf.losses import loss_derivative, loss_value, weighted_derivative
 
 
 class TestValues:
@@ -78,3 +78,25 @@ class TestDerivative:
     def test_zero_one_has_none(self):
         with pytest.raises(ConfigError):
             loss_derivative("zero_one", 0.5, 1)
+
+
+class TestWeightedDerivative:
+    def test_equals_weighted_label_derivatives(self):
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.normal(0, 20, 2000), [0.0, -0.0, 1000.0, -1000.0, 40.0, -40.0]])
+        a, b = rng.normal(size=(2, len(z)))
+        fused = weighted_derivative("logistic", z, a, b)
+        split = a * loss_derivative("logistic", z, 1) + b * loss_derivative("logistic", z, -1)
+        # sigmoid(z) and 1 - sigmoid(-z) round differently: a few ulps of |a| + |b|
+        assert np.all(np.abs(fused - split) <= 4e-16 * (np.abs(a) + np.abs(b)))
+
+    def test_broadcasts_over_a_trial_block(self):
+        z = np.array([[-1.0, 0.0, 2.0], [3.0, -4.0, 0.5]])
+        a, b = np.full_like(z, 0.25), np.full_like(z, 0.75)
+        fused = weighted_derivative("logistic", z, a, b)
+        assert fused.shape == z.shape
+        assert np.array_equal(fused[1], weighted_derivative("logistic", z[1], a[1], b[1]))
+
+    def test_zero_one_has_none(self):
+        with pytest.raises(ConfigError):
+            weighted_derivative("zero_one", np.zeros(2), np.ones(2), np.ones(2))

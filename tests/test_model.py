@@ -63,6 +63,41 @@ class TestForward:
             forward(p, np.zeros((2, 4)))
 
 
+class TestTrialStack:
+    def test_forward_backward_equal_each_trial(self):
+        rng = np.random.default_rng(6)
+        p = init(Architecture.linear(3), trials=4)
+        assert p.params.shape == p.grads.shape == (4, 4)
+        p.params[:] = rng.normal(size=(4, 4))
+        X, u = rng.normal(size=(4, 9, 3)), rng.normal(size=(4, 9))
+        z = forward(p, X)
+        backward(p, u)
+        for t in range(4):
+            one = p.trial(t)
+            assert np.allclose(forward(one, X[t]), z[t], rtol=1e-14, atol=1e-14)
+            backward(one, u[t])
+            assert np.allclose(one.grads, p.grads[t], rtol=1e-14, atol=1e-14)
+
+    def test_shape_mismatch(self):
+        p = init(Architecture.linear(2), trials=3)
+        for bad in (np.zeros((5, 2)), np.zeros((2, 5, 2)), np.zeros((3, 5, 4))):
+            with pytest.raises(ConfigError):
+                forward(p, bad)
+        with pytest.raises(ConfigError):
+            forward(init(Architecture.linear(2)), np.zeros((3, 5, 2)))
+        forward(p, np.zeros((3, 5, 2)))
+        with pytest.raises(ConfigError, match="one entry per batch row"):
+            backward(p, np.zeros(5))
+
+    def test_only_linear_stacks(self):
+        with pytest.raises(ConfigError):
+            init(Architecture.mlp(2, 3, 3), trials=2)
+        with pytest.raises(ConfigError):
+            init(Architecture.linear(2), trials=0)
+        with pytest.raises(ConfigError):
+            init(Architecture.linear(2)).trial(0)
+
+
 class TestBackward:
     def test_linear_chain_rule(self):
         p = init(Architecture.linear(2))

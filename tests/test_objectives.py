@@ -3,8 +3,9 @@
 The table protocol's per-point weights must reproduce the unbiased pair risk
 over every materialized pair, with exact or noisy confidences, the weighted-point trainer must reproduce
 the confidence model's supervised fit when the weights are one-hot labels,
-and the score gradient the trainer backpropagates must be the gradient of
-the dataset risk it reports, for every risk kind.
+the score gradient the trainer backpropagates must be the gradient of
+the dataset risk it reports, for every risk kind, and a trial stack must fit
+each of its trials as the one-trial fit does, in pair or in point form.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from sconf.dataset_io import posterior_model_confidences
 from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
 from sconf.experiments import all_pairs_point_weights, train_weighted_points
 from sconf.losses import loss_value
-from sconf.risk import RISK_KINDS, RiskSpec, pair_risk, partial_risks, supervised_risk
+from sconf.datagen import make_pairs
+from sconf.risk import RISK_KINDS, RiskSpec, pair_risk, pair_weights, partial_risks, supervised_risk
 from sconf.rng import make_rng
 
 
@@ -134,3 +136,58 @@ def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_m
         p.params[j] = orig
         for grads in analytic:
             assert grads[j] == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-8)
+
+
+# einsum and BLAS sum the same products in different orders; the drift after
+# a few dozen Adam steps stays within this, relative to the largest parameter
+STACK_TOL = 1e-13
+
+
+def _assert_params_close(got, want):
+    assert np.max(np.abs(got - want)) <= STACK_TOL * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(trials=st.integers(1, 6), n=st.integers(2, 40), d=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), epochs=st.integers(1, 25))
+def test_every_stacked_trial_matches_its_single_fit(trials, n, d, seed, epochs):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(trials, n, d))
+    a = rng.uniform(-0.5, 1.0, size=(trials, n)) / n
+    b = rng.uniform(-0.5, 1.0, size=(trials, n)) / n
+    arch = model.Architecture.linear(d)
+    stack = train_weighted_points(X, a, b, arch, epochs, 0.1, drop_every=7)
+    test_X = rng.normal(size=(50, d))
+    for t in range(trials):
+        single = train_weighted_points(X[t], a[t], b[t], arch, epochs, 0.1, drop_every=7)
+        _assert_params_close(stack.params[t], single.params)
+        assert np.array_equal(model.forward(stack.trial(t), test_X) >= 0,
+                              model.forward(single, test_X) >= 0)
+
+
+@pytest.mark.parametrize("n_pairs", (7, 60))
+def test_pair_risk_training_matches_point_form_stack(n_pairs):
+    # trainer.train on the unbiased pair risk and the point-form stack of the
+    # same pair sets (ds.rows, pair weights on both halves) take the same
+    # steps: f is the identity, so the gradients are one expression
+    setup, epochs = preset("B"), 12
+    spec = RiskSpec("unbiased", setup.pi_plus)
+    arch = model.Architecture.linear(2)
+    test = sample_labeled(setup, 250, 150, 99)
+    sets = [make_pairs(sample_labeled(setup, n_pairs + 3, n_pairs - 3, seed).X, setup, seed)
+            for seed in (1, 2, 3)]
+    weights = [pair_weights(ds.s, spec) for ds in sets]
+    stack = train_weighted_points(np.stack([ds.rows for ds in sets]),
+                                  np.stack([np.tile(a, 2) for a, _ in weights]),
+                                  np.stack([np.tile(b, 2) for _, b in weights]),
+                                  arch, epochs, 0.1, drop_every=5)
+    for t, ds in enumerate(sets):
+        cfg = trainer.TrainConfig(spec, arch, epochs=epochs, seed=t, drop_every=5)
+        chosen, report = trainer.train(ds, None, test, cfg)
+        # the final epoch's test 0-1 risk is what the sample-size sweep reads
+        assert report.rows[-1][4] == trainer.evaluate(stack.trial(t), test)[1]
+        # the parameters trainer.train keeps are those after best_epoch + 1 steps
+        upto = train_weighted_points(ds.rows[None], np.tile(weights[t][0], 2)[None],
+                                     np.tile(weights[t][1], 2)[None], arch,
+                                     report.best_epoch + 1, 0.1, drop_every=5)
+        _assert_params_close(upto.params[0], chosen.params)

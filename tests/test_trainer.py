@@ -107,6 +107,25 @@ class TestTrainBasics:
         _, report = train(ds, None, test, cfg)
         assert [r[0] for r in report.rows] == [2, 5, 6]
 
+    def test_test_set_scored_only_on_recorded_epochs(self, monkeypatch):
+        setup, ds = small_pair_data()
+        test = small_test(setup)
+        spec = RiskSpec("unbiased", 0.625)
+        _, every = train(ds, None, test, linear_cfg(spec, epochs=7, drop_every=3))
+        calls = []
+
+        def counting_evaluate(p, data):
+            calls.append(data)
+            return evaluate(p, data)
+
+        monkeypatch.setattr(trainer, "evaluate", counting_evaluate)
+        _, thinned = train(ds, None, test, linear_cfg(spec, epochs=7, drop_every=3,
+                                                      eval_every=3))
+        assert len(calls) == len(thinned.rows) == 3
+        assert all(data is test for data in calls)
+        assert thinned.rows == [every.rows[epoch] for epoch in (2, 5, 6)]
+        assert thinned.best_epoch == every.best_epoch
+
     def test_sigma_n_reporting(self):
         setup, ds = small_pair_data()
         noisy = add_confidence_noise(ds, 0.2, seed=5)
@@ -283,3 +302,55 @@ class TestFullBatchOrder:
         monkeypatch.setattr(trainer, "make_rng", recording_rng)
         train_weighted_points(X, a, b, Architecture.linear(2), 3, 0.1, seed=self.SEED, batch=batch)
         assert keys == ([(self.SEED, 4, epoch) for epoch in range(3)] if draws else [])
+
+
+class TestTrialStack:
+    """T same-shape trials fit as one stack (X of shape (T, n, d))."""
+
+    @staticmethod
+    def _stack(trials=3, n=80):
+        setup = preset("B")
+        X, a, b = [], [], []
+        for seed in range(1, trials + 1):
+            pts = sample_labeled(setup, n * 5 // 8, n - n * 5 // 8, seed).X
+            a_t, b_t, _ = all_pairs_point_weights(pts, setup, noise_std=0.1, seed=seed)
+            X.append(pts)
+            a.append(a_t)
+            b.append(b_t)
+        return np.stack(X), np.stack(a), np.stack(b)
+
+    def test_params_are_a_trial_block(self):
+        X, a, b = self._stack()
+        p = train_weighted_points(X, a, b, Architecture.linear(2), 3, 0.1)
+        assert p.params.shape == (3, 3)
+        assert np.array_equal(p.trial(1).params, p.params[1])
+
+    def test_minibatch_stack_is_config_error(self):
+        X, a, b = self._stack(n=80)
+        with pytest.raises(ConfigError, match="full batch"):
+            train_weighted_points(X, a, b, Architecture.linear(2), 2, 0.1, batch=40)
+        # a batch that covers every row is a full batch
+        train_weighted_points(X, a, b, Architecture.linear(2), 2, 0.1, batch=80)
+
+    def test_mlp_does_not_stack(self):
+        X, a, b = self._stack()
+        with pytest.raises(ConfigError, match="only the linear model stacks"):
+            train_weighted_points(X, a, b, Architecture.mlp(2, 4, 4), 2, 0.1)
+
+    def test_diverged_trial_is_named(self):
+        # lr0 = 1e308 sends a trial's parameters to +-inf in one step; trials 0
+        # and 2 have zero weights, a zero gradient, and stay at their init
+        X, a, b = self._stack()
+        a[[0, 2]] = 0.0
+        b[[0, 2]] = 0.0
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteRiskError, match=r"^epoch \d+: trial 1 train parameter is (nan|inf)") as info:
+            train_weighted_points(X, a, b, Architecture.linear(2), 5, 1e308)
+        assert isinstance(info.value, SconfError)
+        assert info.value.trial == 1 and info.value.epoch >= 0 and info.value.role == "train"
+
+    def test_diverged_single_fit_names_trial_zero(self):
+        X, a, b = self._stack(trials=1)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteRiskError) as info:
+            train_weighted_points(X[0], a[0], b[0], Architecture.linear(2), 5, 1e308)
+        assert info.value.trial == 0
