@@ -7,8 +7,8 @@ backpropagation (model), Adam with a step schedule (optim), the one
 minibatch loop and an ERM trainer with risk-based model selection (trainer),
 class-prior estimation from the confidence mean (prior), IDX dataset loading
 and binary corruption (dataset_io), the synthetic experiment protocols
-(experiments), and atomic writes plus key=value parsing (fileio). The
-command-line harness lives in sconf.cli.
+(experiments), and atomic writes, the CSV writer and key=value parsing
+(fileio). The command-line harness lives in sconf.cli.
 """
 
 from .datagen import (GaussianSetup, LabeledData, SconfDataset, SynthSpec,

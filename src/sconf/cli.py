@@ -2,8 +2,9 @@
 
 Subcommands: reproduce-table1, collapse-demo, sweep-n, sweep-noise, prior,
 train, gen-synth. Every stochastic command takes an explicit seed (sweep and
-table trials default to seeds 1..trials). Outputs are CSV files plus SVG
-plots rendered purely from the CSV contents; all files are written atomically.
+table trials default to seeds 1..trials). Outputs are CSV files, written by
+fileio.write_csv, plus SVG plots; a table's or curve's plot is drawn from the
+rows just written to its CSV. All files are written atomically.
 
 Config files are plain key=value text; command-line flags override file
 values; a key given twice in one file is an error. The default output
@@ -15,8 +16,6 @@ written).
 """
 
 import argparse
-import csv
-import io
 import os
 import sys
 
@@ -26,7 +25,7 @@ from . import dataset_io, experiments, model, svgplot, trainer
 from .datagen import (PRESET_PI_PLUS, add_confidence_noise, load_setup_file, make_pairs,
                       preset, preset_synth, sample_train_test)
 from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
-from .fileio import parse_key_values, parse_list, write_atomic
+from .fileio import parse_key_values, parse_list, write_csv
 from .risk import RiskSpec
 from .rng import make_rng
 from .trainer import TrainConfig
@@ -43,29 +42,6 @@ def _out_dir(args):
     return out
 
 
-def write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    write_atomic(path, buf.getvalue())
-
-
-def read_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
-
-
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -77,19 +53,11 @@ def cmd_reproduce_table1(args):
     csv_path = os.path.join(out, "table1.csv")
     write_csv(csv_path, ("setup", "method", "noise_std", "mean_acc", "std_acc"),
               summary)
-
-    header, rows = read_csv(csv_path)
-    setups = sorted({r[0] for r in rows})
-    series = {}
-    for method, std in (("sconf", "0.0"), ("sconf", "0.1"), ("sconf", "0.2"),
-                        ("sconf", "0.3"), ("supervised", "0.0")):
-        label = method if method == "supervised" else f"sconf std={std}"
-        vals = []
-        for s in setups:
-            match = [float(r[3]) for r in rows
-                     if r[0] == s and r[1] == method and float(r[2]) == float(std)]
-            vals.append(match[0] if match else float("nan"))
-        series[label] = vals
+    setups = sorted({r[0] for r in summary})
+    mean_acc = {r[:3]: r[3] for r in summary}
+    series = {f"sconf std={std}": [mean_acc.get((s, "sconf", std), float("nan")) for s in setups]
+              for std in (0.0, 0.1, 0.2, 0.3)}
+    series["supervised"] = [mean_acc.get((s, "supervised", 0.0), float("nan")) for s in setups]
     svgplot.bar_chart(os.path.join(out, "table1.svg"), setups, series,
                       title="Mean test accuracy over trials", ylabel="accuracy [%]")
     for row in summary:
@@ -109,16 +77,10 @@ def cmd_collapse_demo(args):
 
     hist_path = os.path.join(out, "confidence_hist.csv")
     counts, edges = np.histogram(all_ds.s, bins=40, range=(0.0, 1.0))
-    write_csv(hist_path, ("bin_left", "bin_right", "count"),
-              [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)])
-
-    _, hrows = read_csv(hist_path)
-    svgplot.histogram(os.path.join(out, "confidence_hist.svg"),
-                      [ (float(r[0]) + float(r[1])) / 2.0 for r in hrows
-                        for _ in range(int(r[2])) ],
-                      bins=40, title="Similarity confidence of unlabeled pairs",
-                      xlabel="s", vlines=((PRESET_PI_PLUS, "pi+"),
-                                          (1 - PRESET_PI_PLUS, "pi-")))
+    write_csv(hist_path, ("bin_left", "bin_right", "count"), zip(edges, edges[1:], counts))
+    svgplot.histogram(os.path.join(out, "confidence_hist.svg"), edges, counts,
+                      title="Similarity confidence of unlabeled pairs", xlabel="s",
+                      vlines=((PRESET_PI_PLUS, "pi+"), (1 - PRESET_PI_PLUS, "pi-")))
     points = [(float(x[0]), float(x[1]), 0 if y > 0 else 1)
               for x, y in zip(test.X, test.y)]
     lines = {}
@@ -140,13 +102,10 @@ def cmd_sweep_n(args):
     rows, slope = experiments.sweep_n(args.setup, grid, args.trials, base_seed=args.seed)
     csv_path = os.path.join(out, "sweep_n.csv")
     write_csv(csv_path, ("n_pairs", "mean_excess_01_risk", "std_excess_01_risk"), rows)
-    header, crows = read_csv(csv_path)
-    xs = [int(r[0]) for r in crows]
-    ys = [max(float(r[1]), 1e-6) for r in crows]
-    if len(xs) >= 2:
-        svgplot.line_plot(os.path.join(out, "sweep_n.svg"), xs,
-                          {"mean excess 0-1 risk": ys}, title="Excess risk vs pairs",
-                          xlabel="n pairs", ylabel="excess risk", logx=True, logy=True)
+    svgplot.line_plot(os.path.join(out, "sweep_n.svg"), [r[0] for r in rows],
+                      {"mean excess 0-1 risk": [max(r[1], 1e-6) for r in rows]},
+                      title="Excess risk vs pairs",
+                      xlabel="n pairs", ylabel="excess risk", logx=True, logy=True)
     for r in rows:
         print(f"n={r[0]:5d} mean excess {r[1]:.4f} (+- {r[2]:.4f})")
     if slope is None:
@@ -163,10 +122,8 @@ def cmd_sweep_noise(args):
     rows = experiments.sweep_noise(args.setup, stds, args.trials)
     csv_path = os.path.join(out, "sweep_noise.csv")
     write_csv(csv_path, ("noise_std", "mean_acc", "std_acc", "mean_sigma_n"), rows)
-    _, crows = read_csv(csv_path)
-    svgplot.line_plot(os.path.join(out, "sweep_noise.svg"),
-                      [float(r[0]) for r in crows],
-                      {"mean accuracy [%]": [float(r[1]) for r in crows]},
+    svgplot.line_plot(os.path.join(out, "sweep_noise.svg"), [r[0] for r in rows],
+                      {"mean accuracy [%]": [r[1] for r in rows]},
                       title=f"Noise robustness, setup {args.setup}",
                       xlabel="confidence noise std", ylabel="accuracy [%]")
     for r in rows:
@@ -247,6 +204,12 @@ def _train_from_config(cfg, out):
         except ValueError:
             raise ConfigError(f"config key {key} is not numeric: {cfg[key]!r}") from None
 
+    if cfg["setup"] and cfg["idx_images"]:
+        raise ConfigError("config names both setup and idx_images; give one data source")
+    if cfg["idx_images"] and num("noise_std") > 0:
+        raise ConfigError("noise_std applies to a synthetic setup, not to an IDX source")
+    if cfg["estimator"] == "supervised" and num("val_fraction") > 0:
+        raise ConfigError("val_fraction splits pairs; estimator=supervised takes none")
     seed = num("seed", int)
     if cfg["setup"]:
         synth = preset_synth(cfg["setup"], seed)
@@ -303,12 +266,9 @@ def _train_from_config(cfg, out):
     report_path = os.path.join(out, "report.csv")
     report.to_csv(report_path)
     model.save_checkpoint(predictor, os.path.join(out, "model.ckpt"))
-    _, rows = read_csv(report_path)
-    xs = [int(r[0]) for r in rows]
-    svgplot.line_plot(os.path.join(out, "curves.svg"), xs,
-                      {"train risk": [float(r[1]) for r in rows],
-                       "val risk": [float(r[2]) for r in rows],
-                       "test 0-1 risk": [float(r[4]) for r in rows]},
+    epochs, train_risk, val_risk, _, test_01, _ = zip(*report.rows)
+    svgplot.line_plot(os.path.join(out, "curves.svg"), epochs,
+                      {"train risk": train_risk, "val risk": val_risk, "test 0-1 risk": test_01},
                       title="Learning curves", xlabel="epoch", ylabel="risk")
     final = report.rows[-1]
     best = report.row_at(report.best_epoch)

@@ -14,11 +14,10 @@ The linear protocols are many independent fits of one shape, so each is run
 as a trial stack (see trainer.train_weighted_points, also importable from
 here): one full-batch Adam run over a (T, d + 1) parameter block. table_runs
 fits every (seed, method, noise level) trial of one setup at once, which
-serves reproduce_table, sweep_noise and run_table_trial (the T = 1 case);
-sweep_n fits the trials of each n at once, every trial being the unbiased
-disjoint-pair risk in point form. Each trial is scored on its test set
-alone, after the last epoch. Stacks are full batch and linear only;
-collapse_demo's minibatch arm trains one predictor.
+serves reproduce_table and sweep_noise; sweep_n fits the trials of each n at
+once, every trial being the unbiased disjoint-pair risk in point form. Each
+trial is scored on its test set alone, after the last epoch. Stacks are full
+batch and linear only; collapse_demo's minibatch arm trains one predictor.
 
 Sampling conventions for the built-in setups: the datagen preset counts of
 500 positive / 300 negative training points (class prior 0.625) and the test
@@ -177,11 +176,6 @@ def table_runs(setup_name, trials):
     return [TableRun(setup_name, method, noise_std, seed,
                      trainer.evaluate(p.trial(t), data[seed][1])[0], sigma_n[t])
             for t, (seed, method, noise_std) in enumerate(trials)]
-
-
-def run_table_trial(setup_name, seed, method="sconf", noise_std=0.0):
-    """Final test accuracy of one table run: table_runs with one trial."""
-    return table_runs(setup_name, [(seed, method, noise_std)])[0]
 
 
 def trial_seeds(trials, seeds=None):

@@ -1,9 +1,14 @@
-"""Atomic file writes, the key=value text format of setup files and
-training configs ('#' starts a comment, blank lines are skipped), and the
-number lists of CLI flags and config values."""
+"""Atomic file writes, the package's only CSV writer (write_csv), the
+key=value text format of setup files and training configs ('#' starts a
+comment, blank lines are skipped), and the number lists of CLI flags and
+config values."""
 
+import csv
+import io
 import os
 import re
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -16,6 +21,25 @@ def write_atomic(path, data):
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def write_csv(path, header, rows):
+    """Write header and rows as CSV through write_atomic; a float is written
+    as repr(float(v)), so it reads back exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    write_atomic(path, buf.getvalue())
+
+
+def _fmt(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return int(v)
+    return v
 
 
 def parse_key_values(text, keys, source):

@@ -1,7 +1,8 @@
 """Tiny hand-rolled SVG plots: polylines, bars, histograms, scatters.
 
-Deliberately minimal; every figure is derived from data that is also written
-to CSV, so these are conveniences, not records.
+Deliberately minimal; the CLI draws its tables and curves from the rows it
+has just written to CSV (a histogram draws the CSV's bins as they are), so
+these are conveniences, not records.
 """
 
 import math
@@ -141,21 +142,13 @@ def bar_chart(path, labels, series, title="", ylabel=""):
     cv.save(path)
 
 
-def histogram(path, values, bins=30, title="", xlabel="", vlines=()):
-    values = _finite(values)
-    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
-    if hi == lo:
-        hi = lo + 1.0
-    counts = [0] * bins
-    for v in values:
-        idx = min(int((v - lo) / (hi - lo) * bins), bins - 1)
-        counts[idx] += 1
+def histogram(path, edges, counts, title="", xlabel="", vlines=()):
+    """Bars of counts[i] over [edges[i], edges[i + 1]], drawn as given."""
+    lo, hi = edges[0], edges[-1]
     cv = _Canvas(title, xlabel, "count", (lo, hi), (0.0, max(counts) * 1.05 or 1.0))
     cv.ticks()
-    for i, c in enumerate(counts):
-        x_left = cv.px(lo + (hi - lo) * i / bins)
-        x_right = cv.px(lo + (hi - lo) * (i + 1) / bins)
-        y_top = cv.py(c)
+    for left, right, c in zip(edges, edges[1:], counts):
+        x_left, x_right, y_top = cv.px(left), cv.px(right), cv.py(c)
         cv.parts.append(f'<rect x="{x_left:.1f}" y="{y_top:.1f}" '
                         f'width="{x_right - x_left:.1f}" '
                         f'height="{cv.py(0) - y_top:.1f}" fill="{PALETTE[0]}"/>')

@@ -26,8 +26,6 @@ at the epoch of minimum validation risk; test labels are touched only inside
 evaluate().
 """
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +33,7 @@ import numpy as np
 from . import model, optim
 from .datagen import LabeledData, SconfDataset
 from .errors import ConfigError, NonFiniteRiskError
-from .fileio import write_atomic
+from .fileio import write_csv
 from .losses import loss_derivative, weighted_derivative
 from .rng import make_rng
 from .risk import (ONE_SIDED_KINDS, RiskSpec, pair_risk, partial_risks, risk_gradient_weights,
@@ -75,16 +73,9 @@ class TrainReport:
     best_epoch: int = 0
     sigma_n: float = 0.0
 
-    def to_csv(self, path=None):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in self.rows:
-            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
-        text = buf.getvalue()
-        if path is not None:
-            write_atomic(path, text)
-        return text
+    def to_csv(self, path):
+        """Write the rows under REPORT_COLUMNS; each column after the epoch as a float."""
+        write_csv(path, REPORT_COLUMNS, [(row[0], *map(float, row[1:])) for row in self.rows])
 
     def val_risks(self):
         return [row[2] for row in self.rows]

@@ -1,13 +1,30 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
+from sconf import svgplot
 from sconf.cli import main
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def random_idx_source(directory):
+    """Config lines of an IDX source: 120 train and 40 test random 4x4 images
+    with random digit labels, under the mnist rule."""
+    from sconf.dataset_io import write_idx_images, write_idx_labels
+
+    rng = np.random.default_rng(3)
+    for stem, n in (("train", 120), ("test", 40)):
+        write_idx_images(directory / f"{stem}.idx", rng.integers(0, 256, (n, 4, 4), np.uint8))
+        write_idx_labels(directory / f"{stem}-labels.idx", rng.integers(0, 10, n, np.uint8))
+    return "\n".join(f"{key}={directory / name}" for key, name in (
+        ("idx_images", "train.idx"), ("idx_labels", "train-labels.idx"),
+        ("idx_test_images", "test.idx"), ("idx_test_labels", "test-labels.idx"))
+    ) + "\ncorruption=mnist"
 
 
 class TestGenSynth:
@@ -102,18 +119,8 @@ class TestTrain:
     def test_diverged_confidence_model_exit_code(self, tmp_path, capsys):
         # the IDX confidence model is a weighted-point fit: its parameter check
         # names the epoch and the trial (0 for a single fit)
-        from sconf.dataset_io import write_idx_images, write_idx_labels
-
-        rng = np.random.default_rng(3)
-        for stem, n in (("train", 120), ("test", 40)):
-            write_idx_images(tmp_path / f"{stem}.idx", rng.integers(0, 256, (n, 4, 4), np.uint8))
-            write_idx_labels(tmp_path / f"{stem}-labels.idx", rng.integers(0, 10, n, np.uint8))
         cfg = self.write_cfg(tmp_path, f"""
-            idx_images={tmp_path / 'train.idx'}
-            idx_labels={tmp_path / 'train-labels.idx'}
-            idx_test_images={tmp_path / 'test.idx'}
-            idx_test_labels={tmp_path / 'test-labels.idx'}
-            corruption=mnist
+            {random_idx_source(tmp_path)}
             epochs=2
             seed=1
             confidence_epochs=5
@@ -197,6 +204,15 @@ class TestSweeps:
         assert "slope" in capsys.readouterr().out
         assert (tmp_path / "sweep_n.svg").exists()
 
+    def test_sweep_n_figure_is_redrawn_for_a_single_point(self, tmp_path):
+        # a one-point grid still draws its figure, so none from an earlier
+        # grid is left beside the new CSV
+        for grid in ("30,60", "40"):
+            assert run_cli(["sweep-n", "--setup", "B", "--n-grid", grid, "--trials", "1",
+                            "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "sweep_n.csv").read_text().splitlines()) == 2
+        assert (tmp_path / "sweep_n.svg").read_text().count("<circle") == 1
+
     def test_sweep_n_unsorted_grid(self, tmp_path):
         assert run_cli(["sweep-n", "--n-grid", "100,50", "--trials", "1",
                         "--out", str(tmp_path)]) == 2
@@ -226,6 +242,27 @@ class TestCollapseDemo:
         assert (tmp_path / "confidence_hist.csv").exists()
         assert (tmp_path / "confidence_hist.svg").exists()
         assert (tmp_path / "boundaries.svg").exists()
+
+    def test_histogram_draws_the_csv_bins(self, tmp_path):
+        assert run_cli(["collapse-demo", "--seed", "1", "--out", str(tmp_path)]) == 0
+        bins = [(float(lo), float(hi), int(c)) for lo, hi, c in
+                (ln.split(",") for ln in
+                 (tmp_path / "confidence_hist.csv").read_text().splitlines()[1:])]
+        svg = (tmp_path / "confidence_hist.svg").read_text()
+        x_ticks = re.findall(rf'<text x="[\d.]+" y="{svgplot.H - svgplot.MB + 16}" '
+                             r'text-anchor="middle">([^<]+)</text>', svg)
+        assert (float(x_ticks[0]), float(x_ticks[-1])) == (bins[0][0], bins[-1][1]) == (0.0, 1.0)
+        bars = [tuple(map(float, m)) for m in re.findall(
+            r'<rect x="([\d.]+)" y="[\d.]+" width="([\d.]+)" height="([\d.]+)" '
+            rf'fill="{svgplot.PALETTE[0]}"/>', svg)]
+        assert len(bars) == len(bins) == 40
+        span = svgplot.W - svgplot.ML - svgplot.MR
+        # heights are proportional to the counts; both sides are rounded to 0.1 px
+        px_per_count = max(h for *_, h in bars) / max(c for *_, c in bins)
+        for (x, width, height), (lo, hi, count) in zip(bars, bins):
+            assert x == pytest.approx(svgplot.ML + lo * span, abs=0.05)
+            assert width == pytest.approx((hi - lo) * span, abs=0.1)
+            assert height == pytest.approx(count * px_per_count, abs=0.1)
 
 
 class TestInputValidation:
@@ -260,6 +297,22 @@ class TestInputValidation:
         assert run_cli([command, "--trials", "0", "--out", str(tmp_path)]) == 2
         assert "at least one trial" in capsys.readouterr().err
         assert not (tmp_path / output).exists()
+
+    @pytest.mark.parametrize("text,named", [
+        ("setup=B\n{idx}", "idx_images"),
+        ("{idx}\nnoise_std=0.1", "noise_std"),
+        ("setup=B\nestimator=supervised\nval_fraction=0.2", "val_fraction"),
+    ])
+    def test_ignored_train_key(self, tmp_path, capsys, text, named):
+        # each key would change nothing: the run exits 2 instead of ignoring it
+        cfg = tmp_path / "run.cfg"
+        idx = random_idx_source(tmp_path)
+        cfg.write_text(text.format(idx=idx) + "\nepochs=1\nseed=1\nconfidence_epochs=1\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.parametrize("setting", ("lr0=-1", "lr0=nan", "drop_every=0", "drop_factor=0"))
     def test_bad_learning_rate_schedule(self, tmp_path, capsys, setting):

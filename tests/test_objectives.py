@@ -4,8 +4,11 @@ The table protocol's per-point weights must reproduce the unbiased pair risk
 over every materialized pair, with exact or noisy confidences, the weighted-point trainer must reproduce
 the confidence model's supervised fit when the weights are one-hot labels,
 the score gradient the trainer backpropagates must be the gradient of
-the dataset risk it reports, for every risk kind, and a trial stack must fit
-each of its trials as the one-trial fit does, in pair or in point form.
+the dataset risk it reports, for every risk kind, a trial stack must fit
+each of its trials as the one-trial fit does, in pair or in point form, and
+every risk kind must equal its weighted-row form: f(sum a l(u, +1)) +
+f(sum b l(u, -1)) over the scored rows u, with one_hot(y) weights and the
+identity f for the supervised kind.
 """
 
 import numpy as np
@@ -17,9 +20,10 @@ from sconf import model, trainer
 from sconf.dataset_io import posterior_model_confidences
 from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
 from sconf.experiments import all_pairs_point_weights, train_weighted_points
-from sconf.losses import loss_value
+from sconf.losses import LOSS_KINDS, loss_value
 from sconf.datagen import make_pairs
-from sconf.risk import RISK_KINDS, RiskSpec, pair_risk, pair_weights, partial_risks, supervised_risk
+from sconf.risk import (PAIR_KINDS, RISK_KINDS, RiskSpec, correction, pair_risk, pair_weights,
+                        partial_risks, supervised_risk)
 from sconf.rng import make_rng
 
 
@@ -136,6 +140,35 @@ def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_m
         p.params[j] = orig
         for grads in analytic:
             assert grads[j] == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pi_plus=st.floats(0.05, 0.95).filter(lambda v: abs(v - 0.5) > 0.05),
+       n=st.integers(1, 50), loss=st.sampled_from(LOSS_KINDS))
+def test_pair_risk_equals_weighted_row_risk(kind, seed, pi_plus, n, loss):
+    # the pair set as its 2n scored rows u = (z, z'), each pair's weights on
+    # both of its rows: r+ = sum a' l(u, +1), r- = sum b' l(u, -1), then f
+    rng = np.random.default_rng(seed)
+    spec = RiskSpec(kind, pi_plus, loss=loss, k=0.5 if kind == "corrected" else None)
+    z, zp = rng.normal(0.0, 3.0, size=(2, n))
+    s = rng.uniform(0.01, 0.99, size=n)
+    u = np.concatenate([z, zp])
+    a, b = (np.tile(w, 2) for w in pair_weights(s, spec))
+    rows = (correction(np.sum(a * loss_value(loss, u, 1)), spec)[0]
+            + correction(np.sum(b * loss_value(loss, u, -1)), spec)[0])
+    assert abs(pair_risk(z, zp, s, spec) - rows) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), loss=st.sampled_from(LOSS_KINDS))
+def test_supervised_risk_equals_one_hot_row_risk(seed, n, loss):
+    rng = np.random.default_rng(seed)
+    z, y = rng.normal(0.0, 3.0, size=n), rng.choice([-1, 1], size=n)
+    a, b = trainer.one_hot(y)
+    rows = np.sum(a * loss_value(loss, z, 1)) + np.sum(b * loss_value(loss, z, -1))
+    assert abs(supervised_risk(z, y, loss) - rows) <= 1e-12
 
 
 # einsum and BLAS sum the same products in different orders; the drift after
