@@ -6,13 +6,14 @@ table trials default to seeds 1..trials). Outputs are CSV files, written by
 fileio.write_csv, plus SVG plots; a table's or curve's plot is drawn from the
 rows just written to its CSV. All files are written atomically.
 
-Config files are plain key=value text; command-line flags override file
-values; a key given twice in one file is an error. The default output
-directory comes from --out or the SCONF_OUT_DIR environment variable. Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 numeric guard
-(class prior too balanced for the pair estimators), 5 training diverged (a
-train or validation risk became NaN or infinite; no report or checkpoint is
-written).
+Config files are key=value text; a key given twice is an error. Each train
+--set KEY=VALUE item is parsed like a config line and overrides the file, and
+a repeated --set key is an error too, not last-wins. Every key a train config
+gives must be read by the run (noise_std with estimator=supervised exits 2).
+--out or SCONF_OUT_DIR names the output directory. Exit codes: 0 success, 2
+config error, 3 data error, 4 numeric guard (class prior too balanced for the
+pair estimators), 5 training diverged (a train or validation risk became NaN
+or infinite; no report or checkpoint is written).
 """
 
 import argparse
@@ -156,11 +157,10 @@ def cmd_gen_synth(args):
     out = _out_dir(args)
     synth = (load_setup_file(args.setup_file) if args.setup_file
              else preset_synth(args.setup, args.seed))
-    seed = args.seed if args.seed is not None else synth.seed
-    train, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
-    ds = make_pairs(train.X, synth.setup, seed)
+    train, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, args.seed)
+    ds = make_pairs(train.X, synth.setup, args.seed)
     if args.noise_std > 0:
-        ds = add_confidence_noise(ds, args.noise_std, seed)
+        ds = add_confidence_noise(ds, args.noise_std, args.seed)
     pairs_path = os.path.join(out, "pairs.csv")
     write_csv(pairs_path, ("x1", "x2", "xp1", "xp2", "s"),
               [(float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(s))
@@ -188,79 +188,82 @@ TRAIN_KEYS = {
     "corruption": "", "subsample": "", "confidence_epochs": "10",
     "confidence_batch": "3000", "confidence_lr0": "0.01",
 }
+IDX_FILE_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
 
 
-def parse_config(text, source="<config>"):
-    values = dict(TRAIN_KEYS)
-    for key, (_, val) in parse_key_values(text, TRAIN_KEYS, source).items():
-        values[key] = val
-    return values
+def _train_from_config(given, out):
+    """One trainer run from the config values given ({key: text}); a key not
+    given takes its TRAIN_KEYS default. Every key is read before any data is
+    sampled or loaded, and a given key the run never reads is a ConfigError."""
+    read = set()
 
+    def get(key):
+        read.add(key)
+        return given.get(key, TRAIN_KEYS[key])
 
-def _train_from_config(cfg, out):
     def num(key, cast=float):
         try:
-            return cast(cfg[key])
+            return cast(get(key))
         except ValueError:
-            raise ConfigError(f"config key {key} is not numeric: {cfg[key]!r}") from None
+            raise ConfigError(f"config key {key} is not numeric: {get(key)!r}") from None
 
-    if cfg["setup"] and cfg["idx_images"]:
-        raise ConfigError("config names both setup and idx_images; give one data source")
-    if cfg["idx_images"] and num("noise_std") > 0:
-        raise ConfigError("noise_std applies to a synthetic setup, not to an IDX source")
-    if cfg["estimator"] == "supervised" and num("val_fraction") > 0:
-        raise ConfigError("val_fraction splits pairs; estimator=supervised takes none")
-    seed = num("seed", int)
-    if cfg["setup"]:
-        synth = preset_synth(cfg["setup"], seed)
-        pi_plus = num("pi_plus") if cfg["pi_plus"] else synth.setup.pi_plus
-        train_pts, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
-        if cfg["estimator"] == "supervised":
-            train_ds, val_ds = train_pts, None
-        else:
-            ds = make_pairs(train_pts.X, synth.setup, seed)
-            if num("noise_std") > 0:
-                ds = add_confidence_noise(ds, num("noise_std"), seed)
-            train_ds, val_ds = _split_pairs(ds, num("val_fraction"), seed)
-        d = synth.setup.dim
-    elif cfg["idx_images"]:
-        for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels"):
-            if not cfg[key]:
+    def opt(key, cast=float):
+        return num(key, cast) if get(key) else None
+
+    risk = dict(kind=get("estimator"), loss=get("loss"), k=opt("k"))
+    pairs = risk["kind"] != "supervised"
+    seed, pi_plus, arch = num("seed", int), opt("pi_plus"), get("arch")
+    schedule = dict(epochs=num("epochs", int), seed=seed, lr0=num("lr0"),
+                    weight_decay=num("weight_decay"), drop_every=opt("drop_every", int),
+                    eval_every=num("eval_every", int),
+                    batch_pairs=None if get("batch_pairs") == "full" else opt("batch_pairs", int))
+    if schedule["drop_every"] is not None:
+        schedule["drop_factor"] = num("drop_factor")
+    if get("setup"):
+        synth = preset_synth(get("setup"), seed)
+        noise_std = num("noise_std") if pairs else 0.0
+
+        def load():
+            points, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
+            ds = make_pairs(points.X, synth.setup, seed) if pairs else points
+            if noise_std > 0:
+                ds = add_confidence_noise(ds, noise_std, seed)
+            return ds, test, synth.setup.pi_plus
+    elif get("idx_images"):
+        files = [get(key) for key in IDX_FILE_KEYS]
+        for key, path in zip(IDX_FILE_KEYS, files):
+            if not path:
                 raise ConfigError(f"IDX training needs the {key} path")
-            if not os.path.exists(cfg[key]):
-                raise DataError(f"{key} path does not exist: {cfg[key]}")
-        if not cfg["corruption"]:
-            raise ConfigError("IDX training needs a corruption rule")
-        rule = dataset_io.corruption(cfg["corruption"])
-        X, labels = dataset_io.load_idx(cfg["idx_images"], cfg["idx_labels"])
-        Xt, labels_t = dataset_io.load_idx(cfg["idx_test_images"], cfg["idx_test_labels"])
-        labeled = dataset_io.corrupt_binary(X, labels, rule)
-        test = dataset_io.corrupt_binary(Xt, labels_t, rule)
-        if cfg["subsample"]:
-            k = num("subsample", int)
-            idx = make_rng(seed, 7).permutation(len(labeled))[:k]
-            labeled = type(labeled)(labeled.X[idx], labeled.y[idx])
-        pi_plus = num("pi_plus") if cfg["pi_plus"] else float(np.mean(labeled.y == 1))
-        if cfg["estimator"] == "supervised":
-            train_ds, val_ds = labeled, None
-        else:
-            arch_conf = _parse_arch(cfg["arch"], labeled.X.shape[1])
+            if not os.path.exists(path):
+                raise DataError(f"{key} path does not exist: {path}")
+        rule, subsample = dataset_io.corruption(get("corruption")), opt("subsample", int)
+        if pairs:
+            confidence = dict(epochs=num("confidence_epochs", int),
+                              batch=num("confidence_batch", int), lr0=num("confidence_lr0"))
+
+        def load():
+            labeled, test = (dataset_io.corrupt_binary(*dataset_io.load_idx(*pair), rule)
+                             for pair in (files[:2], files[2:]))
+            if subsample is not None:
+                idx = make_rng(seed, 7).permutation(len(labeled))[:subsample]
+                labeled = type(labeled)(labeled.X[idx], labeled.y[idx])
+            prior = float(np.mean(labeled.y == 1))
+            if not pairs:
+                return labeled, test, prior
             ds, _ = dataset_io.posterior_model_confidences(
-                labeled, arch_conf, seed, epochs=num("confidence_epochs", int),
-                batch=num("confidence_batch", int), lr0=num("confidence_lr0"))
-            train_ds, val_ds = _split_pairs(ds, num("val_fraction"), seed)
-        d = test.X.shape[1]
+                labeled, _parse_arch(arch, labeled.X.shape[1]), seed, **confidence)
+            return ds, test, prior
     else:
         raise ConfigError("config must name either a synthetic setup or IDX paths")
+    val_fraction = num("val_fraction") if pairs else 0.0
+    unread = sorted(set(given) - read)
+    if unread:
+        raise ConfigError(f"config keys this run never reads: {', '.join(unread)}")
 
-    spec = RiskSpec(cfg["estimator"], pi_plus, loss=cfg["loss"],
-                    k=num("k") if cfg["k"] else None)
-    arch = _parse_arch(cfg["arch"], d)
-    batch = None if cfg["batch_pairs"] in ("", "full") else num("batch_pairs", int)
-    tc = TrainConfig(risk=spec, arch=arch, epochs=num("epochs", int), seed=seed,
-                     batch_pairs=batch, lr0=num("lr0"), weight_decay=num("weight_decay"),
-                     drop_every=num("drop_every", int) if cfg["drop_every"] else None,
-                     drop_factor=num("drop_factor"), eval_every=num("eval_every", int))
+    train_set, test, prior = load()
+    train_ds, val_ds = _split_pairs(train_set, val_fraction, seed)
+    spec = RiskSpec(pi_plus=prior if pi_plus is None else pi_plus, **risk)
+    tc = TrainConfig(risk=spec, arch=_parse_arch(arch, test.X.shape[1]), **schedule)
     predictor, report = trainer.train(train_ds, val_ds, test, tc)
 
     report_path = os.path.join(out, "report.csv")
@@ -307,15 +310,10 @@ def cmd_train(args):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-    cfg = parse_config(text, source=args.config)
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        if key not in TRAIN_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        cfg[key] = val
-    return _train_from_config(cfg, out)
+    given = {}
+    for lines, source in ((text, args.config), ("\n".join(args.set or ()), "--set")):
+        given.update((k, v) for k, (_, v) in parse_key_values(lines, TRAIN_KEYS, source).items())
+    return _train_from_config(given, out)
 
 
 # ---------------------------------------------------------------------------

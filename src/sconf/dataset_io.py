@@ -1,9 +1,10 @@
 """IDX image datasets, binary label corruption, and model-based confidences.
 
 IDX is the big-endian binary container used by the MNIST-family datasets:
-magic 0x00000803 for image tensors, 0x00000801 for label vectors. Gzipped
-files are accepted transparently. Pixels are flattened and scaled into [0, 1]
-by 1/255.
+magic 0x00000803 for image tensors, 0x00000801 for label vectors, whose low
+byte counts the 32-bit dimensions before the uint8 payload; _read_idx and
+_write_idx carry both kinds. Gzipped files are read transparently. Pixels are
+flattened and scaled into [0, 1] by 1/255.
 
 Binary corruption maps a multiclass label space onto {-1, +1} by a fixed
 positive-class set. Similarity confidences for such data come from a
@@ -14,6 +15,7 @@ posterior, and datagen.pair_up pairs the points with them.
 """
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -44,36 +46,30 @@ def _be32(blob, offset, path):
     return struct.unpack_from(">I", blob, offset)[0]
 
 
+def _read_idx(path, magic, what):
+    """The uint8 tensor of an IDX file whose magic must be magic; the magic's
+    low byte is the number of 32-bit dimensions that follow it."""
+    blob = _read_bytes(path)
+    got = _be32(blob, 0, path)
+    if got != magic:
+        raise DataError(f"{path}: bad {what} magic 0x{got:08x} at byte 0, "
+                        f"expected 0x{magic:08x}")
+    shape = tuple(_be32(blob, 4 + 4 * i, path) for i in range(magic & 0xFF))
+    offset, count = 4 + 4 * len(shape), math.prod(shape)
+    if len(blob) < offset + count:
+        raise DataError(f"{path}: truncated at byte {len(blob)}, need {offset + count} bytes "
+                        f"for {what} shape {shape}")
+    return np.frombuffer(blob, dtype=np.uint8, count=count, offset=offset).reshape(shape).copy()
+
+
 def read_idx_images(path):
     """Image tensor from an IDX file as a uint8 array (n, rows, cols)."""
-    blob = _read_bytes(path)
-    magic = _be32(blob, 0, path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise DataError(f"{path}: bad image magic 0x{magic:08x} at byte 0, "
-                        f"expected 0x{IDX_IMAGE_MAGIC:08x}")
-    n = _be32(blob, 4, path)
-    rows = _be32(blob, 8, path)
-    cols = _be32(blob, 12, path)
-    need = 16 + n * rows * cols
-    if len(blob) < need:
-        raise DataError(f"{path}: truncated at byte {len(blob)}, need {need} bytes "
-                        f"for {n} images of {rows}x{cols}")
-    data = np.frombuffer(blob, dtype=np.uint8, count=n * rows * cols, offset=16)
-    return data.reshape(n, rows, cols).copy()
+    return _read_idx(path, IDX_IMAGE_MAGIC, "image")
 
 
 def read_idx_labels(path):
     """Label vector from an IDX file as a uint8 array (n,)."""
-    blob = _read_bytes(path)
-    magic = _be32(blob, 0, path)
-    if magic != IDX_LABEL_MAGIC:
-        raise DataError(f"{path}: bad label magic 0x{magic:08x} at byte 0, "
-                        f"expected 0x{IDX_LABEL_MAGIC:08x}")
-    n = _be32(blob, 4, path)
-    need = 8 + n
-    if len(blob) < need:
-        raise DataError(f"{path}: truncated at byte {len(blob)}, need {need} bytes for {n} labels")
-    return np.frombuffer(blob, dtype=np.uint8, count=n, offset=8).copy()
+    return _read_idx(path, IDX_LABEL_MAGIC, "label")
 
 
 def load_idx(images_path, labels_path):
@@ -87,21 +83,20 @@ def load_idx(images_path, labels_path):
     return X, labels.astype(int)
 
 
+def _write_idx(path, magic, array, what):
+    array = np.ascontiguousarray(array, dtype=np.uint8)
+    if array.ndim != magic & 0xFF:
+        raise ConfigError(f"{what} must be a uint8 array with {magic & 0xFF} dimensions")
+    write_atomic(path, struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes())
+
+
 def write_idx_images(path, images):
     """Inverse of read_idx_images, for fixtures and round-trip checks."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ConfigError("images must be (n, rows, cols) uint8")
-    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, *images.shape)
-    write_atomic(path, header + images.tobytes())
+    _write_idx(path, IDX_IMAGE_MAGIC, images, "images (n, rows, cols)")
 
 
 def write_idx_labels(path, labels):
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ConfigError("labels must be a flat uint8 vector")
-    header = struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0])
-    write_atomic(path, header + labels.tobytes())
+    _write_idx(path, IDX_LABEL_MAGIC, labels, "labels (n,)")
 
 
 @dataclass(frozen=True)

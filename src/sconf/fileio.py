@@ -1,7 +1,7 @@
 """Atomic file writes, the package's only CSV writer (write_csv), the
-key=value text format of setup files and training configs ('#' starts a
-comment, blank lines are skipped), and the number lists of CLI flags and
-config values."""
+key=value text format of setup files, training configs and their --set items
+('#' starts a comment, blank lines are skipped), and the number lists of CLI
+flags and config values."""
 
 import csv
 import io

@@ -91,9 +91,6 @@ class Predictor:
     def discard_cache(self):
         self._cache = None
 
-    def copy(self):
-        return Predictor(self.arch, self.params.copy(), np.zeros_like(self.grads))
-
     @property
     def stacked(self):
         return self.params.ndim == 2

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from sconf import svgplot
-from sconf.cli import main
+from sconf import dataset_io, svgplot
+from sconf.cli import TRAIN_KEYS, main
 
 
 def run_cli(argv):
@@ -302,17 +302,89 @@ class TestInputValidation:
         ("setup=B\n{idx}", "idx_images"),
         ("{idx}\nnoise_std=0.1", "noise_std"),
         ("setup=B\nestimator=supervised\nval_fraction=0.2", "val_fraction"),
+        ("setup=B\nestimator=supervised\nnoise_std=0.3", "noise_std"),
+        ("setup=B\nestimator=supervised\ncorruption=mnist", "corruption"),
+        ("setup=B\nestimator=supervised\nsubsample=50", "subsample"),
+        ("setup=B\nestimator=supervised\nconfidence_epochs=7", "confidence_epochs"),
+        ("setup=B\nconfidence_lr0=5", "confidence_lr0"),
+        ("setup=B\nidx_test_images=/nope", "idx_test_images"),
+        ("setup=B\ndrop_factor=3", "drop_factor"),
     ])
     def test_ignored_train_key(self, tmp_path, capsys, text, named):
         # each key would change nothing: the run exits 2 instead of ignoring it
         cfg = tmp_path / "run.cfg"
-        idx = random_idx_source(tmp_path)
-        cfg.write_text(text.format(idx=idx) + "\nepochs=1\nseed=1\nconfidence_epochs=1\n")
+        idx = random_idx_source(tmp_path) + "\nconfidence_epochs=1"
+        cfg.write_text(text.format(idx=idx) + "\nepochs=1\nseed=1\n")
         out = tmp_path / "out"
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not out.exists() or os.listdir(out) == []
+
+    def test_every_unread_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("setup=B\nestimator=supervised\nepochs=1\nnoise_std=0.3\n"
+                       "corruption=mnist\nsubsample=50\nconfidence_epochs=7\ndrop_factor=3\n")
+        assert run_cli(["train", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert ("confidence_epochs, corruption, drop_factor, noise_std, subsample"
+                in capsys.readouterr().err)
+
+    def test_unread_idx_key_exits_before_the_confidence_fit(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the confidence model was fit")
+
+        monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(random_idx_source(tmp_path) + "\nepochs=1\ndrop_factor=3\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("items,message", [
+        (["epochs"], "--set:1: expected key=value"),
+        (["epochs=1", "whatever=3"], "--set:2: unknown key 'whatever'"),
+        (["epochs=1", "epochs=2"], "--set:2: duplicate key 'epochs'"),
+    ])
+    def test_malformed_set_item(self, tmp_path, capsys, items, message):
+        # --set items are parsed like config lines: a repeated key is an
+        # error, not last-wins
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("setup=B\nepochs=1\n")
+        out = tmp_path / "out"
+        argv = ["train", str(cfg), "--out", str(out)]
+        for item in items:
+            argv += ["--set", item]
+        assert run_cli(argv) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    # a setting per key where the key applies: a synthetic setup=B run, or an
+    # IDX run for the keys in IDX_SOURCE_KEYS (whose source sets the file keys)
+    VALID_SETTINGS = {
+        "estimator": "estimator=nn", "k": "estimator=corrected k=0.1", "loss": "loss=logistic",
+        "arch": "arch=mlp:4,4", "epochs": "epochs=2", "batch_pairs": "batch_pairs=64",
+        "lr0": "lr0=0.05", "weight_decay": "weight_decay=0.001", "drop_every": "drop_every=1",
+        "drop_factor": "drop_every=1 drop_factor=2", "eval_every": "eval_every=1",
+        "seed": "seed=2", "pi_plus": "pi_plus=0.7", "setup": "setup=A",
+        "noise_std": "noise_std=0.1", "val_fraction": "val_fraction=0.2",
+        "idx_images": "", "idx_labels": "", "idx_test_images": "", "idx_test_labels": "",
+        "corruption": "", "subsample": "subsample=60", "confidence_epochs": "confidence_epochs=2",
+        "confidence_batch": "confidence_batch=32", "confidence_lr0": "confidence_lr0=0.005",
+    }
+    IDX_SOURCE_KEYS = {"idx_images", "idx_labels", "idx_test_images", "idx_test_labels",
+                       "corruption", "subsample", "confidence_epochs", "confidence_batch",
+                       "confidence_lr0"}
+
+    @pytest.mark.parametrize("key", sorted(TRAIN_KEYS))
+    def test_no_valid_key_is_rejected(self, tmp_path, key):
+        if key in self.IDX_SOURCE_KEYS:
+            source, values = random_idx_source(tmp_path), {"epochs": "1", "confidence_epochs": "1"}
+        else:
+            source, values = "", {"setup": "B", "epochs": "1"}
+        values.update(item.split("=") for item in self.VALID_SETTINGS[key].split())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(source + "\n" + "".join(f"{k}={v}\n" for k, v in values.items()))
+        assert run_cli(["train", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("setting", ("lr0=-1", "lr0=nan", "drop_every=0", "drop_factor=0"))
     def test_bad_learning_rate_schedule(self, tmp_path, capsys, setting):
