@@ -9,7 +9,9 @@ rows just written to its CSV. All files are written atomically.
 Config files are key=value text; a key given twice is an error. Each train
 --set KEY=VALUE item is parsed like a config line and overrides the file, and
 a repeated --set key is an error too, not last-wins. Every key a train config
-gives must be read by the run (noise_std with estimator=supervised exits 2).
+gives must be read by the run (noise_std or pi_plus with estimator=supervised
+exits 2), and the estimator and learning-rate settings are checked before
+any data is loaded.
 --out or SCONF_OUT_DIR names the output directory. Exit codes: 0 success, 2
 config error, 3 data error, 4 numeric guard (class prior too balanced for the
 pair estimators), 5 training diverged (a train or validation risk became NaN
@@ -22,12 +24,12 @@ import sys
 
 import numpy as np
 
-from . import dataset_io, experiments, model, svgplot, trainer
+from . import dataset_io, experiments, model, optim, svgplot, trainer
 from .datagen import (PRESET_PI_PLUS, add_confidence_noise, load_setup_file, make_pairs,
                       preset, preset_synth, sample_train_test)
 from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
 from .fileio import parse_key_values, parse_list, write_csv
-from .risk import RiskSpec
+from .risk import RiskSpec, check_estimator
 from .rng import make_rng
 from .trainer import TrainConfig
 
@@ -210,15 +212,21 @@ def _train_from_config(given, out):
     def opt(key, cast=float):
         return num(key, cast) if get(key) else None
 
+    # the estimator and the Adam schedule are checked here, before any data
+    # is loaded; only the class prior and the input width wait for the data
     risk = dict(kind=get("estimator"), loss=get("loss"), k=opt("k"))
+    check_estimator(**risk)
     pairs = risk["kind"] != "supervised"
-    seed, pi_plus, arch = num("seed", int), opt("pi_plus"), get("arch")
-    schedule = dict(epochs=num("epochs", int), seed=seed, lr0=num("lr0"),
-                    weight_decay=num("weight_decay"), drop_every=opt("drop_every", int),
-                    eval_every=num("eval_every", int),
-                    batch_pairs=None if get("batch_pairs") == "full" else opt("batch_pairs", int))
-    if schedule["drop_every"] is not None:
-        schedule["drop_factor"] = num("drop_factor")
+    seed, arch = num("seed", int), get("arch")
+    pi_plus = opt("pi_plus") if pairs else None  # the supervised risk has no prior
+    adam = dict(lr0=num("lr0"), weight_decay=num("weight_decay"),
+                drop_every=opt("drop_every", int))
+    if adam["drop_every"] is not None:
+        adam["drop_factor"] = num("drop_factor")
+    optim.AdamState(**adam)
+    schedule = dict(epochs=num("epochs", int), seed=seed, eval_every=num("eval_every", int),
+                    batch_pairs=None if get("batch_pairs") == "full" else opt("batch_pairs", int),
+                    **adam)
     if get("setup"):
         synth = preset_synth(get("setup"), seed)
         noise_std = num("noise_std") if pairs else 0.0

@@ -8,7 +8,11 @@ points. Using every pair rather than a disjoint matching is what makes the
 with sub-point spread. all_pairs_point_weights sums each point's unbiased
 pair weights (risk.pair_weights) over its partners into one (a_i, b_i); the
 objective sum_i a_i l(z_i, +1) + b_i l(z_i, -1) is algebraically identical to
-the full pair risk, but costs O(n) per step instead of O(n^2).
+the full pair risk, but costs O(n) per step instead of O(n^2). With noisy
+confidences, the pair noise of a sample at level std is std times one draw
+of standard normals (pair_normals), which is what Generator.normal(0, std)
+returns from the same stream; the table draws it once per seed and scales it
+per noise level.
 
 The linear protocols are many independent fits of one shape, so each is run
 as a trial stack (see trainer.train_weighted_points, also importable from
@@ -64,24 +68,34 @@ def bayes_accuracy(test, setup):
 # all-pairs confidence weights
 
 
-def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0):
+def pair_normals(seed, n, out=None):
+    """The standard normals behind the noisy all-pairs confidences of n points:
+    one per unordered pair (i < j, row-major) from the stream (seed, 2),
+    written into out if it is given."""
+    return make_rng(seed, 2).standard_normal(n * (n - 1) // 2, out=out)
+
+
+def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0, normals=None):
     """Per-point loss weights of the unbiased risk over all unordered pairs.
 
     Returns (a, b, sigma_n) where the objective is
     sum_i a_i l(z_i, +1) + b_i l(z_i, -1): point i's coefficient aggregates
     (s_ij - pi-) resp. (pi+ - s_ij) over its n-1 partners, normalized by the
     ordered pair count and 2 (pi+ - pi-) exactly as in the pair risk. The
-    exact confidences aggregate in closed form, O(n). Confidence noise is one
-    draw per unordered pair (i < j, row-major) from the stream (seed, 2),
+    exact confidences aggregate in closed form, O(n). Confidence noise is
+    noise_std times pair_normals(seed, n), one normal per unordered pair,
     clipped to [0, 1]; each point adds the change it makes to its pair
     confidences to the closed form (_noise_deltas), without materializing the
-    pair matrix. sigma_n is the summed absolute confidence deviation over
-    unordered pairs (0 when exact).
+    pair matrix. A caller that weights one sample at several noise levels
+    passes that draw as normals, so it is drawn once. sigma_n is the summed
+    absolute confidence deviation over unordered pairs (0 when exact).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
         raise ConfigError("need at least two points to form pairs")
+    if not 0.0 <= noise_std < np.inf:
+        raise ConfigError(f"confidence noise std must be finite and nonnegative, got {noise_std}")
     r = posterior_plus(X, setup)
     pi_p, pi_m = setup.pi_plus, 1.0 - setup.pi_plus
     total_r = r.sum()
@@ -89,8 +103,8 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0):
     s_row = r * (total_r - r) + (1.0 - r) * ((n - 1) - (total_r - r))
     sigma_n = 0.0
     if noise_std != 0.0:
-        noise = make_rng(seed, 2).normal(0.0, noise_std, size=n * (n - 1) // 2)
-        delta_row, sigma_n = _noise_deltas(r, noise)
+        delta_row, sigma_n = _noise_deltas(r, pair_normals(seed, n) if normals is None
+                                           else normals, noise_std)
         s_row += delta_row
     ordered = n * (n - 1)
     denom = ordered * (pi_p - pi_m)
@@ -99,14 +113,16 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0):
     return a, b, sigma_n
 
 
-def _noise_deltas(r, noise):
-    """Per-point sums of delta_ij = clip(s_ij + noise_ij, 0, 1) - s_ij over
-    its partners, and sum |delta_ij| over i < j.
+def _noise_deltas(r, normals, std):
+    """Per-point sums of delta_ij = clip(s_ij + std * normals_ij, 0, 1) - s_ij
+    over its partners, and sum |delta_ij| over i < j.
 
-    noise holds the pairs i < j in row-major order. A block of rows at a time
-    takes its segment of noise into the upper triangle of a zeroed buffer;
-    each block adds its row sums to its own points and its column sums to
-    their partners.
+    normals holds the pairs i < j in row-major order. A block of rows at a
+    time takes its segment of normals into the upper triangle of a zeroed
+    buffer and scales it by std; each block adds its row sums to its own
+    points and its column sums to their partners. std * z is the value
+    Generator.normal(0, std) draws from the same stream (0 + std * z; the
+    0 + changes at most the sign of a zero, which s_ij + 0 absorbs).
     """
     n = len(r)
     q = 1.0 - r
@@ -121,8 +137,9 @@ def _noise_deltas(r, noise):
         S += np.multiply.outer(q[lo:hi], q)
         delta = np.zeros_like(S)
         stop = start + np.count_nonzero(upper)
-        delta[upper] = noise[start:stop]
+        delta[upper] = normals[start:stop]
         start = stop
+        delta *= std
         delta += S
         np.clip(delta, 0.0, 1.0, out=delta)
         delta -= S
@@ -151,31 +168,41 @@ def table_runs(setup_name, trials):
     """One TableRun per (seed, method, noise_std) trial of one setup.
 
     Each trial weights its seed's training points by all-pairs confidences
-    (method "sconf") or one-hot labels ("supervised"). Every trial has the
-    same (800, 2) shape, so all of them are fit as one stack; each final
-    predictor is scored on its seed's test set.
+    (method "sconf") or one-hot labels ("supervised"), see _trial_weights.
+    Every trial has the same (800, 2) shape, so all of them are fit as one
+    stack, in the order given; each final predictor is scored on its seed's
+    test set.
     """
     if not trials:
         return []
     setup = preset(setup_name)
     data = {seed: sample_train_test(setup, *TRAIN_COUNTS, seed) for seed in {t[0] for t in trials}}
-    a, b, sigma_n = [], [], []
-    for seed, method, noise_std in trials:
-        train = data[seed][0]
-        if method == "supervised":
-            (a_t, b_t), sigma_t = trainer.one_hot(train.y), 0.0
-        else:
-            a_t, b_t, sigma_t = all_pairs_point_weights(train.X, setup, noise_std=noise_std,
-                                                        seed=seed)
-        a.append(a_t)
-        b.append(b_t)
-        sigma_n.append(sigma_t)
+    a, b, sigma_n = _trial_weights(setup, trials, data)
     X = np.stack([data[seed][0].X for seed, _, _ in trials])
     p = train_weighted_points(X, np.stack(a), np.stack(b), model.Architecture.linear(setup.dim),
                               epochs=SYNTH_EPOCHS, lr0=SYNTH_LR0, drop_every=SYNTH_DROP)
     return [TableRun(setup_name, method, noise_std, seed,
                      trainer.evaluate(p.trial(t), data[seed][1])[0], sigma_n[t])
             for t, (seed, method, noise_std) in enumerate(trials)]
+
+
+def _trial_weights(setup, trials, data):
+    """Lists a, b, sigma_n of table_runs' trials, in their order. The trials
+    are weighted seed by seed, so a seed's pair normals are drawn once for
+    all its noise levels, into one buffer that every seed refills."""
+    a, b, sigma_n = ([None] * len(trials) for _ in range(3))
+    normals, drawn = None, None
+    for t in sorted(range(len(trials)), key=lambda t: trials[t][0]):
+        seed, method, noise_std = trials[t]
+        points = data[seed][0]
+        if method == "supervised":
+            (a[t], b[t]), sigma_n[t] = trainer.one_hot(points.y), 0.0
+            continue
+        if noise_std != 0.0 and drawn != seed:
+            normals, drawn = pair_normals(seed, len(points), out=normals), seed
+        a[t], b[t], sigma_n[t] = all_pairs_point_weights(points.X, setup, noise_std=noise_std,
+                                                         seed=seed, normals=normals)
+    return a, b, sigma_n
 
 
 def trial_seeds(trials, seeds=None):

@@ -6,6 +6,13 @@ gradients accumulate into a same-shape buffer. forward() caches the
 activations of its batch; backward() consumes the cache and invalidates it,
 so memory stays bounded at one batch.
 
+The MLP's forward() adds each bias and applies the ReLU in place on the
+matmul output, and backward() applies the ReLU mask by multiplying with the
+boolean mask a > 0. Both give bit for bit the results of the plain
+expressions max(X W + b, 0) and da[a <= 0] = 0: the multiply can turn an
+intermediate zero into -0, but the matmuls and sums only add such zeros to
+other terms, and the gradient accumulates onto +0, so no output bit changes.
+
 The linear model also comes as a stack of T independent trials
 (init(arch, seed, trials=T)): parameters and gradients are a (T, d + 1)
 block, a batch is a (T, n, d) block scored into (T, n) by
@@ -150,8 +157,12 @@ def forward(p, X):
         if p.stacked:
             return np.einsum("tnd,td->tn", X, v["w"]) + v["b"]
         return X @ v["w"] + v["b"][0]
-    a1 = np.maximum(X @ v["W1"] + v["b1"], 0.0)
-    a2 = np.maximum(a1 @ v["W2"] + v["b2"], 0.0)
+    a1 = X @ v["W1"]
+    a1 += v["b1"]
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ v["W2"]
+    a2 += v["b2"]
+    np.maximum(a2, 0.0, out=a2)
     p._cache = {"X": X, "a1": a1, "a2": a2}
     return a2 @ v["w3"] + v["b3"][0]
 
@@ -184,11 +195,11 @@ def backward(p, upstream):
     g["w3"] += a2.T @ u
     g["b3"] += u.sum()
     da2 = np.outer(u, v["w3"])
-    da2[a2 <= 0.0] = 0.0
+    da2 *= a2 > 0.0
     g["W2"] += a1.T @ da2
     g["b2"] += da2.sum(axis=0)
     da1 = da2 @ v["W2"].T
-    da1[a1 <= 0.0] = 0.0
+    da1 *= a1 > 0.0
     g["W1"] += X.T @ da1
     g["b1"] += da1.sum(axis=0)
 

@@ -42,6 +42,20 @@ RISK_KINDS = PAIR_KINDS + ("supervised",)
 PRIOR_GUARD = 1e-3
 
 
+def check_estimator(kind, loss="logistic", k=None):
+    """Raise ConfigError unless kind, loss and k name an estimator: RiskSpec's
+    checks that do not depend on the class prior."""
+    if kind not in RISK_KINDS:
+        raise ConfigError(f"unknown risk kind {kind!r}; choose from {RISK_KINDS}")
+    if loss not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss {loss!r}")
+    if kind == "corrected":
+        if k is None or not k > 0:
+            raise ConfigError("corrected risk needs k > 0")
+    elif k is not None:
+        raise ConfigError(f"k applies only to the corrected kind, not {kind!r}")
+
+
 @dataclass(frozen=True)
 class RiskSpec:
     """Estimator kind, class prior, and loss choice for one training run."""
@@ -52,10 +66,7 @@ class RiskSpec:
     k: float | None = None
 
     def __post_init__(self):
-        if self.kind not in RISK_KINDS:
-            raise ConfigError(f"unknown risk kind {self.kind!r}; choose from {RISK_KINDS}")
-        if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss {self.loss!r}")
+        check_estimator(self.kind, self.loss, self.k)
         if not 0.0 < self.pi_plus < 1.0:
             raise ConfigError(f"pi_plus must lie in (0, 1), got {self.pi_plus}")
         if self.kind in PAIR_KINDS and abs(self.pi_plus - 0.5) < PRIOR_GUARD:
@@ -63,11 +74,6 @@ class RiskSpec:
                 f"pi_plus={self.pi_plus} is within {PRIOR_GUARD} of 1/2; the pair "
                 "estimator denominators (pi+ - pi-) are unusable this close to balance"
             )
-        if self.kind == "corrected":
-            if self.k is None or not self.k > 0:
-                raise ConfigError("corrected risk needs k > 0")
-        elif self.k is not None:
-            raise ConfigError(f"k applies only to the corrected kind, not {self.kind!r}")
 
     @property
     def pi_minus(self):

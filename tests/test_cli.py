@@ -309,6 +309,7 @@ class TestInputValidation:
         ("setup=B\nconfidence_lr0=5", "confidence_lr0"),
         ("setup=B\nidx_test_images=/nope", "idx_test_images"),
         ("setup=B\ndrop_factor=3", "drop_factor"),
+        ("setup=B\nestimator=supervised\npi_plus=0.9", "pi_plus"),
     ])
     def test_ignored_train_key(self, tmp_path, capsys, text, named):
         # each key would change nothing: the run exits 2 instead of ignoring it
@@ -338,6 +339,25 @@ class TestInputValidation:
         cfg.write_text(random_idx_source(tmp_path) + "\nepochs=1\ndrop_factor=3\n")
         out = tmp_path / "out"
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("setting,named", [
+        ("lr0=-1", "lr0"), ("estimator=bogus", "bogus"), ("loss=hinge", "hinge"),
+        ("estimator=corrected", "k > 0"), ("k=0.5", "k applies"),
+        ("drop_every=0", "drop_every"), ("drop_every=2\ndrop_factor=0", "drop_factor"),
+    ])
+    def test_bad_setting_exits_before_the_idx_load(self, tmp_path, monkeypatch, capsys,
+                                                   setting, named):
+        def never(*args, **kwargs):
+            raise AssertionError("the IDX data was read")
+
+        monkeypatch.setattr(dataset_io, "load_idx", never)
+        monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(random_idx_source(tmp_path) + f"\nepochs=1\n{setting}\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("items,message", [

@@ -133,6 +133,35 @@ class TestBackward:
         with pytest.raises(ConfigError):  # cache consumed
             backward(p, np.ones(1))
 
+    def test_mlp_equals_boolean_index_reference(self):
+        # the in-place ReLU of forward and the multiply-by-mask of backward
+        # against the plain expressions, with dead units in both layers
+        rng = np.random.default_rng(8)
+        p = init(Architecture.mlp(30, 40, 20), seed=3)
+        v = p.views()
+        v["b1"][:10] = -50.0  # units that never fire
+        v["b2"][:5] = -50.0
+        X = rng.normal(size=(64, 30))
+        u = rng.normal(size=64) * (rng.random(64) < 0.8)
+        a1 = np.maximum(X @ v["W1"] + v["b1"], 0.0)
+        a2 = np.maximum(a1 @ v["W2"] + v["b2"], 0.0)
+        assert (a1 == 0).any(axis=0).all() and (a2 == 0).any()
+        g = {name: np.zeros_like(w) for name, w in v.items()}
+        g["w3"] += a2.T @ u
+        g["b3"] += u.sum()
+        da2 = np.outer(u, v["w3"])
+        da2[a2 <= 0.0] = 0.0
+        g["W2"] += a1.T @ da2
+        g["b2"] += da2.sum(axis=0)
+        da1 = da2 @ v["W2"].T
+        da1[a1 <= 0.0] = 0.0
+        g["W1"] += X.T @ da1
+        g["b1"] += da1.sum(axis=0)
+        assert np.array_equal(forward(p, X), a2 @ v["w3"] + v["b3"][0])
+        backward(p, u)
+        for name, grad in p.grad_views().items():
+            assert np.array_equal(grad, g[name]), name
+
     @pytest.mark.parametrize("arch", [Architecture.linear(4), Architecture.mlp(4, 8, 6)])
     def test_finite_difference_gradients(self, arch):
         rng = np.random.default_rng(11)

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from sconf import model, trainer
 from sconf.dataset_io import posterior_model_confidences
 from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
-from sconf.experiments import all_pairs_point_weights, train_weighted_points
+from sconf.errors import ConfigError
+from sconf.experiments import all_pairs_point_weights, pair_normals, train_weighted_points
 from sconf.losses import LOSS_KINDS, loss_value
 from sconf.datagen import make_pairs
 from sconf.risk import (PAIR_KINDS, RISK_KINDS, RiskSpec, correction, pair_risk, pair_weights,
@@ -75,6 +76,30 @@ def test_noisy_point_weights_equal_materialized_pair_risk(n, noise_std, seed, se
     assert abs(point_form - pair_form) <= 1e-12
     exact = all_pairs_dataset(X, setup)
     assert sigma_n == pytest.approx(np.abs(noisy.s - exact.s).sum(), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", (1, 5))
+def test_noise_level_scales_one_standard_normal_draw(seed):
+    # the numpy property the table relies on to draw each seed's pair noise
+    # once for all its levels: normal(0, std) is std times the stream's
+    # standard normals, element for element
+    n_pairs = 800 * 799 // 2
+    z = make_rng(seed, 2).standard_normal(n_pairs)
+    for std in (0.1, 0.2, 0.3):
+        assert np.array_equal(make_rng(seed, 2).normal(0.0, std, n_pairs), std * z)
+
+
+def test_shared_pair_normals_give_the_same_weights():
+    setup, seed = preset("C"), 4
+    X = sample_labeled(setup, 30, 20, seed).X
+    normals = pair_normals(seed, len(X))
+    for std in (0.1, 0.2, 0.3):
+        own = all_pairs_point_weights(X, setup, noise_std=std, seed=seed)
+        shared = all_pairs_point_weights(X, setup, noise_std=std, seed=seed, normals=normals)
+        assert all(np.array_equal(x, y) for x, y in zip(own, shared))
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="noise std"):
+            all_pairs_point_weights(X, setup, noise_std=bad, seed=seed)
 
 
 @pytest.mark.parametrize("arch", (model.Architecture.linear(2), model.Architecture.mlp(2, 8, 6)))

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sconf.errors import ConfigError
 from sconf.model import Architecture, backward, forward, init
-from sconf.optim import AdamState, effective_lr, step
+from sconf.optim import BLOCK, AdamState, effective_lr, step
 
 
 def reference_adam(grads, lr0, wd=0.0, x0=0.0):
@@ -100,3 +102,61 @@ class TestSchedule:
     def test_no_schedule(self):
         state = AdamState(lr0=0.1)
         assert effective_lr(state, 1000) == 0.1
+
+
+class TestBlockedStep:
+    """step() walks its arrays in blocks through two reused buffers; the
+    result must be bit for bit the textbook update on whole arrays."""
+
+    @staticmethod
+    def textbook(x, grads, epochs, lr0, wd, drop_every):
+        # the update written out on whole arrays, one step at a time
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        m, v, trace = np.zeros_like(x), np.zeros_like(x), []
+        for t, (g, epoch) in enumerate(zip(grads, epochs), start=1):
+            lr = lr0 / 10.0 ** (epoch // drop_every)
+            g = g + wd * x
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            x = x - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            trace.append(x)
+        return trace
+
+    @pytest.mark.parametrize("arch,trials", [
+        (Architecture.mlp(784, 500, 500), None),  # 19 full blocks and a partial one
+        (Architecture.linear(2), 25),  # the table's stack: one block
+        (Architecture.linear(2), BLOCK + 7),  # a stack in 4 blocks of rows
+    ])
+    def test_equals_textbook_update(self, arch, trials):
+        rng = np.random.default_rng(4)
+        p = init(arch, seed=2, trials=trials)
+        p.params[...] = rng.normal(size=p.params.shape)
+        x0 = p.params.copy()
+        steps = 21
+        grads = [rng.normal(size=p.params.shape) * (rng.random(p.params.shape) < 0.9)
+                 for _ in range(steps)]
+        epochs = [t // 3 for t in range(steps)]  # the rate drops after epoch 4
+        state = AdamState.for_predictor(p, lr0=0.01, weight_decay=0.003, drop_every=5)
+        for g, epoch, ref in zip(grads, epochs,
+                                 self.textbook(x0, grads, epochs, 0.01, 0.003, 5)):
+            p.grads[...] = g
+            p.grads_ready = True
+            step(state, p, epoch)
+            assert np.array_equal(p.params, ref)
+            assert not p.grads.any() and p.grads_ready is False
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        p = init(Architecture.mlp(784, 500, 500), seed=1)
+        state = AdamState.for_predictor(p, lr0=1e-3, weight_decay=1e-4)
+        p.grads_ready = True
+        step(state, p, epoch=0)
+        p.grads[...] = 1e-3
+        p.grads_ready = True
+        tracemalloc.start()
+        try:
+            step(state, p, epoch=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the unblocked update built about ten 5.1 MB temporaries (25.7 MB peak)
+        assert peak < 1_000_000
