@@ -20,8 +20,8 @@ from .losses import loss_derivative, loss_value
 from .model import Architecture, Predictor, backward, forward, init, load_checkpoint, save_checkpoint
 from .optim import AdamState, effective_lr, step
 from .prior import PriorEstimate, estimate_prior, invert_pair_mean
-from .risk import (PartialRisks, RiskSpec, one_sided_risk, pair_risk, pair_weights,
-                   partial_risks, risk_gradient_weights, supervised_risk, total_risk)
+from .risk import (PartialRisks, RiskSpec, pair_risk, pair_weights, partial_risks,
+                   risk_gradient_weights, supervised_risk, total_risk)
 from .trainer import TrainConfig, TrainReport, evaluate, train
 
 __version__ = "0.1.0"

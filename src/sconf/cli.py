@@ -10,8 +10,8 @@ Config files are key=value text; a key given twice is an error. Each train
 --set KEY=VALUE item is parsed like a config line and overrides the file, and
 a repeated --set key is an error too, not last-wins. Every key a train config
 gives must be read by the run (noise_std or pi_plus with estimator=supervised
-exits 2), and the estimator and learning-rate settings are checked before
-any data is loaded.
+exits 2), and every setting is checked before any data is sampled or loaded.
+Seeds must be nonnegative, and a confidence noise std finite and nonnegative.
 --out or SCONF_OUT_DIR names the output directory. Exit codes: 0 success, 2
 config error, 3 data error, 4 numeric guard (class prior too balanced for the
 pair estimators), 5 training diverged (a train or validation risk became NaN
@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import dataset_io, experiments, model, optim, svgplot, trainer
-from .datagen import (PRESET_PI_PLUS, add_confidence_noise, load_setup_file, make_pairs,
-                      preset, preset_synth, sample_train_test)
+from .datagen import (PRESET_PI_PLUS, add_confidence_noise, check_noise_std, load_setup_file,
+                      make_pairs, preset, preset_synth, sample_train_test)
 from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
 from .fileio import parse_key_values, parse_list, write_csv
 from .risk import RiskSpec, check_estimator
@@ -157,12 +157,10 @@ def cmd_prior(args):
 
 def cmd_gen_synth(args):
     out = _out_dir(args)
-    synth = (load_setup_file(args.setup_file) if args.setup_file
-             else preset_synth(args.setup, args.seed))
+    synth = load_setup_file(args.setup_file) if args.setup_file else preset_synth(args.setup)
     train, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, args.seed)
-    ds = make_pairs(train.X, synth.setup, args.seed)
-    if args.noise_std > 0:
-        ds = add_confidence_noise(ds, args.noise_std, args.seed)
+    ds = add_confidence_noise(make_pairs(train.X, synth.setup, args.seed), args.noise_std,
+                              args.seed)
     pairs_path = os.path.join(out, "pairs.csv")
     write_csv(pairs_path, ("x1", "x2", "xp1", "xp2", "s"),
               [(float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(s))
@@ -212,24 +210,39 @@ def _train_from_config(given, out):
     def opt(key, cast=float):
         return num(key, cast) if get(key) else None
 
-    # the estimator and the Adam schedule are checked here, before any data
-    # is loaded; only the class prior and the input width wait for the data
+    def count(key):
+        value = num(key, int)
+        if value < 1:
+            raise ConfigError(f"config key {key} must be at least 1, got {value}")
+        return value
+
+    # every setting is checked here, before any data is loaded: the estimator,
+    # loss, seed, architecture, a given class prior, the Adam and loop
+    # schedule, and the source's own settings; only the input width waits for
+    # the data
     risk = dict(kind=get("estimator"), loss=get("loss"), k=opt("k"))
     check_estimator(**risk)
+    if risk["loss"] != "logistic":
+        raise ConfigError(f"loss {risk['loss']!r} has no derivative to train on; use logistic")
     pairs = risk["kind"] != "supervised"
     seed, arch = num("seed", int), get("arch")
+    make_rng(seed)
+    _parse_arch(arch, 1)
     pi_plus = opt("pi_plus") if pairs else None  # the supervised risk has no prior
+    if pi_plus is not None:
+        RiskSpec(pi_plus=pi_plus, **risk)
     adam = dict(lr0=num("lr0"), weight_decay=num("weight_decay"),
                 drop_every=opt("drop_every", int))
     if adam["drop_every"] is not None:
         adam["drop_factor"] = num("drop_factor")
     optim.AdamState(**adam)
-    schedule = dict(epochs=num("epochs", int), seed=seed, eval_every=num("eval_every", int),
-                    batch_pairs=None if get("batch_pairs") == "full" else opt("batch_pairs", int),
+    schedule = dict(epochs=count("epochs"), seed=seed, eval_every=count("eval_every"),
+                    batch_pairs=None if get("batch_pairs") == "full" else count("batch_pairs"),
                     **adam)
     if get("setup"):
-        synth = preset_synth(get("setup"), seed)
+        synth = preset_synth(get("setup"))
         noise_std = num("noise_std") if pairs else 0.0
+        check_noise_std(noise_std)
 
         def load():
             points, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
@@ -244,10 +257,14 @@ def _train_from_config(given, out):
                 raise ConfigError(f"IDX training needs the {key} path")
             if not os.path.exists(path):
                 raise DataError(f"{key} path does not exist: {path}")
-        rule, subsample = dataset_io.corruption(get("corruption")), opt("subsample", int)
+        rule = dataset_io.corruption(get("corruption"))
+        subsample = count("subsample") if get("subsample") else None
         if pairs:
-            confidence = dict(epochs=num("confidence_epochs", int),
-                              batch=num("confidence_batch", int), lr0=num("confidence_lr0"))
+            confidence = dict(epochs=count("confidence_epochs"),
+                              batch=count("confidence_batch"), lr0=num("confidence_lr0"))
+            if not 0.0 <= confidence["lr0"] < np.inf:
+                raise ConfigError("config key confidence_lr0 must be finite and nonnegative, "
+                                  f"got {confidence['lr0']}")
 
         def load():
             labeled, test = (dataset_io.corrupt_binary(*dataset_io.load_idx(*pair), rule)
@@ -264,6 +281,8 @@ def _train_from_config(given, out):
     else:
         raise ConfigError("config must name either a synthetic setup or IDX paths")
     val_fraction = num("val_fraction") if pairs else 0.0
+    if not 0.0 <= val_fraction < 1.0:
+        raise ConfigError(f"config key val_fraction must lie in [0, 1), got {val_fraction}")
     unread = sorted(set(given) - read)
     if unread:
         raise ConfigError(f"config keys this run never reads: {', '.join(unread)}")
@@ -290,7 +309,7 @@ def _train_from_config(given, out):
 
 
 def _split_pairs(ds, val_fraction, seed):
-    if val_fraction <= 0:
+    if val_fraction == 0:
         return ds, None
     n_val = int(len(ds) * val_fraction)
     if n_val == 0 or n_val >= len(ds):

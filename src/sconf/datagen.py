@@ -5,7 +5,8 @@ From it we can sample labeled points, compute exact class posteriors, pair
 points into unlabeled (x, x') pairs, and attach to each pair its similarity
 confidence s = P(y = y' | x, x') = r(x) r(x') + (1 - r(x)) (1 - r(x')),
 where r is the positive-class posterior. Confidence noise is zero-mean
-Gaussian, clipped back into [0, 1].
+Gaussian, clipped back into [0, 1]; its std must be finite and nonnegative
+(check_noise_std, the one rule for every noise level).
 
 An SconfDataset of n pairs keeps both members in one (2n, d) row block, x
 over x'; subset and pair_up build their block with one take of the rows and
@@ -291,44 +292,47 @@ def make_pairs(points, setup, seed):
     return pair_up(points, posterior_plus(points, setup), seed, "exact")
 
 
-def add_confidence_noise(ds, std, seed):
-    """Return a copy of ds with clipped Gaussian noise on each confidence.
+def check_noise_std(std):
+    """Raise ConfigError unless std is a confidence noise level: finite and
+    nonnegative (a NaN is neither)."""
+    if not 0.0 <= std < np.inf:
+        raise ConfigError(f"confidence noise std must be finite and nonnegative, got {std}")
 
-    s -> clip(s + N(0, std^2), 0, 1). The input dataset is left untouched; the
-    copy remembers the pre-noise confidences in reference_s.
+
+def add_confidence_noise(ds, std, seed):
+    """The pairs of ds, sharing its row block, with clipped Gaussian noise on
+    each confidence.
+
+    s -> clip(s + N(0, std^2), 0, 1); std must pass check_noise_std, and a
+    std of 0 leaves s as it is. The confidences of ds are left untouched; the
+    result remembers them in reference_s.
     """
-    if std < 0:
-        raise ConfigError("noise std must be nonnegative")
-    noisy = ds.s + make_rng(seed, 2).normal(0.0, std, size=len(ds)) if std > 0 else ds.s.copy()
-    return SconfDataset(
-        ds.x,
-        ds.x_prime,
-        np.clip(noisy, 0.0, 1.0),
-        provenance=f"noisy(std={std:g})",
-        reference_s=ds.s.copy(),
-    )
+    check_noise_std(std)
+    noisy = ds.s + make_rng(seed, 2).normal(0.0, std, size=len(ds)) if std > 0 else ds.s
+    return SconfDataset.from_rows(ds.rows, np.clip(noisy, 0.0, 1.0), f"noisy(std={std:g})",
+                                  ds.s.copy())
 
 
 # ---------------------------------------------------------------------------
 # setup files: plain-text key=value descriptions of a synthetic experiment
 
 SETUP_FILE_KEYS = ("mu_plus", "mu_minus", "sigma_plus", "sigma_minus",
-                   "pi_plus", "n_plus", "n_minus", "seed")
+                   "pi_plus", "n_plus", "n_minus")
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """A setup file's content: the mixture plus sampling counts and seed."""
+    """A setup file's content: the mixture plus sampling counts. The seed is
+    not part of it: every command that samples takes its own."""
 
     setup: GaussianSetup
     n_plus: int
     n_minus: int
-    seed: int
 
 
-def preset_synth(name, seed):
+def preset_synth(name):
     """SynthSpec for a built-in preset with its canonical 500/300 counts."""
-    return SynthSpec(preset(name), PRESET_N_PLUS, PRESET_N_MINUS, int(seed))
+    return SynthSpec(preset(name), PRESET_N_PLUS, PRESET_N_MINUS)
 
 
 def parse_setup(text, source="<string>"):
@@ -364,7 +368,7 @@ def parse_setup(text, source="<string>"):
         sigma_minus=np.array(floats("sigma_minus", 4)).reshape(2, 2),
         pi_plus=floats("pi_plus", 1)[0],
     )
-    return SynthSpec(setup, integer("n_plus"), integer("n_minus"), integer("seed"))
+    return SynthSpec(setup, integer("n_plus"), integer("n_minus"))
 
 
 def load_setup_file(path):

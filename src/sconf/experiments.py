@@ -35,9 +35,10 @@ import numpy as np
 
 from . import model, trainer
 from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSetup,
-                      make_pairs, pair_indices, pair_up, posterior_plus, preset, sample_labeled,
-                      sample_train_test)
+                      add_confidence_noise, check_noise_std, make_pairs, pair_indices, pair_up,
+                      posterior_plus, preset, sample_labeled, sample_train_test)
 from .errors import ConfigError
+from .prior import estimate_prior
 from .rng import make_rng
 from .risk import RiskSpec, pair_risk, pair_weights
 from .trainer import TrainConfig, train_weighted_points
@@ -75,7 +76,7 @@ def pair_normals(seed, n, out=None):
     return make_rng(seed, 2).standard_normal(n * (n - 1) // 2, out=out)
 
 
-def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0, normals=None):
+def all_pairs_point_weights(X, setup, noise_std=0.0, normals=None):
     """Per-point loss weights of the unbiased risk over all unordered pairs.
 
     Returns (a, b, sigma_n) where the objective is
@@ -83,19 +84,21 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0, normals=None):
     (s_ij - pi-) resp. (pi+ - s_ij) over its n-1 partners, normalized by the
     ordered pair count and 2 (pi+ - pi-) exactly as in the pair risk. The
     exact confidences aggregate in closed form, O(n). Confidence noise is
-    noise_std times pair_normals(seed, n), one normal per unordered pair,
-    clipped to [0, 1]; each point adds the change it makes to its pair
-    confidences to the closed form (_noise_deltas), without materializing the
-    pair matrix. A caller that weights one sample at several noise levels
-    passes that draw as normals, so it is drawn once. sigma_n is the summed
-    absolute confidence deviation over unordered pairs (0 when exact).
+    noise_std times normals, one standard normal per unordered pair (the draw
+    of pair_normals(seed, n), which a nonzero noise_std needs), clipped to
+    [0, 1]; each point adds the change it makes to its pair confidences to the
+    closed form (_noise_deltas), without materializing the pair matrix. A
+    caller that weights one sample at several noise levels draws it once.
+    sigma_n is the summed absolute confidence deviation over unordered pairs
+    (0 when exact).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
         raise ConfigError("need at least two points to form pairs")
-    if not 0.0 <= noise_std < np.inf:
-        raise ConfigError(f"confidence noise std must be finite and nonnegative, got {noise_std}")
+    check_noise_std(noise_std)
+    if noise_std != 0.0 and (normals is None or len(normals) != n * (n - 1) // 2):
+        raise ConfigError(f"noise std {noise_std} needs the pair normals of {n} points")
     r = posterior_plus(X, setup)
     pi_p, pi_m = setup.pi_plus, 1.0 - setup.pi_plus
     total_r = r.sum()
@@ -103,8 +106,7 @@ def all_pairs_point_weights(X, setup, noise_std=0.0, seed=0, normals=None):
     s_row = r * (total_r - r) + (1.0 - r) * ((n - 1) - (total_r - r))
     sigma_n = 0.0
     if noise_std != 0.0:
-        delta_row, sigma_n = _noise_deltas(r, pair_normals(seed, n) if normals is None
-                                           else normals, noise_std)
+        delta_row, sigma_n = _noise_deltas(r, normals, noise_std)
         s_row += delta_row
     ordered = n * (n - 1)
     denom = ordered * (pi_p - pi_m)
@@ -201,7 +203,7 @@ def _trial_weights(setup, trials, data):
         if noise_std != 0.0 and drawn != seed:
             normals, drawn = pair_normals(seed, len(points), out=normals), seed
         a[t], b[t], sigma_n[t] = all_pairs_point_weights(points.X, setup, noise_std=noise_std,
-                                                         seed=seed, normals=normals)
+                                                         normals=normals)
     return a, b, sigma_n
 
 
@@ -335,11 +337,13 @@ SWEEP_EPOCHS = 40
 SWEEP_LR0 = 0.1
 SWEEP_DROP = 15
 SWEEP_TEST_N = 200_000
+SWEEP_TEST_SEED = 424242
 
 
-def sweep_test_set(setup, seed=424242):
+def sweep_test_set(setup):
+    """The sweep's fixed test set: SWEEP_TEST_N points at the setup's prior."""
     n_plus = round(SWEEP_TEST_N * setup.pi_plus)
-    return sample_labeled(setup, n_plus, SWEEP_TEST_N - n_plus, seed)
+    return sample_labeled(setup, n_plus, SWEEP_TEST_N - n_plus, SWEEP_TEST_SEED)
 
 
 def sweep_n_excess(setup, n_pairs, seeds, test, bayes_risk):
@@ -381,6 +385,8 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
     grid is degenerate)."""
     if list(n_grid) != sorted(n_grid):
         raise ConfigError("n grid must be ascending")
+    if base_seed < 0:  # a trial seed of a large n could still come out nonnegative
+        raise ConfigError(f"seeds must be nonnegative, got base seed {base_seed}")
     seeds = trial_seeds(trials)
     setup = preset(setup_name)
     test = sweep_test_set(setup)
@@ -402,9 +408,10 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
 # noise sweep
 
 
-def sweep_noise(setup_name, stds, trials, seeds=None):
-    """Accuracy and summed confidence deviation per noise level."""
-    seeds = trial_seeds(trials, seeds)
+def sweep_noise(setup_name, stds, trials):
+    """Accuracy and summed confidence deviation per noise level, over the
+    seeds 1..trials."""
+    seeds = trial_seeds(trials)
     all_runs = table_runs(setup_name, [(seed, "sconf", std) for std in stds for seed in seeds])
     rows = []
     for k, std in enumerate(stds):
@@ -421,13 +428,7 @@ def sweep_noise(setup_name, stds, trials, seeds=None):
 
 def prior_experiment(setup, n_pairs, seed, noise_std=0.0):
     """Estimate pi+ from n exact (or noisy) confidence pairs of the setup."""
-    from .datagen import add_confidence_noise
-    from .prior import estimate_prior
-
     n_points = 2 * n_pairs
     n_plus = round(n_points * setup.pi_plus)
     points = sample_labeled(setup, n_plus, n_points - n_plus, seed)
-    ds = make_pairs(points.X, setup, seed)
-    if noise_std > 0:
-        ds = add_confidence_noise(ds, noise_std, seed)
-    return estimate_prior(ds)
+    return estimate_prior(add_confidence_noise(make_pairs(points.X, setup, seed), noise_std, seed))

@@ -1,8 +1,10 @@
 """Adam with additive L2 weight decay and a step learning-rate schedule.
 
 The decay term is added to the gradient before the moment updates (classic
-Adam-with-L2, not decoupled decay). The schedule divides the base rate by
-drop_factor after every drop_every completed epochs:
+Adam-with-L2, not decoupled decay). The moment decay rates and the
+denominator guard are the fixed textbook values BETA1 = 0.9, BETA2 = 0.999
+and EPS = 1e-8. The schedule divides the base rate by drop_factor after
+every drop_every completed epochs:
 lr(epoch) = lr0 / drop_factor ** floor(epoch / drop_every).
 Every update is elementwise, so a stack of T trials, whose parameters and
 moments are (T, d + 1) blocks, takes T independent Adam steps in one.
@@ -16,9 +18,9 @@ block runs the textbook update with the same float operations in the same
 order as the unblocked expressions
 
     g = grads + wd * params
-    m = beta1 * m + (1 - beta1) * g
-    v = beta2 * v + ((1 - beta2) * g) * g
-    params -= (lr * (m / (1 - beta1**t))) / (sqrt(v / (1 - beta2**t)) + eps)
+    m = BETA1 * m + (1 - BETA1) * g
+    v = BETA2 * v + ((1 - BETA2) * g) * g
+    params -= (lr * (m / (1 - BETA1**t))) / (sqrt(v / (1 - BETA2**t)) + EPS)
 
 so its result is bit-for-bit theirs. A linear stack of up to
 BLOCK // (d + 1) trials is a single block.
@@ -34,14 +36,13 @@ from .errors import ConfigError
 # it touches (1.5 MB in float64) in cache
 BLOCK = 2**15
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     lr0: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     drop_every: int | None = None
     drop_factor: float = 10.0
     step_count: int = 0
@@ -50,8 +51,6 @@ class AdamState:
     work: np.ndarray = field(default=None, repr=False)  # step()'s two block buffers
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight decay must be nonnegative")
         if not (np.isfinite(self.lr0) and self.lr0 >= 0.0):
@@ -85,29 +84,28 @@ def step(state, p, epoch):
     if not getattr(p, "grads_ready", False):
         raise ConfigError("no gradients accumulated since the last step")
     lr = effective_lr(state, epoch)
-    b1, b2, wd, eps = state.beta1, state.beta2, state.weight_decay, state.eps
     state.step_count += 1
-    c1, c2 = 1.0 - b1**state.step_count, 1.0 - b2**state.step_count
+    c1, c2 = 1.0 - BETA1**state.step_count, 1.0 - BETA2**state.step_count
     rows = state.work.shape[1]
     for lo in range(0, len(p.params), rows):
         block = slice(lo, lo + rows)
         x, grad, m, v = p.params[block], p.grads[block], state.m[block], state.v[block]
         g, h = state.work[:, :len(x)]
-        np.multiply(wd, x, out=g)
+        np.multiply(state.weight_decay, x, out=g)
         g += grad
         grad[...] = 0.0
-        m *= b1
-        np.multiply(1.0 - b1, g, out=h)
+        m *= BETA1
+        np.multiply(1.0 - BETA1, g, out=h)
         m += h
-        v *= b2
-        np.multiply(1.0 - b2, g, out=h)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=h)
         h *= g
         v += h
         np.divide(m, c1, out=g)
         g *= lr
         np.divide(v, c2, out=h)
         np.sqrt(h, out=h)
-        h += eps
+        h += EPS
         g /= h
         x -= g
     p.grads_ready = False

@@ -6,8 +6,7 @@ for the summed pair losses, every pair estimator over an n-pair batch is
     f(r+) + f(r-),   r+ = sum_i a_i l+_i,   r- = sum_i b_i l-_i,
 
 with the per-pair weights (a, b) of pair_weights() and the correction f of
-correction(); the public risks and gradient weights are kind checks over
-these two. For the paired kinds a_i = (s_i - pi-) / (2 n (pi+ - pi-)) and
+correction(). For the paired kinds a_i = (s_i - pi-) / (2 n (pi+ - pi-)) and
 b_i = (pi+ - s_i) / (2 n (pi+ - pi-)). With f the identity ("unbiased") the
 total is an unbiased estimate of the supervised classification risk, but
 either partial can go negative in a finite sample. The corrected estimators
@@ -23,6 +22,11 @@ and b_i, with lead = pi+^2 + pi-^2 (resp. 2 pi+ pi-), and f is the identity.
 They are unbiased too, but when the confidences are skewed past the prior
 their empirical minimizer collapses to a one-class solution, which is the
 failure mode the paired estimators exist to avoid.
+
+partial_risks() gives (r+, r-) for every pair kind, and pair_risk() is
+f(r+) + f(r-) of them. f has slope 1 for the IDENTITY_KINDS, so there
+risk_gradient_weights() is (a, b) and needs no partial risks; for the
+corrected kinds it is (a, b) times f'(r+/-).
 """
 
 from dataclasses import dataclass
@@ -32,10 +36,9 @@ import numpy as np
 from .errors import BalancedPriorError, ConfigError
 from .losses import LOSS_KINDS, loss_value
 
-CORRECTED_KINDS = ("unbiased", "nn", "abs", "corrected")
 ONE_SIDED_KINDS = ("similar_only", "dissimilar_only")
 IDENTITY_KINDS = ("unbiased",) + ONE_SIDED_KINDS  # f(x) = x
-PAIR_KINDS = CORRECTED_KINDS + ONE_SIDED_KINDS
+PAIR_KINDS = ("unbiased", "nn", "abs", "corrected") + ONE_SIDED_KINDS
 RISK_KINDS = PAIR_KINDS + ("supervised",)
 
 # Coefficients blow up as pi+ -> pi-; refuse to construct a spec there.
@@ -115,10 +118,14 @@ def _one_sided_factors(s, spec):
     return 2.0 * spec.pi_plus * spec.pi_minus, 1.0 - s
 
 
-def _partials(z, z_prime, s, spec, kinds):
-    # the one computation behind every pair risk: r+ = sum a l+, r- = sum b l-
-    if spec.kind not in kinds:
-        raise ConfigError(f"risk kind {spec.kind!r} not valid here; expected one of {kinds}")
+def partial_risks(z, z_prime, s, spec):
+    """The two partial risks r+ = sum a l+, r- = sum b l- of a pair batch, any
+    pair kind: the one computation behind every pair risk.
+
+    z and z_prime are the scores of the first and second pair members.
+    Summation is numpy pairwise summation, which keeps the accumulation error
+    well under the 1e-12 oracle tolerance for batches in the thousands.
+    """
     z = np.asarray(z, dtype=float)
     z_prime = np.asarray(z_prime, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -128,16 +135,6 @@ def _partials(z, z_prime, s, spec, kinds):
     lp = loss_value(spec.loss, z, 1) + loss_value(spec.loss, z_prime, 1)
     lm = loss_value(spec.loss, z, -1) + loss_value(spec.loss, z_prime, -1)
     return PartialRisks(float(np.sum(a * lp)), float(np.sum(b * lm)))
-
-
-def partial_risks(z, z_prime, s, spec):
-    """The two partial risks of a pair batch under a corrected (or unbiased) spec.
-
-    z and z_prime are the scores of the first and second pair members.
-    Summation is numpy pairwise summation, which keeps the accumulation error
-    well under the 1e-12 oracle tolerance for batches in the thousands.
-    """
-    return _partials(z, z_prime, s, spec, CORRECTED_KINDS)
 
 
 def correction(x, spec):
@@ -167,18 +164,13 @@ def risk_gradient_weights(s, pr, spec):
         w+_i * dl(z_i, +1)/dz + w-_i * dl(z_i, -1)/dz
 
     and identically for z'_i: the pair weights (a, b), times the outer chain
-    factor f'(r+/-) for the corrected kinds. The one-sided kinds have no
-    correction, so pr is unused there and may be None.
+    factor f'(r+/-). An identity kind has f' = 1, so pr is unused there and
+    may be None.
     """
     a, b = pair_weights(s, spec)
-    if spec.kind in ONE_SIDED_KINDS:
+    if spec.kind in IDENTITY_KINDS:
         return a, b
     return correction(pr.r_plus, spec)[1] * a, correction(pr.r_minus, spec)[1] * b
-
-
-def one_sided_risk(z, z_prime, s, spec):
-    """Risk estimate from similar-only or dissimilar-only pair data."""
-    return total_risk(_partials(z, z_prime, s, spec, ONE_SIDED_KINDS), spec)
 
 
 def supervised_risk(z, y, loss="logistic"):
@@ -195,4 +187,4 @@ def supervised_risk(z, y, loss="logistic"):
 
 def pair_risk(z, z_prime, s, spec):
     """Total risk f(r+) + f(r-) of a pair batch for any pair kind."""
-    return total_risk(_partials(z, z_prime, s, spec, PAIR_KINDS), spec)
+    return total_risk(partial_risks(z, z_prime, s, spec), spec)

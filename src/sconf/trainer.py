@@ -36,7 +36,7 @@ from .errors import ConfigError, NonFiniteRiskError
 from .fileio import write_csv
 from .losses import loss_derivative, weighted_derivative
 from .rng import make_rng
-from .risk import (ONE_SIDED_KINDS, RiskSpec, pair_risk, partial_risks, risk_gradient_weights,
+from .risk import (IDENTITY_KINDS, RiskSpec, pair_risk, partial_risks, risk_gradient_weights,
                    supervised_risk)
 
 REPORT_COLUMNS = ("epoch", "train_risk", "val_risk", "test_acc", "test_01_risk", "lr")
@@ -76,9 +76,6 @@ class TrainReport:
     def to_csv(self, path):
         """Write the rows under REPORT_COLUMNS; each column after the epoch as a float."""
         write_csv(path, REPORT_COLUMNS, [(row[0], *map(float, row[1:])) for row in self.rows])
-
-    def val_risks(self):
-        return [row[2] for row in self.rows]
 
     def row_at(self, epoch):
         for row in self.rows:
@@ -207,7 +204,7 @@ def _risk_grad(p, ds, spec):
     def score_grad(idx):
         z, zp = _pair_scores(p, ds, idx)
         s = ds.s[idx]
-        pr = None if spec.kind in ONE_SIDED_KINDS else partial_risks(z, zp, s, spec)
+        pr = None if spec.kind in IDENTITY_KINDS else partial_risks(z, zp, s, spec)
         w_plus, w_minus = risk_gradient_weights(s, pr, spec)
         return np.concatenate([
             w_plus * loss_derivative(spec.loss, z, 1) + w_minus * loss_derivative(spec.loss, z, -1),

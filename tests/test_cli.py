@@ -44,14 +44,26 @@ class TestGenSynth:
         run_cli(["gen-synth", "--setup", "B", "--seed", "4", "--out", str(out2)])
         assert (out1 / "pairs.csv").read_text() != (out2 / "pairs.csv").read_text()
 
+    SETUP_FILE = ("mu_plus=0 0\nmu_minus=4 0\nsigma_plus=3 0 0 3\n"
+                  "sigma_minus=2 0 0 2\npi_plus=0.625\nn_plus=40\nn_minus=24\n")
+
     def test_setup_file(self, tmp_path):
         sf = tmp_path / "setup.txt"
-        sf.write_text("mu_plus=0 0\nmu_minus=4 0\nsigma_plus=3 0 0 3\n"
-                      "sigma_minus=2 0 0 2\npi_plus=0.625\nn_plus=40\nn_minus=24\nseed=9\n")
+        sf.write_text(self.SETUP_FILE)
         out = tmp_path / "o"
         assert run_cli(["gen-synth", "--setup-file", str(sf), "--seed", "9",
                         "--out", str(out)]) == 0
         assert len((out / "pairs.csv").read_text().splitlines()) == 1 + 32
+
+    def test_setup_file_seed_is_an_unknown_key(self, tmp_path, capsys):
+        # the seed comes from --seed; a setup file's own seed would change nothing
+        sf = tmp_path / "setup.txt"
+        sf.write_text(self.SETUP_FILE + "seed=9\n")
+        out = tmp_path / "o"
+        assert run_cli(["gen-synth", "--setup-file", str(sf), "--seed", "9",
+                        "--out", str(out)]) == 2
+        assert "unknown key 'seed'" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCONF_OUT_DIR", str(tmp_path / "env_out"))
@@ -345,6 +357,13 @@ class TestInputValidation:
         ("lr0=-1", "lr0"), ("estimator=bogus", "bogus"), ("loss=hinge", "hinge"),
         ("estimator=corrected", "k > 0"), ("k=0.5", "k applies"),
         ("drop_every=0", "drop_every"), ("drop_every=2\ndrop_factor=0", "drop_factor"),
+        ("epochs=0", "epochs"), ("eval_every=0", "eval_every"), ("batch_pairs=0", "batch_pairs"),
+        ("arch=mlp:5", "arch"), ("arch=mlp:0,5", "hidden widths"), ("arch=cnn", "arch"),
+        ("pi_plus=1.5", "pi_plus"), ("pi_plus=0.5005", "1/2"), ("loss=zero_one", "derivative"),
+        ("confidence_batch=0", "confidence_batch"), ("confidence_epochs=0", "confidence_epochs"),
+        ("val_fraction=-0.5", "val_fraction"), ("val_fraction=1.5", "val_fraction"),
+        ("subsample=0", "subsample"), ("seed=-1", "seeds must be nonnegative"),
+        ("confidence_lr0=-1", "confidence_lr0"),
     ])
     def test_bad_setting_exits_before_the_idx_load(self, tmp_path, monkeypatch, capsys,
                                                    setting, named):
@@ -354,10 +373,42 @@ class TestInputValidation:
         monkeypatch.setattr(dataset_io, "load_idx", never)
         monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(random_idx_source(tmp_path) + f"\nepochs=1\n{setting}\n")
+        # epochs=1 unless the setting is epochs itself: a repeated key is an error
+        epochs = "" if setting.startswith("epochs=") else "epochs=1\n"
+        cfg.write_text(random_idx_source(tmp_path) + f"\n{epochs}{setting}\n")
+        out = tmp_path / "out"
+        # a prior within the guard of 1/2 is the numeric guard's exit 4
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == (4 if named == "1/2" else 2)
+        err = capsys.readouterr().err
+        assert named in err and err.startswith("error:") and "Traceback" not in err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("argv,named", [
+        ("gen-synth --seed -1", "seeds must be nonnegative"),
+        ("collapse-demo --seed -1", "seeds must be nonnegative"),
+        ("prior --seed -1 --n 100", "seeds must be nonnegative"),
+        ("sweep-n --seed -1 --trials 1", "seeds must be nonnegative"),
+        ("sweep-n --seed -1 --trials 1 --n-grid 15000", "seeds must be nonnegative"),
+        ("gen-synth --seed 1 --noise-std -1", "noise std"),
+        ("prior --seed 1 --n 100 --noise-std nan", "noise std"),
+    ])
+    def test_negative_seed_or_bad_noise_std_exits_2(self, tmp_path, capsys, argv, named):
+        assert run_cli(argv.split() + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("setting,named", [
+        ("seed=-1", "seeds must be nonnegative"), ("noise_std=-1", "noise std"),
+        ("noise_std=nan", "noise std"),
+    ])
+    def test_bad_synthetic_train_setting_exits_2(self, tmp_path, capsys, setting, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"setup=B\nepochs=1\n{setting}\n")
         out = tmp_path / "out"
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("items,message", [

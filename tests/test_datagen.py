@@ -317,12 +317,11 @@ class TestSetupFiles:
     pi_plus = 0.625
     n_plus = 500
     n_minus = 300
-    seed = 1
     """
 
     def test_parse_round_trip(self):
         spec = parse_setup(self.GOOD)
-        assert spec.n_plus == 500 and spec.n_minus == 300 and spec.seed == 1
+        assert spec.n_plus == 500 and spec.n_minus == 300
         assert np.array_equal(spec.setup.mu_minus, [4.0, 0.0])
         assert np.array_equal(spec.setup.sigma_plus, 3 * np.eye(2))
 

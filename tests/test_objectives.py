@@ -48,7 +48,8 @@ def test_point_weights_equal_materialized_pair_risk(noise_std):
     setup, seed = preset("B"), 7
     X = sample_labeled(setup, 25, 15, seed).X
     z = X @ np.array([-0.8, 0.3]) + 0.5
-    a, b, _ = all_pairs_point_weights(X, setup, noise_std=noise_std, seed=seed)
+    a, b, _ = all_pairs_point_weights(X, setup, noise_std=noise_std,
+                                      normals=pair_normals(seed, len(X)))
     point_form = np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1))
 
     ds = all_pairs_dataset(X, setup, noise_std=noise_std, seed=seed)
@@ -67,7 +68,8 @@ def test_noisy_point_weights_equal_materialized_pair_risk(n, noise_std, seed, se
     n_plus = int(rng.integers(0, n + 1))
     X = sample_labeled(setup, n_plus, n - n_plus, seed).X
     z = X @ rng.normal(size=2) + rng.normal()
-    a, b, sigma_n = all_pairs_point_weights(X, setup, noise_std=noise_std, seed=seed)
+    a, b, sigma_n = all_pairs_point_weights(X, setup, noise_std=noise_std,
+                                            normals=pair_normals(seed, n))
     point_form = np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1))
 
     noisy = all_pairs_dataset(X, setup, noise_std=noise_std, seed=seed)
@@ -94,12 +96,17 @@ def test_shared_pair_normals_give_the_same_weights():
     X = sample_labeled(setup, 30, 20, seed).X
     normals = pair_normals(seed, len(X))
     for std in (0.1, 0.2, 0.3):
-        own = all_pairs_point_weights(X, setup, noise_std=std, seed=seed)
-        shared = all_pairs_point_weights(X, setup, noise_std=std, seed=seed, normals=normals)
-        assert all(np.array_equal(x, y) for x, y in zip(own, shared))
+        # one buffer serves every level: a call leaves the normals as drawn
+        fresh = all_pairs_point_weights(X, setup, noise_std=std,
+                                        normals=pair_normals(seed, len(X)))
+        shared = all_pairs_point_weights(X, setup, noise_std=std, normals=normals)
+        assert all(np.array_equal(x, y) for x, y in zip(fresh, shared))
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="noise std"):
-            all_pairs_point_weights(X, setup, noise_std=bad, seed=seed)
+            all_pairs_point_weights(X, setup, noise_std=bad, normals=normals)
+    for missing in (None, normals[:-1]):
+        with pytest.raises(ConfigError, match="pair normals"):
+            all_pairs_point_weights(X, setup, noise_std=0.1, normals=missing)
 
 
 @pytest.mark.parametrize("arch", (model.Architecture.linear(2), model.Architecture.mlp(2, 8, 6)))

@@ -5,9 +5,8 @@ import pytest
 
 from sconf.errors import BalancedPriorError, ConfigError
 from sconf.losses import loss_derivative, loss_value
-from sconf.risk import (PartialRisks, RiskSpec, one_sided_risk, pair_risk,
-                        partial_risks, risk_gradient_weights, supervised_risk,
-                        total_risk)
+from sconf.risk import (PartialRisks, RiskSpec, pair_risk, partial_risks,
+                        risk_gradient_weights, supervised_risk, total_risk)
 
 
 def fsum_partials(z, zp, s, spec):
@@ -183,7 +182,7 @@ class TestOneSided:
         spec = RiskSpec("similar_only", 0.7)
         z, zp = np.array([0.8]), np.array([-0.3])
         lp = loss_value("logistic", 0.8, 1) + loss_value("logistic", -0.3, 1)
-        got = one_sided_risk(z, zp, np.array([0.7]), spec)
+        got = pair_risk(z, zp, np.array([0.7]), spec)
         pi_s = 0.7**2 + 0.3**2
         assert got == pytest.approx(pi_s * lp / 1.4, abs=1e-12)
 
@@ -191,31 +190,37 @@ class TestOneSided:
         spec = RiskSpec("dissimilar_only", 0.7)
         z, zp = np.array([0.8]), np.array([-0.3])
         lm = loss_value("logistic", 0.8, -1) + loss_value("logistic", -0.3, -1)
-        got = one_sided_risk(z, zp, np.array([0.3]), spec)
+        got = pair_risk(z, zp, np.array([0.3]), spec)
         assert got == pytest.approx(2 * 0.7 * 0.3 * lm / (2 * (1 - 0.3)), abs=1e-12)
+
+    @staticmethod
+    def oracle_terms(z, zp, s, kind):
+        # the r+ and r- terms of a one-sided risk at pi+ = 0.7, pair by pair
+        lead = 0.7**2 + 0.3**2 if kind == "similar_only" else 2 * 0.7 * 0.3
+        plus, minus = [], []
+        n = len(s)
+        for i in range(n):
+            div = s[i] if kind == "similar_only" else 1 - s[i]
+            lp = loss_value("logistic", z[i], 1) + loss_value("logistic", zp[i], 1)
+            lm = loss_value("logistic", z[i], -1) + loss_value("logistic", zp[i], -1)
+            plus.append(lead * (s[i] - 0.3) * lp / (2 * n * 0.4 * div))
+            minus.append(lead * (0.7 - s[i]) * lm / (2 * n * 0.4 * div))
+        return plus, minus
 
     def test_duplicate_arithmetic_oracle(self):
         z, zp, s = random_batch(11, 5, lo=0.05, hi=0.95)
         for kind in ("similar_only", "dissimilar_only"):
-            spec = RiskSpec(kind, 0.7)
-            lead = 0.7**2 + 0.3**2 if kind == "similar_only" else 2 * 0.7 * 0.3
-            terms = []
-            n = len(s)
-            for i in range(n):
-                div = s[i] if kind == "similar_only" else 1 - s[i]
-                lp = loss_value("logistic", z[i], 1) + loss_value("logistic", zp[i], 1)
-                lm = loss_value("logistic", z[i], -1) + loss_value("logistic", zp[i], -1)
-                terms.append(lead * ((s[i] - 0.3) * lp + (0.7 - s[i]) * lm)
-                             / (2 * n * 0.4 * div))
-            assert one_sided_risk(z, zp, s, spec) == pytest.approx(math.fsum(terms), abs=1e-12)
+            plus, minus = self.oracle_terms(z, zp, s, kind)
+            assert pair_risk(z, zp, s, RiskSpec(kind, 0.7)) == pytest.approx(
+                math.fsum(plus + minus), abs=1e-12)
 
     def test_division_guards_name_the_pair(self):
         spec_s = RiskSpec("similar_only", 0.7)
         with pytest.raises(ConfigError, match="pair 1"):
-            one_sided_risk(np.zeros(3), np.zeros(3), np.array([0.5, 0.0, 0.9]), spec_s)
+            pair_risk(np.zeros(3), np.zeros(3), np.array([0.5, 0.0, 0.9]), spec_s)
         spec_d = RiskSpec("dissimilar_only", 0.7)
         with pytest.raises(ConfigError, match="pair 2"):
-            one_sided_risk(np.zeros(3), np.zeros(3), np.array([0.5, 0.1, 1.0]), spec_d)
+            pair_risk(np.zeros(3), np.zeros(3), np.array([0.5, 0.1, 1.0]), spec_d)
 
     def test_gradient_weights_match_finite_differences(self):
         h = 1e-5
@@ -228,14 +233,23 @@ class TestOneSided:
                 z_hi, z_lo = z.copy(), z.copy()
                 z_hi[i] += h
                 z_lo[i] -= h
-                fd = (one_sided_risk(z_hi, zp, s, spec) - one_sided_risk(z_lo, zp, s, spec)) / (2 * h)
+                fd = (pair_risk(z_hi, zp, s, spec) - pair_risk(z_lo, zp, s, spec)) / (2 * h)
                 assert grad_z[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
     def test_wrong_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            one_sided_risk(np.zeros(2), np.zeros(2), np.full(2, 0.5), RiskSpec("unbiased", 0.7))
-        with pytest.raises(ConfigError):
-            partial_risks(np.zeros(2), np.zeros(2), np.full(2, 0.5), RiskSpec("similar_only", 0.7))
+        for fn in (partial_risks, pair_risk):
+            with pytest.raises(ConfigError, match="no pair weights"):
+                fn(np.zeros(2), np.zeros(2), np.full(2, 0.5), RiskSpec("supervised", 0.7))
+
+    def test_partials_total_the_pair_risk_and_match_the_oracle(self):
+        z, zp, s = random_batch(11, 5, lo=0.05, hi=0.95)
+        for kind in ("similar_only", "dissimilar_only"):
+            spec = RiskSpec(kind, 0.7)
+            pr = partial_risks(z, zp, s, spec)
+            assert total_risk(pr, spec) == pair_risk(z, zp, s, spec)
+            plus, minus = self.oracle_terms(z, zp, s, kind)
+            assert pr.r_plus == pytest.approx(math.fsum(plus), abs=1e-12)
+            assert pr.r_minus == pytest.approx(math.fsum(minus), abs=1e-12)
 
 
 class TestSupervised:

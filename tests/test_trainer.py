@@ -5,7 +5,7 @@ from sconf import model, optim, trainer
 from sconf.datagen import (LabeledData, SconfDataset, add_confidence_noise,
                            make_pairs, preset, sample_labeled)
 from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
-from sconf.experiments import all_pairs_point_weights
+from sconf.experiments import all_pairs_point_weights, pair_normals
 from sconf.model import Architecture
 from sconf.risk import RiskSpec, pair_risk
 from sconf.rng import make_rng
@@ -62,6 +62,31 @@ class TestEvaluate:
 
 
 class TestTrainBasics:
+    @pytest.mark.parametrize("kind,k,per_step", [
+        ("unbiased", None, 0), ("similar_only", None, 0), ("dissimilar_only", None, 0),
+        ("nn", None, 1), ("abs", None, 1), ("corrected", 0.5, 1),
+    ])
+    def test_partial_risks_only_where_the_correction_needs_them(self, monkeypatch, kind, k,
+                                                                per_step):
+        # an identity kind's gradient weights are (a, b): its steps compute no
+        # partial risks; a corrected kind computes them once per step
+        calls = {"partial_risks": 0, "step": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(trainer, "partial_risks", counting("partial_risks",
+                                                               trainer.partial_risks))
+        monkeypatch.setattr(optim, "step", counting("step", optim.step))
+        setup, ds = small_pair_data()
+        train(ds, None, small_test(setup), linear_cfg(RiskSpec(kind, 0.625, k=k), epochs=3,
+                                                      batch_pairs=32))
+        assert calls["step"] == 3 * 3  # 80 pairs in batches of 32, 32, 16
+        assert calls["partial_risks"] == per_step * calls["step"]
+
     def test_zero_lr_keeps_init(self):
         setup, ds = small_pair_data()
         test = small_test(setup)
@@ -94,7 +119,7 @@ class TestTrainBasics:
         spec = RiskSpec("unbiased", 0.625)
         cfg = linear_cfg(spec, epochs=12)
         p, report = train(ds, val_ds, test, cfg)
-        vals = report.val_risks()
+        vals = [row[2] for row in report.rows]
         assert report.row_at(report.best_epoch)[2] == pytest.approx(min(vals))
         # the returned parameters really are the best-epoch snapshot
         z, zp = (model.forward(p, val_ds.x), model.forward(p, val_ds.x_prime))
@@ -260,7 +285,7 @@ class TestFullBatchOrder:
     def test_weighted_points(self):
         setup = preset("B")
         X = sample_labeled(setup, 50, 30, 1).X
-        a, b, _ = all_pairs_point_weights(X, setup, noise_std=0.2, seed=1)
+        a, b, _ = all_pairs_point_weights(X, setup, noise_std=0.2, normals=pair_normals(1, len(X)))
         got = train_weighted_points(X, a, b, Architecture.linear(2), self.EPOCHS, 0.1,
                                     seed=self.SEED, drop_every=self.DROP)
 
@@ -313,7 +338,8 @@ class TestTrialStack:
         X, a, b = [], [], []
         for seed in range(1, trials + 1):
             pts = sample_labeled(setup, n * 5 // 8, n - n * 5 // 8, seed).X
-            a_t, b_t, _ = all_pairs_point_weights(pts, setup, noise_std=0.1, seed=seed)
+            a_t, b_t, _ = all_pairs_point_weights(pts, setup, noise_std=0.1,
+                                                  normals=pair_normals(seed, len(pts)))
             X.append(pts)
             a.append(a_t)
             b.append(b_t)
