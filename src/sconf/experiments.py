@@ -11,8 +11,9 @@ objective sum_i a_i l(z_i, +1) + b_i l(z_i, -1) is algebraically identical to
 the full pair risk, but costs O(n) per step instead of O(n^2). With noisy
 confidences, the pair noise of a sample at level std is std times one draw
 of standard normals (pair_normals), which is what Generator.normal(0, std)
-returns from the same stream; the table draws it once per seed and scales it
-per noise level.
+returns from the same stream; the table weights each seed at all its noise
+levels in one call, which draws the normals and builds the pair blocks once
+and only scales and clips them per level.
 
 The linear protocols are many independent fits of one shape, so each is run
 as a trial stack (see trainer.train_weighted_points, also importable from
@@ -76,79 +77,93 @@ def pair_normals(seed, n, out=None):
     return make_rng(seed, 2).standard_normal(n * (n - 1) // 2, out=out)
 
 
-def all_pairs_point_weights(X, setup, noise_std=0.0, normals=None):
-    """Per-point loss weights of the unbiased risk over all unordered pairs.
+def all_pairs_point_weights(X, setup, noise_stds=(0.0,), normals=None):
+    """Per-point loss weights of the unbiased risk over all unordered pairs,
+    one (a, b, sigma_n) per noise level of noise_stds, in its order.
 
-    Returns (a, b, sigma_n) where the objective is
-    sum_i a_i l(z_i, +1) + b_i l(z_i, -1): point i's coefficient aggregates
-    (s_ij - pi-) resp. (pi+ - s_ij) over its n-1 partners, normalized by the
-    ordered pair count and 2 (pi+ - pi-) exactly as in the pair risk. The
-    exact confidences aggregate in closed form, O(n). Confidence noise is
-    noise_std times normals, one standard normal per unordered pair (the draw
-    of pair_normals(seed, n), which a nonzero noise_std needs), clipped to
-    [0, 1]; each point adds the change it makes to its pair confidences to the
-    closed form (_noise_deltas), without materializing the pair matrix. A
-    caller that weights one sample at several noise levels draws it once.
-    sigma_n is the summed absolute confidence deviation over unordered pairs
-    (0 when exact).
+    The objective is sum_i a_i l(z_i, +1) + b_i l(z_i, -1): point i's
+    coefficient aggregates (s_ij - pi-) resp. (pi+ - s_ij) over its n-1
+    partners, normalized by the ordered pair count and 2 (pi+ - pi-) exactly
+    as in the pair risk. The exact confidences aggregate in closed form, O(n).
+    At a level std, confidence noise is std times normals, one standard normal
+    per unordered pair (the draw of pair_normals(seed, n), which a nonzero
+    level needs), clipped to [0, 1]; each point adds the change it makes to
+    its pair confidences to the closed form (_noise_deltas), without
+    materializing the pair matrix. The levels of one call share the
+    posterior, the closed form and the O(n^2) pair blocks, so a caller that
+    weights one sample at several levels passes them all at once. Every level
+    is checked before any work. sigma_n is the summed absolute confidence
+    deviation over unordered pairs (0 when exact).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
         raise ConfigError("need at least two points to form pairs")
-    check_noise_std(noise_std)
-    if noise_std != 0.0 and (normals is None or len(normals) != n * (n - 1) // 2):
-        raise ConfigError(f"noise std {noise_std} needs the pair normals of {n} points")
+    if len(noise_stds) == 0:
+        raise ConfigError("need at least one noise level")
+    for std in noise_stds:
+        check_noise_std(std)
+    noisy = [std for std in noise_stds if std != 0.0]
+    if noisy and (normals is None or len(normals) != n * (n - 1) // 2):
+        raise ConfigError(f"noise std {noisy[0]} needs the pair normals of {n} points")
     r = posterior_plus(X, setup)
     pi_p, pi_m = setup.pi_plus, 1.0 - setup.pi_plus
     total_r = r.sum()
     # sum over j != i of s_ij, expanded from s = r r' + (1-r)(1-r')
     s_row = r * (total_r - r) + (1.0 - r) * ((n - 1) - (total_r - r))
-    sigma_n = 0.0
-    if noise_std != 0.0:
-        delta_row, sigma_n = _noise_deltas(r, normals, noise_std)
-        s_row += delta_row
+    deltas = zip(*_noise_deltas(r, normals, noisy)) if noisy else None
     ordered = n * (n - 1)
     denom = ordered * (pi_p - pi_m)
-    a = (s_row - (n - 1) * pi_m) / denom
-    b = ((n - 1) * pi_p - s_row) / denom
-    return a, b, sigma_n
+    out = []
+    for std in noise_stds:
+        s, sigma_n = s_row, 0.0
+        if std != 0.0:
+            delta_row, sigma_n = next(deltas)
+            s = s_row + delta_row
+        out.append(((s - (n - 1) * pi_m) / denom, ((n - 1) * pi_p - s) / denom, sigma_n))
+    return out
 
 
-def _noise_deltas(r, normals, std):
-    """Per-point sums of delta_ij = clip(s_ij + std * normals_ij, 0, 1) - s_ij
-    over its partners, and sum |delta_ij| over i < j.
+def _noise_deltas(r, normals, stds):
+    """For each level std of stds: per-point sums of
+    delta_ij = clip(s_ij + std * normals_ij, 0, 1) - s_ij over its partners,
+    and sum |delta_ij| over i < j. Returns an (len(stds), n) array of the
+    sums and the list of the |delta| totals.
 
     normals holds the pairs i < j in row-major order. A block of rows at a
-    time takes its segment of normals into the upper triangle of a zeroed
-    buffer and scales it by std; each block adds its row sums to its own
-    points and its column sums to their partners. std * z is the value
-    Generator.normal(0, std) draws from the same stream (0 + std * z; the
-    0 + changes at most the sign of a zero, which s_ij + 0 absorbs).
+    time builds, once for every level, its s_ij block, its upper-triangle
+    mask and its segment of normals scattered into the upper triangle of a
+    zeroed buffer; each level then scales that buffer by std into a scratch
+    block, and adds its row sums to the block's points and its column sums
+    to their partners. std * z is the value Generator.normal(0, std) draws
+    from the same stream (0 + std * z; the 0 + changes at most the sign of a
+    zero, which s_ij + 0 absorbs).
     """
     n = len(r)
     q = 1.0 - r
     cols = np.arange(n)
-    sums = np.zeros(n)
-    sigma_n, start = 0.0, 0
+    sums = np.zeros((len(stds), n))
+    sigma_n, start = [0.0] * len(stds), 0
     block = max(1, 2**15 // n)  # rows per block: ~2^15 pairs keep the buffers in cache
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         upper = cols[lo:hi, None] < cols
         S = np.multiply.outer(r[lo:hi], r)
         S += np.multiply.outer(q[lo:hi], q)
-        delta = np.zeros_like(S)
+        z = np.zeros_like(S)
         stop = start + np.count_nonzero(upper)
-        delta[upper] = normals[start:stop]
+        z[upper] = normals[start:stop]
         start = stop
-        delta *= std
-        delta += S
-        np.clip(delta, 0.0, 1.0, out=delta)
-        delta -= S
-        delta *= upper
-        sums[lo:hi] += delta.sum(axis=1)
-        sums += delta.sum(axis=0)
-        sigma_n += float(np.abs(delta, out=delta).sum())
+        delta = np.empty_like(S)
+        for k, std in enumerate(stds):
+            np.multiply(z, std, out=delta)
+            delta += S
+            np.clip(delta, 0.0, 1.0, out=delta)
+            delta -= S
+            delta *= upper
+            sums[k, lo:hi] += delta.sum(axis=1)
+            sums[k] += delta.sum(axis=0)
+            sigma_n[k] += float(np.abs(delta, out=delta).sum())
     return sums, sigma_n
 
 
@@ -190,20 +205,25 @@ def table_runs(setup_name, trials):
 
 def _trial_weights(setup, trials, data):
     """Lists a, b, sigma_n of table_runs' trials, in their order. The trials
-    are weighted seed by seed, so a seed's pair normals are drawn once for
-    all its noise levels, into one buffer that every seed refills."""
+    are weighted seed by seed: one all_pairs_point_weights call covers every
+    noise level of a seed's sconf trials, so the seed's O(n^2) pair work is
+    done once, and its pair normals are drawn once, only if a level is
+    nonzero, into one buffer that every seed refills."""
     a, b, sigma_n = ([None] * len(trials) for _ in range(3))
-    normals, drawn = None, None
-    for t in sorted(range(len(trials)), key=lambda t: trials[t][0]):
-        seed, method, noise_std = trials[t]
-        points = data[seed][0]
+    sconf = {}  # seed -> its all-pairs trials
+    for t, (seed, method, _) in enumerate(trials):
         if method == "supervised":
-            (a[t], b[t]), sigma_n[t] = trainer.one_hot(points.y), 0.0
-            continue
-        if noise_std != 0.0 and drawn != seed:
-            normals, drawn = pair_normals(seed, len(points), out=normals), seed
-        a[t], b[t], sigma_n[t] = all_pairs_point_weights(points.X, setup, noise_std=noise_std,
-                                                         normals=normals)
+            (a[t], b[t]), sigma_n[t] = trainer.one_hot(data[seed][0].y), 0.0
+        else:
+            sconf.setdefault(seed, []).append(t)
+    normals = None
+    for seed, ts in sconf.items():
+        points = data[seed][0]
+        stds = [trials[t][2] for t in ts]
+        if any(std != 0.0 for std in stds):
+            normals = pair_normals(seed, len(points), out=normals)
+        for t, weights in zip(ts, all_pairs_point_weights(points.X, setup, stds, normals)):
+            a[t], b[t], sigma_n[t] = weights
     return a, b, sigma_n
 
 
@@ -311,7 +331,7 @@ def collapse_demo(seed):
         _, oracle_frac = threshold_collapse_oracle(ds, spec, axis)
         results.append(_collapse_record(kind, len(ds), p, test, oracle_frac))
 
-    a, b, _ = all_pairs_point_weights(train.X, setup)
+    (a, b, _), = all_pairs_point_weights(train.X, setup)
     p = train_weighted_points(train.X, a, b, model.Architecture.linear(setup.dim),
                               epochs=30, lr0=0.1, seed=seed, weight_decay=1e-3,
                               batch=128)

@@ -172,8 +172,13 @@ def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
     X of shape (T, n, d) with a, b of shape (T, n) fits T linear trials as one
     stack, full batch only; trial t of the result is p.trial(t). Raises
     NonFiniteRiskError, naming the epoch and the trial (0 for a single fit),
-    if a parameter is not finite after an epoch.
+    if a parameter is not finite after an epoch, and ConfigError, as
+    TrainConfig does, for fewer than one epoch or a batch below 1.
     """
+    if epochs < 1:
+        raise ConfigError("need at least one epoch")
+    if batch is not None and batch < 1:
+        raise ConfigError("batch size must be positive")
     X = np.asarray(X, dtype=float)
     trials, n = (len(X) if X.ndim == 3 else None), X.shape[-2]
     if trials is not None and batch is not None and batch < n:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sconf import model, trainer
+from sconf import experiments, model, trainer
 from sconf.dataset_io import posterior_model_confidences
 from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
 from sconf.errors import ConfigError
@@ -48,8 +48,8 @@ def test_point_weights_equal_materialized_pair_risk(noise_std):
     setup, seed = preset("B"), 7
     X = sample_labeled(setup, 25, 15, seed).X
     z = X @ np.array([-0.8, 0.3]) + 0.5
-    a, b, _ = all_pairs_point_weights(X, setup, noise_std=noise_std,
-                                      normals=pair_normals(seed, len(X)))
+    (a, b, _), = all_pairs_point_weights(X, setup, (noise_std,),
+                                         normals=pair_normals(seed, len(X)))
     point_form = np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1))
 
     ds = all_pairs_dataset(X, setup, noise_std=noise_std, seed=seed)
@@ -68,8 +68,8 @@ def test_noisy_point_weights_equal_materialized_pair_risk(n, noise_std, seed, se
     n_plus = int(rng.integers(0, n + 1))
     X = sample_labeled(setup, n_plus, n - n_plus, seed).X
     z = X @ rng.normal(size=2) + rng.normal()
-    a, b, sigma_n = all_pairs_point_weights(X, setup, noise_std=noise_std,
-                                            normals=pair_normals(seed, n))
+    (a, b, sigma_n), = all_pairs_point_weights(X, setup, (noise_std,),
+                                               normals=pair_normals(seed, n))
     point_form = np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1))
 
     noisy = all_pairs_dataset(X, setup, noise_std=noise_std, seed=seed)
@@ -91,22 +91,78 @@ def test_noise_level_scales_one_standard_normal_draw(seed):
         assert np.array_equal(make_rng(seed, 2).normal(0.0, std, n_pairs), std * z)
 
 
-def test_shared_pair_normals_give_the_same_weights():
+def test_shared_pair_normals_give_the_same_weights(monkeypatch):
     setup, seed = preset("C"), 4
     X = sample_labeled(setup, 30, 20, seed).X
     normals = pair_normals(seed, len(X))
     for std in (0.1, 0.2, 0.3):
         # one buffer serves every level: a call leaves the normals as drawn
-        fresh = all_pairs_point_weights(X, setup, noise_std=std,
-                                        normals=pair_normals(seed, len(X)))
-        shared = all_pairs_point_weights(X, setup, noise_std=std, normals=normals)
+        fresh, = all_pairs_point_weights(X, setup, (std,), normals=pair_normals(seed, len(X)))
+        shared, = all_pairs_point_weights(X, setup, (std,), normals=normals)
         assert all(np.array_equal(x, y) for x, y in zip(fresh, shared))
+    # one call for several levels gives each level's lone weights, byte for
+    # byte, and leaves the normals as drawn
+    levels = (0.0, 0.1, 0.2, 0.3, 0.2)
+    for name in "ABCD":
+        X_s = sample_labeled(preset(name), 30, 20, seed).X
+        buffer = pair_normals(seed, len(X_s))
+        together = all_pairs_point_weights(X_s, preset(name), levels, normals=buffer)
+        assert np.array_equal(buffer, pair_normals(seed, len(X_s)))
+        assert len(together) == len(levels)
+        for std, got in zip(levels, together):
+            alone, = all_pairs_point_weights(X_s, preset(name), (std,), normals=buffer)
+            assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in alone]
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="noise std"):
-            all_pairs_point_weights(X, setup, noise_std=bad, normals=normals)
+            all_pairs_point_weights(X, setup, (bad,), normals=normals)
     for missing in (None, normals[:-1]):
         with pytest.raises(ConfigError, match="pair normals"):
-            all_pairs_point_weights(X, setup, noise_std=0.1, normals=missing)
+            all_pairs_point_weights(X, setup, (0.1,), normals=missing)
+    # an empty level list, or one bad level among good ones, fails before
+    # any work: the posterior is never computed
+    posteriors = []
+    monkeypatch.setattr(experiments, "posterior_plus",
+                        lambda *args: posteriors.append(args) or posterior_plus(*args))
+    with pytest.raises(ConfigError, match="at least one noise level"):
+        all_pairs_point_weights(X, setup, (), normals=normals)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="noise std"):
+            all_pairs_point_weights(X, setup, (0.0, 0.1, bad, 0.3), normals=normals)
+    assert posteriors == []
+    all_pairs_point_weights(X, setup, (0.0, 0.1), normals=normals)
+    assert len(posteriors) == 1
+
+
+# (method, noise std, seed) -> (acc_final, sigma_n) of table_runs("A", ...)
+# below, as weighting each noise level in its own call gave them
+TABLE_A_PIN = {
+    ("sconf", 0.0, 1): (0.881875, 0.0),
+    ("sconf", 0.0, 2): (0.900625, 0.0),
+    ("sconf", 0.1, 1): (0.890625, 20200.18280520342),
+    ("sconf", 0.1, 2): (0.901875, 20633.064356507606),
+    ("sconf", 0.2, 1): (0.89375, 37750.35706758824),
+    ("sconf", 0.2, 2): (0.90125, 38624.67919392993),
+    ("sconf", 0.3, 1): (0.89375, 53340.4911850453),
+    ("sconf", 0.3, 2): (0.9025, 54549.632169902994),
+    ("supervised", 0.0, 1): (0.890625, 0.0),
+    ("supervised", 0.0, 2): (0.900625, 0.0),
+}
+
+
+def test_table_runs_pin_and_one_normals_draw_per_seed(monkeypatch):
+    draws = []
+
+    def counting_pair_normals(seed, n, out=None):
+        draws.append(seed)
+        return pair_normals(seed, n, out=out)
+
+    monkeypatch.setattr(experiments, "pair_normals", counting_pair_normals)
+    runs = experiments.table_runs("A", [(seed, "sconf", std) for std in (0.0, 0.1, 0.2, 0.3)
+                                        for seed in (1, 2)]
+                                  + [(seed, "supervised", 0.0) for seed in (1, 2)])
+    assert {(r.method, r.noise_std, r.seed): (r.acc_final, r.sigma_n) for r in runs} == TABLE_A_PIN
+    assert len(runs) == len(TABLE_A_PIN)
+    assert sorted(draws) == [1, 2]
 
 
 @pytest.mark.parametrize("arch", (model.Architecture.linear(2), model.Architecture.mlp(2, 8, 6)))

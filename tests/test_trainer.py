@@ -285,7 +285,7 @@ class TestFullBatchOrder:
     def test_weighted_points(self):
         setup = preset("B")
         X = sample_labeled(setup, 50, 30, 1).X
-        a, b, _ = all_pairs_point_weights(X, setup, noise_std=0.2, normals=pair_normals(1, len(X)))
+        (a, b, _), = all_pairs_point_weights(X, setup, (0.2,), normals=pair_normals(1, len(X)))
         got = train_weighted_points(X, a, b, Architecture.linear(2), self.EPOCHS, 0.1,
                                     seed=self.SEED, drop_every=self.DROP)
 
@@ -317,7 +317,7 @@ class TestFullBatchOrder:
     def test_only_minibatches_draw_a_shuffle(self, monkeypatch, batch, draws):
         setup = preset("B")
         X = sample_labeled(setup, 50, 30, 1).X
-        a, b, _ = all_pairs_point_weights(X, setup)
+        (a, b, _), = all_pairs_point_weights(X, setup)
         keys = []
 
         def recording_rng(*key):
@@ -338,8 +338,8 @@ class TestTrialStack:
         X, a, b = [], [], []
         for seed in range(1, trials + 1):
             pts = sample_labeled(setup, n * 5 // 8, n - n * 5 // 8, seed).X
-            a_t, b_t, _ = all_pairs_point_weights(pts, setup, noise_std=0.1,
-                                                  normals=pair_normals(seed, len(pts)))
+            (a_t, b_t, _), = all_pairs_point_weights(pts, setup, (0.1,),
+                                                     normals=pair_normals(seed, len(pts)))
             X.append(pts)
             a.append(a_t)
             b.append(b_t)
@@ -357,6 +357,19 @@ class TestTrialStack:
             train_weighted_points(X, a, b, Architecture.linear(2), 2, 0.1, batch=40)
         # a batch that covers every row is a full batch
         train_weighted_points(X, a, b, Architecture.linear(2), 2, 0.1, batch=80)
+
+    @pytest.mark.parametrize("epochs,batch,match", [(0, None, "at least one epoch"),
+                                                     (-1, 40, "at least one epoch"),
+                                                     (2, 0, "batch size must be positive"),
+                                                     (2, -3, "batch size must be positive")])
+    def test_bad_epochs_or_batch_fail_before_init(self, monkeypatch, epochs, batch, match):
+        X, a, b = self._stack(trials=1)
+        inits = []
+        monkeypatch.setattr(model, "init", lambda *args: inits.append(args))
+        for stack in ((X, a, b), (X[0], a[0], b[0])):
+            with pytest.raises(ConfigError, match=match):
+                train_weighted_points(*stack, Architecture.linear(2), epochs, 0.1, batch=batch)
+        assert inits == []
 
     def test_mlp_does_not_stack(self):
         X, a, b = self._stack()
