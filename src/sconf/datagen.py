@@ -8,9 +8,9 @@ where r is the positive-class posterior. Confidence noise is zero-mean
 Gaussian, clipped back into [0, 1]; its std must be finite and nonnegative
 (check_noise_std, the one rule for every noise level).
 
-An SconfDataset of n pairs keeps both members in one (2n, d) row block, x
-over x'; subset and pair_up build their block with one take of the rows and
-hand it over with SconfDataset.from_rows. pair_up is the one pairing recipe:
+An SconfDataset of n pairs is its (2n, d) row block, x over x', and its n
+confidences; subset and pair_up build their block with one take of the rows
+and the dataset keeps it as given. pair_up is the one pairing recipe:
 pair_indices permutes the points with the stream (seed, 1) and pairs
 consecutive entries, and each pair's confidence comes from the posteriors of
 its two points.
@@ -18,7 +18,7 @@ its two points.
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,62 +124,40 @@ class LabeledData:
 
 @dataclass
 class SconfDataset:
-    """Unlabeled pairs (x_i, x'_i) with confidences s_i, both members copied
-    into one (2n, d) block rows whose halves x and x_prime are views.
+    """Unlabeled pairs (x_i, x'_i) with confidences s_i: the (2n, d) block
+    rows holds the x members over the x' members, and x and x_prime are views
+    of its halves. The block given is kept, not copied."""
 
-    provenance is "exact" for posterior-derived confidences, "noisy(std=...)"
-    after noise injection, or "model" when the confidences come from a trained
-    probabilistic classifier. reference_s holds the pre-noise confidences when
-    they are known, so downstream code can report the total confidence
-    deviation of a noisy training set.
-    """
-
-    x: np.ndarray
-    x_prime: np.ndarray
+    rows: np.ndarray
     s: np.ndarray
-    provenance: str = "exact"
-    reference_s: np.ndarray | None = field(default=None, repr=False)
-    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        x_prime = np.asarray(self.x_prime, dtype=float)
-        if x.shape != x_prime.shape or x.ndim != 2:
-            raise ConfigError("x and x_prime must both be (n, d)")
-        self._adopt(np.concatenate([x, x_prime]))
-
-    @classmethod
-    def from_rows(cls, rows, s, provenance="exact", reference_s=None):
-        """Pairs from a (2n, d) block, x over x'; the block is kept, not copied."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or len(rows) % 2:
-            raise ConfigError("rows must be (2n, d)")
-        ds = cls.__new__(cls)
-        ds.s, ds.provenance, ds.reference_s = s, provenance, reference_s
-        ds._adopt(rows)
-        return ds
-
-    def _adopt(self, rows):
-        # rows becomes the block, x and x_prime its halves; s is checked against it
-        n = len(rows) // 2
-        self.rows, self.x, self.x_prime = rows, rows[:n], rows[n:]
+        self.rows = np.asarray(self.rows, dtype=float)
         self.s = np.asarray(self.s, dtype=float)
-        if self.s.shape != (n,):
+        if self.rows.ndim != 2 or len(self.rows) % 2:
+            raise ConfigError("rows must be (2n, d)")
+        if self.s.shape != (len(self.rows) // 2,):
             raise ConfigError("s must be (n,)")
         _check_finite(x=self.x, x_prime=self.x_prime, s=self.s)
-        if n and (self.s.min() < 0.0 or self.s.max() > 1.0):
+        if len(self) and (self.s.min() < 0.0 or self.s.max() > 1.0):
             raise ConfigError("confidences must lie in [0, 1]")
 
+    @property
+    def x(self):
+        return self.rows[:len(self)]
+
+    @property
+    def x_prime(self):
+        return self.rows[len(self):]
+
     def __len__(self):
-        return self.x.shape[0]
+        return len(self.s)
 
     def subset(self, idx):
-        """The pairs at idx (indices or a boolean mask), keeping provenance and
-        reference confidences; the rows are one take of the block."""
+        """The pairs at idx (indices or a boolean mask); the rows are one take
+        of the block."""
         idx = np.arange(len(self))[idx]
-        return SconfDataset.from_rows(
-            self.rows[np.concatenate([idx, idx + len(self)])], self.s[idx], self.provenance,
-            None if self.reference_s is None else self.reference_s[idx])
+        return SconfDataset(self.rows[np.concatenate([idx, idx + len(self)])], self.s[idx])
 
 
 def _check_finite(**arrays):
@@ -272,12 +250,11 @@ def pair_indices(n, seed):
     return perm[0::2], perm[1::2]
 
 
-def pair_up(X, r, seed, provenance):
+def pair_up(X, r, seed):
     """Pair the rows of X (pair_indices) with confidences from their
     positive-class posteriors r. |pairs| = n // 2."""
     i1, i2 = pair_indices(len(X), seed)
-    return SconfDataset.from_rows(X[np.concatenate([i1, i2])],
-                                  similarity_confidence(r[i1], r[i2]), provenance)
+    return SconfDataset(X[np.concatenate([i1, i2])], similarity_confidence(r[i1], r[i2]))
 
 
 def make_pairs(points, setup, seed):
@@ -289,7 +266,7 @@ def make_pairs(points, setup, seed):
     n = points.shape[0]
     if n % 2 != 0:
         raise ConfigError(f"need an even number of points to pair, got {n}; drop one point")
-    return pair_up(points, posterior_plus(points, setup), seed, "exact")
+    return pair_up(points, posterior_plus(points, setup), seed)
 
 
 def check_noise_std(std):
@@ -304,13 +281,11 @@ def add_confidence_noise(ds, std, seed):
     each confidence.
 
     s -> clip(s + N(0, std^2), 0, 1); std must pass check_noise_std, and a
-    std of 0 leaves s as it is. The confidences of ds are left untouched; the
-    result remembers them in reference_s.
+    std of 0 leaves s as it is. The confidences of ds are left untouched.
     """
     check_noise_std(std)
     noisy = ds.s + make_rng(seed, 2).normal(0.0, std, size=len(ds)) if std > 0 else ds.s
-    return SconfDataset.from_rows(ds.rows, np.clip(noisy, 0.0, 1.0), f"noisy(std={std:g})",
-                                  ds.s.copy())
+    return SconfDataset(ds.rows, np.clip(noisy, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -169,4 +169,4 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
     scores = model.forward(p, labeled.X)
     p.discard_cache()
     posteriors = 1.0 / (1.0 + np.exp(-scores))
-    return pair_up(labeled.X, posteriors, seed, "model"), posteriors
+    return pair_up(labeled.X, posteriors, seed), posteriors

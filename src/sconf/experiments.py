@@ -36,7 +36,7 @@ import numpy as np
 
 from . import model, trainer
 from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSetup,
-                      add_confidence_noise, check_noise_std, make_pairs, pair_indices, pair_up,
+                      add_confidence_noise, check_noise_std, make_pairs, pair_indices,
                       posterior_plus, preset, sample_labeled, sample_train_test)
 from .errors import ConfigError
 from .prior import estimate_prior
@@ -298,7 +298,7 @@ def split_pairs_by_label(train, setup, seed):
     collapses; without it a handful of near-boundary pairs with extreme 1/s
     (or 1/(1-s)) weights dominate the objective.
     """
-    all_ds = pair_up(train.X, posterior_plus(train.X, setup), seed, "exact")
+    all_ds = make_pairs(train.X, setup, seed)
     i1, i2 = pair_indices(len(train), seed)
     same = train.y[i1] == train.y[i2]
     sim = same & (all_ds.s >= setup.pi_plus)

@@ -206,7 +206,11 @@ def backward(p, upstream):
 
 def save_checkpoint(p, path):
     """Write magic line, architecture descriptor line, then little-endian
-    float64 parameters. The write is atomic (temp file + rename)."""
+    float64 parameters. The write is atomic (temp file + rename). A stack of
+    trials has no checkpoint form; save one trial(t) of it."""
+    if p.stacked:
+        raise ConfigError(f"cannot checkpoint a stack of {len(p.params)} trials; "
+                          "save one trial(t)")
     payload = CHECKPOINT_MAGIC + b"\n" + p.arch.descriptor().encode() + b"\n"
     payload += p.params.astype("<f8").tobytes()
     write_atomic(path, payload)
@@ -221,7 +225,10 @@ def load_checkpoint(path):
     desc, sep, body = rest.partition(b"\n")
     if not sep:
         raise DataError(f"{path}: truncated checkpoint header")
-    arch = Architecture.parse(desc.decode())
+    try:
+        arch = Architecture.parse(desc.decode(errors="replace"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
     expected = arch.param_count * 8
     if len(body) != expected:
         raise DataError(f"{path}: expected {expected} parameter bytes, found {len(body)}")

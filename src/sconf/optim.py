@@ -51,14 +51,15 @@ class AdamState:
     work: np.ndarray = field(default=None, repr=False)  # step()'s two block buffers
 
     def __post_init__(self):
-        if self.weight_decay < 0:
-            raise ConfigError("weight decay must be nonnegative")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be finite and nonnegative, "
+                              f"got {self.weight_decay}")
         if not (np.isfinite(self.lr0) and self.lr0 >= 0.0):
             raise ConfigError(f"learning rate lr0 must be finite and nonnegative, got {self.lr0}")
         if self.drop_every is not None and self.drop_every < 1:
             raise ConfigError(f"drop_every must be at least 1 when set, got {self.drop_every}")
-        if not self.drop_factor > 0.0:
-            raise ConfigError(f"drop_factor must be positive, got {self.drop_factor}")
+        if not 0.0 < self.drop_factor < np.inf:
+            raise ConfigError(f"drop_factor must be finite and positive, got {self.drop_factor}")
 
     @staticmethod
     def for_predictor(p, lr0, weight_decay=0.0, drop_every=None, drop_factor=10.0):

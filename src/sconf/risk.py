@@ -14,7 +14,7 @@ use f(x) = x for x >= 0 and k|x| for x < 0:
 
     nn           k -> 0 limit, implemented as max(0, x)
     abs          k = 1, |x|
-    corrected(k) any k > 0
+    corrected(k) any finite k > 0
 
 The one-sided estimators apply to pair sets conditioned on being similar
 (resp. dissimilar); they fold lead / s_i (resp. lead / (1 - s_i)) into a_i
@@ -53,8 +53,8 @@ def check_estimator(kind, loss="logistic", k=None):
     if loss not in LOSS_KINDS:
         raise ConfigError(f"unknown loss {loss!r}")
     if kind == "corrected":
-        if k is None or not k > 0:
-            raise ConfigError("corrected risk needs k > 0")
+        if k is None or not 0.0 < k < np.inf:
+            raise ConfigError(f"corrected risk needs a finite k > 0, got {k}")
     elif k is not None:
         raise ConfigError(f"k applies only to the corrected kind, not {kind!r}")
 

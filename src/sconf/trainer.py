@@ -71,7 +71,6 @@ class TrainConfig:
 class TrainReport:
     rows: list = field(default_factory=list)  # tuples matching REPORT_COLUMNS
     best_epoch: int = 0
-    sigma_n: float = 0.0
 
     def to_csv(self, path):
         """Write the rows under REPORT_COLUMNS; each column after the epoch as a float."""
@@ -239,8 +238,6 @@ def train(train_ds, val_ds, test, cfg):
     state = optim.AdamState.for_predictor(p, cfg.lr0, weight_decay=cfg.weight_decay,
                                           drop_every=cfg.drop_every, drop_factor=cfg.drop_factor)
     report = TrainReport()
-    if isinstance(train_ds, SconfDataset) and train_ds.reference_s is not None:
-        report.sigma_n = float(np.abs(train_ds.s - train_ds.reference_s).sum())
 
     best = (np.inf, None, 0)
     for epoch in minibatch_epochs(p, state, len(train_ds), cfg.batch_pairs, cfg.seed,

@@ -3,8 +3,9 @@ PASS/FAIL line with the measured quantities.
 
 The two checks that need the real MNIST IDX files look for them under
 SCONF_MNIST_DIR (or ./data/mnist) and skip with an explicit message when the
-files are absent; the surrogate checks on the bundled handwritten-digits set
-always run.
+files are absent. The surrogate checks on the handwritten-digits set bundled
+with scikit-learn skip too where scikit-learn is not installed, so neither
+form of criterion 9 runs without one of them.
 """
 
 import math
@@ -147,12 +148,12 @@ def test_criterion_5_collapse_property():
     direction = np.array([1.0, 0.25])
 
     s_sim = rng.uniform(pi, 1.0, n)
-    ds_sim = SconfDataset(x, xp, s_sim)
+    ds_sim = SconfDataset(np.concatenate([x, xp]), s_sim)
     _, frac_sim = experiments.threshold_collapse_oracle(
         ds_sim, RiskSpec("similar_only", pi), direction)
 
     s_dis = rng.uniform(0.0, 1.0 - pi, n)
-    ds_dis = SconfDataset(x, xp, s_dis)
+    ds_dis = SconfDataset(np.concatenate([x, xp]), s_dis)
     _, frac_dis = experiments.threshold_collapse_oracle(
         ds_dis, RiskSpec("dissimilar_only", pi), direction)
 
@@ -331,8 +332,7 @@ def overfit_cure_property(labeled, test, arch, batch_pairs, lr0, criterion, labe
                                         batch=conf_batch, lr0=1e-2)
     n_val = max(len(ds) // 10, 1)
     perm = make_rng(11, 8).permutation(len(ds))
-    take = lambda idx: SconfDataset(ds.x[idx], ds.x_prime[idx], ds.s[idx])
-    val_ds, train_ds = take(perm[:n_val]), take(perm[n_val:])
+    val_ds, train_ds = ds.subset(perm[:n_val]), ds.subset(perm[n_val:])
 
     outcomes = {}
     for kind in ("unbiased", "abs", "nn"):
@@ -358,7 +358,7 @@ def overfit_cure_property(labeled, test, arch, batch_pairs, lr0, criterion, labe
 
 
 def test_criterion_9_overfitting_cure_digits_surrogate():
-    # always-run surrogate: the bundled 8x8 handwritten digits through the
+    # surrogate: scikit-learn's bundled 8x8 handwritten digits through the
     # same corruption rule and pipeline; minibatches sized so the 60-epoch
     # budget overfits the 500-500 network the way the full protocol does
     data = digits_binary()
@@ -374,9 +374,8 @@ def test_criterion_9_overfitting_cure_digits_surrogate():
 def test_criterion_9_overfitting_cure_mnist():
     base = mnist_dir()
     if base is None:
-        pytest.skip("MNIST IDX files not found (set SCONF_MNIST_DIR); the sandbox "
-                    "has no dataset network access - surrogate check covers the "
-                    "property on bundled digits")
+        pytest.skip("MNIST IDX files not found (set SCONF_MNIST_DIR); the digits "
+                    "surrogate covers the property only where scikit-learn is installed")
     ti, tl, vi, vl = mnist_paths(base)
     X, labels = load_idx(ti, tl)
     Xt, labels_t = load_idx(vi, vl)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sconf import dataset_io, svgplot
+from sconf import cli, dataset_io, svgplot
 from sconf.cli import TRAIN_KEYS, main
 
 
@@ -363,7 +363,9 @@ class TestInputValidation:
         ("confidence_batch=0", "confidence_batch"), ("confidence_epochs=0", "confidence_epochs"),
         ("val_fraction=-0.5", "val_fraction"), ("val_fraction=1.5", "val_fraction"),
         ("subsample=0", "subsample"), ("seed=-1", "seeds must be nonnegative"),
-        ("confidence_lr0=-1", "confidence_lr0"),
+        ("confidence_lr0=-1", "confidence_lr0"), ("weight_decay=nan", "weight_decay"),
+        ("weight_decay=inf", "weight_decay"), ("estimator=corrected\nk=inf", "finite k > 0"),
+        ("drop_every=1\ndrop_factor=inf", "drop_factor"),
     ])
     def test_bad_setting_exits_before_the_idx_load(self, tmp_path, monkeypatch, capsys,
                                                    setting, named):
@@ -400,15 +402,22 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("setting,named", [
         ("seed=-1", "seeds must be nonnegative"), ("noise_std=-1", "noise std"),
-        ("noise_std=nan", "noise std"),
+        ("noise_std=nan", "noise std"), ("weight_decay=nan", "weight_decay"),
+        ("weight_decay=inf", "weight_decay"), ("estimator=corrected\nk=inf", "finite k > 0"),
+        ("drop_every=1\ndrop_factor=inf", "drop_factor"),
     ])
-    def test_bad_synthetic_train_setting_exits_2(self, tmp_path, capsys, setting, named):
+    def test_bad_synthetic_train_setting_exits_2(self, tmp_path, monkeypatch, capsys, setting,
+                                                 named):
+        def never(*args, **kwargs):
+            raise AssertionError("the synthetic data was sampled")
+
+        monkeypatch.setattr(cli, "sample_train_test", never)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"setup=B\nepochs=1\n{setting}\n")
         out = tmp_path / "out"
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert named in err and err.startswith("error:") and "Traceback" not in err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("items,message", [

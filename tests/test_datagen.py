@@ -135,14 +135,14 @@ class TestFiniteInputs:
     def test_nan_confidence_rejected(self):
         # both range comparisons are False for NaN, so it needs its own check
         with pytest.raises(ConfigError, match="s has a non-finite value in row 1"):
-            SconfDataset(np.zeros((3, 2)), np.zeros((3, 2)), [0.5, np.nan, 0.5])
+            SconfDataset(np.zeros((6, 2)), [0.5, np.nan, 0.5])
 
     @pytest.mark.parametrize("field", ("x", "x_prime"))
     def test_non_finite_pair_member_rejected(self, field):
         cols = {"x": np.zeros((2, 2)), "x_prime": np.zeros((2, 2))}
         cols[field][0, 0] = np.inf
         with pytest.raises(ConfigError, match=f"{field} has a non-finite value in row 0"):
-            SconfDataset(cols["x"], cols["x_prime"], [0.5, 0.5])
+            SconfDataset(np.concatenate([cols["x"], cols["x_prime"]]), [0.5, 0.5])
 
 
 class TestMakePairs:
@@ -198,25 +198,31 @@ class TestMakePairs:
 class TestPairBlock:
     def test_members_are_views_of_one_block(self):
         x, xp = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
-        ds = SconfDataset(x, xp, [0.1, 0.5, 0.9])
-        assert ds.rows.shape == (6, 2)
-        assert np.array_equal(ds.rows, np.vstack([x, xp]))
+        rows = np.concatenate([x, xp])
+        ds = SconfDataset(rows, [0.1, 0.5, 0.9])
+        assert ds.rows is rows and len(ds) == 3  # the block is kept, not copied
         assert np.shares_memory(ds.x, ds.rows) and np.shares_memory(ds.x_prime, ds.rows)
         assert np.array_equal(ds.x, x) and np.array_equal(ds.x_prime, xp)
-        x[0, 0] = 99.0  # the block is a copy of the inputs
-        assert ds.x[0, 0] == 0.0
+        with pytest.raises(AttributeError):
+            ds.x = xp
+        with pytest.raises(ConfigError, match="confidences must lie in"):
+            SconfDataset(rows, [0.1, 1.5, 0.9])
+        with pytest.raises(ConfigError, match="s must be"):
+            SconfDataset(rows, [0.1, 0.5])
+        with pytest.raises(ConfigError, match=r"rows must be \(2n, d\)"):
+            SconfDataset(rows[:5], [0.1, 0.5])
+        rows[4, 0] = np.nan
+        with pytest.raises(ConfigError, match="x_prime has a non-finite value in row 1"):
+            SconfDataset(rows, [0.1, 0.5, 0.9])
 
-    def test_subset_keeps_provenance_and_reference(self):
+    def test_subset_of_noisy_pairs_keeps_rows_and_s(self):
         setup = preset("B")
         ds = make_pairs(sample_labeled(setup, 25, 15, 3).X, setup, 3)
         noisy = add_confidence_noise(ds, 0.2, seed=3)
         idx = np.array([7, 0, 19, 3])
         sub = noisy.subset(idx)
-        assert sub.provenance == noisy.provenance == "noisy(std=0.2)"
-        assert np.array_equal(sub.reference_s, ds.s[idx])
         assert np.array_equal(sub.s, noisy.s[idx])
         assert np.array_equal(sub.rows, np.vstack([ds.x[idx], ds.x_prime[idx]]))
-        assert ds.subset(idx).reference_s is None
 
     def test_subset_rows_equal_stacked_members(self):
         setup = preset("B")
@@ -242,21 +248,6 @@ class TestPairBlock:
         with pytest.raises(IndexError):
             ds.subset(np.ones(len(ds) - 1, dtype=bool))
 
-    def test_from_rows_keeps_the_block_and_validates(self):
-        rows = np.arange(8.0).reshape(4, 2)
-        ds = SconfDataset.from_rows(rows, [0.2, 0.7], provenance="model")
-        assert ds.rows is rows and ds.provenance == "model" and len(ds) == 2
-        assert np.array_equal(ds.x, rows[:2]) and np.array_equal(ds.x_prime, rows[2:])
-        with pytest.raises(ConfigError, match="confidences must lie in"):
-            SconfDataset.from_rows(rows, [0.2, 1.5])
-        with pytest.raises(ConfigError, match="s must be"):
-            SconfDataset.from_rows(rows, [0.2, 0.5, 0.5])
-        with pytest.raises(ConfigError, match=r"rows must be \(2n, d\)"):
-            SconfDataset.from_rows(rows[:3], [0.2])
-        rows[3, 0] = np.nan
-        with pytest.raises(ConfigError, match="x_prime has a non-finite value in row 1"):
-            SconfDataset.from_rows(rows, [0.2, 0.7])
-
 
 def clipped_noise_mad(s, std):
     # closed-form E|clip(s + e, 0, 1) - s| for e ~ N(0, std^2)
@@ -278,10 +269,9 @@ class TestConfidenceNoise:
         ds = self._dataset(100, 3)
         noisy = add_confidence_noise(ds, 0.0, seed=5)
         assert np.array_equal(noisy.s, ds.s)
-        assert noisy.provenance.startswith("noisy")
 
     def test_clipping_rule(self):
-        ds = SconfDataset(np.zeros((4, 2)), np.ones((4, 2)),
+        ds = SconfDataset(np.concatenate([np.zeros((4, 2)), np.ones((4, 2))]),
                           np.array([0.95, 0.05, 0.5, 0.99]))
         noisy = add_confidence_noise(ds, 0.8, seed=17)
         # duplicate arithmetic: same stream, explicit clip
@@ -290,12 +280,12 @@ class TestConfidenceNoise:
         assert np.array_equal(noisy.s, np.clip(ds.s + e, 0.0, 1.0))
         assert np.all((noisy.s >= 0) & (noisy.s <= 1))
 
-    def test_original_untouched_and_reference_kept(self):
+    def test_original_untouched_and_rows_shared(self):
         ds = self._dataset(50, 11)
         before = ds.s.copy()
         noisy = add_confidence_noise(ds, 0.3, seed=11)
         assert np.array_equal(ds.s, before)
-        assert np.array_equal(noisy.reference_s, before)
+        assert noisy.rows is ds.rows
 
     def test_mad_matches_clipped_normal_oracle(self):
         ds = self._dataset(100_000, 23)

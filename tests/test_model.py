@@ -222,6 +222,19 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("desc", (b"linear 0", b"mlp 4 0 5", b"\xff\xfe"))
+    def test_bad_descriptor_is_a_data_error(self, tmp_path, desc):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"SCONF-CKPT-1\n" + desc + b"\n" + b"\x00" * 24)
+        with pytest.raises(DataError, match="bad architecture descriptor"):
+            load_checkpoint(path)
+
+    def test_stack_is_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ConfigError, match="stack of 3 trials"):
+            save_checkpoint(init(Architecture.linear(2), trials=3), path)
+        assert not path.exists()
+
     def test_truncated(self, tmp_path):
         p = init(Architecture.linear(2))
         path = tmp_path / "model.ckpt"

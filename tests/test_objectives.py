@@ -40,7 +40,7 @@ def all_pairs_dataset(X, setup, noise_std=0.0, seed=0):
     s = r[i] * r[j] + (1.0 - r[i]) * (1.0 - r[j])
     if noise_std > 0:
         s = np.clip(s + make_rng(seed, 2).normal(0.0, noise_std, size=len(s)), 0.0, 1.0)
-    return SconfDataset(X[i], X[j], s)
+    return SconfDataset(np.concatenate([X[i], X[j]]), s)
 
 
 @pytest.mark.parametrize("noise_std", (0.0, 0.2))
@@ -200,7 +200,7 @@ def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_m
     else:
         # confidences bunched around s_mid: below pi- (above pi+) the
         # partial risk r+ (r-) tends to go negative
-        ds = SconfDataset(rng.normal(size=(n, d)), rng.normal(size=(n, d)),
+        ds = SconfDataset(np.concatenate([rng.normal(size=(n, d)), rng.normal(size=(n, d))]),
                           np.clip(rng.normal(s_mid, 0.15, size=n), 0.02, 0.98))
     p = model.init(model.Architecture.linear(d))
     p.params[:] = rng.normal(0.0, 0.7, d + 1)

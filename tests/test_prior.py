@@ -8,7 +8,7 @@ from sconf.prior import estimate_prior, invert_pair_mean
 
 def flat_dataset(s_values):
     n = len(s_values)
-    return SconfDataset(np.zeros((n, 2)), np.zeros((n, 2)), np.asarray(s_values, float))
+    return SconfDataset(np.zeros((2 * n, 2)), np.asarray(s_values, float))
 
 
 class TestInversion:

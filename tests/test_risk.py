@@ -284,7 +284,7 @@ class TestCollapseOracle:
             s = rng.uniform(pi_plus + 1e-6, 1.0, n)
         else:
             s = rng.uniform(0.0, 1 - pi_plus - 1e-6, n)
-        return SconfDataset(x, xp, s)
+        return SconfDataset(np.concatenate([x, xp]), s)
 
     def test_similar_only_collapses_all_positive(self):
         from sconf.experiments import threshold_collapse_oracle

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sconf import model, optim, trainer
-from sconf.datagen import (LabeledData, SconfDataset, add_confidence_noise,
-                           make_pairs, preset, sample_labeled)
+from sconf.datagen import LabeledData, SconfDataset, make_pairs, preset, sample_labeled
 from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
 from sconf.experiments import all_pairs_point_weights, pair_normals
 from sconf.model import Architecture
@@ -151,16 +150,6 @@ class TestTrainBasics:
         assert thinned.rows == [every.rows[epoch] for epoch in (2, 5, 6)]
         assert thinned.best_epoch == every.best_epoch
 
-    def test_sigma_n_reporting(self):
-        setup, ds = small_pair_data()
-        noisy = add_confidence_noise(ds, 0.2, seed=5)
-        test = small_test(setup)
-        cfg = linear_cfg(RiskSpec("unbiased", 0.625), epochs=1)
-        _, report = train(noisy, None, test, cfg)
-        assert report.sigma_n == pytest.approx(float(np.abs(noisy.s - ds.s).sum()))
-        _, clean_report = train(ds, None, test, cfg)
-        assert clean_report.sigma_n == 0.0
-
     def test_lr_schedule_recorded(self):
         setup, ds = small_pair_data()
         test = small_test(setup)
@@ -211,7 +200,7 @@ class TestEstimatorKinds:
     def test_one_sided_trains(self):
         setup, ds = small_pair_data()
         keep = ds.s >= 0.625
-        sim = SconfDataset(ds.x[keep], ds.x_prime[keep], ds.s[keep])
+        sim = ds.subset(keep)
         test = small_test(setup)
         cfg = linear_cfg(RiskSpec("similar_only", 0.625), epochs=3)
         _, report = train(sim, None, test, cfg)
@@ -224,7 +213,7 @@ class TestConvexCaseConvergence:
         # the unbiased objective is convex in the linear parameters
         setup, ds = small_pair_data(seed=11, n_points=400)
         s = np.clip(ds.s, 0.375 + 1e-9, 0.625 - 1e-9)
-        clipped = SconfDataset(ds.x, ds.x_prime, s)
+        clipped = SconfDataset(ds.rows, s)
         test = small_test(setup)
         spec = RiskSpec("unbiased", 0.625)
         short = linear_cfg(spec, epochs=100, drop_every=30)
