@@ -1,10 +1,15 @@
 """Experiment command line.
 
 Subcommands: reproduce-table1, collapse-demo, sweep-n, sweep-noise, prior,
-train, gen-synth. Every stochastic command takes an explicit seed (sweep and
-table trials default to seeds 1..trials). Outputs are CSV files, written by
+train, gen-synth. Every stochastic command is seeded: collapse-demo, prior and
+gen-synth need --seed, sweep-n's trial seeds derive from its --seed (default
+1), reproduce-table1 and sweep-noise run the trial seeds 1..trials, and train
+takes its config's seed key (default 1). Outputs are CSV files, written by
 fileio.write_csv, plus SVG plots; a table's or curve's plot is drawn from the
-rows just written to its CSV. All files are written atomically.
+rows just written to its CSV. train writes report.csv, one row per epoch
+(train and validation risk, test accuracy and zero-one risk, learning rate),
+its curves.svg, and model.ckpt, the predictor at the best-validation epoch.
+All files are written atomically.
 
 Config files are key=value text; a key given twice is an error. Each train
 --set KEY=VALUE item is parsed like a config line and overrides the file, and
@@ -177,10 +182,9 @@ def cmd_gen_synth(args):
 
 
 TRAIN_KEYS = {
-    "estimator": "unbiased", "k": "", "loss": "logistic", "arch": "linear",
-    "epochs": "100", "batch_pairs": "full", "lr0": "0.1", "weight_decay": "0.0",
-    "drop_every": "", "drop_factor": "10.0", "eval_every": "1", "seed": "1",
-    "pi_plus": "",
+    "estimator": "unbiased", "k": "", "arch": "linear", "epochs": "100",
+    "batch_pairs": "full", "lr0": "0.1", "weight_decay": "0.0", "drop_every": "",
+    "seed": "1", "pi_plus": "",
     # synthetic source
     "setup": "", "noise_std": "0.0", "val_fraction": "0.0",
     # IDX source
@@ -217,13 +221,10 @@ def _train_from_config(given, out):
         return value
 
     # every setting is checked here, before any data is loaded: the estimator,
-    # loss, seed, architecture, a given class prior, the Adam and loop
-    # schedule, and the source's own settings; only the input width waits for
-    # the data
-    risk = dict(kind=get("estimator"), loss=get("loss"), k=opt("k"))
+    # seed, architecture, a given class prior, the Adam and loop schedule, and
+    # the source's own settings; only the input width waits for the data
+    risk = dict(kind=get("estimator"), k=opt("k"))
     check_estimator(**risk)
-    if risk["loss"] != "logistic":
-        raise ConfigError(f"loss {risk['loss']!r} has no derivative to train on; use logistic")
     pairs = risk["kind"] != "supervised"
     seed, arch = num("seed", int), get("arch")
     make_rng(seed)
@@ -233,10 +234,8 @@ def _train_from_config(given, out):
         RiskSpec(pi_plus=pi_plus, **risk)
     adam = dict(lr0=num("lr0"), weight_decay=num("weight_decay"),
                 drop_every=opt("drop_every", int))
-    if adam["drop_every"] is not None:
-        adam["drop_factor"] = num("drop_factor")
     optim.AdamState(**adam)
-    schedule = dict(epochs=count("epochs"), seed=seed, eval_every=count("eval_every"),
+    schedule = dict(epochs=count("epochs"), seed=seed,
                     batch_pairs=None if get("batch_pairs") == "full" else count("batch_pairs"),
                     **adam)
     if get("setup"):
@@ -301,7 +300,7 @@ def _train_from_config(given, out):
                       {"train risk": train_risk, "val risk": val_risk, "test 0-1 risk": test_01},
                       title="Learning curves", xlabel="epoch", ylabel="risk")
     final = report.rows[-1]
-    best = report.row_at(report.best_epoch)
+    best = report.rows[report.best_epoch]
     print(f"final epoch {final[0]}: train_risk {final[1]:.5f} test_acc {final[3]:.4f}")
     print(f"best val epoch {report.best_epoch}: test_acc {best[3]:.4f}")
     print(f"wrote {report_path}")

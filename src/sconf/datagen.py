@@ -102,7 +102,7 @@ def preset(name):
         raise ConfigError(f"unknown setup preset {name!r}; choose from {sorted(SETUPS)}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledData:
     """A batch of labeled examples: features X (n, d) and labels y in {-1, +1}."""
 
@@ -122,7 +122,7 @@ class LabeledData:
         return self.X.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class SconfDataset:
     """Unlabeled pairs (x_i, x'_i) with confidences s_i: the (2n, d) block
     rows holds the x members over the x' members, and x and x_prime are views
@@ -212,18 +212,14 @@ def posterior_plus(X, setup):
     """
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 1
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # an underflowed density is -inf
         a = np.log(setup.pi_plus) + _log_density(X, setup.mu_plus, setup.sigma_plus)
         b = np.log(setup.pi_minus) + _log_density(X, setup.mu_minus, setup.sigma_minus)
     with np.errstate(over="ignore", invalid="ignore"):
+        # one density underflowed: exp(b - a) is 0 or inf, so r is 1.0 or 0.0
         r = 1.0 / (1.0 + np.exp(b - a))
-    bad = ~np.isfinite(b - a)
-    if np.any(bad):
-        # exp(b - a) is inf/inf or nan: both densities underflowed
-        both_gone = bad & ~(np.isfinite(a) | np.isfinite(b))
-        r = np.where(both_gone, setup.pi_plus, r)
-        r = np.where(bad & np.isfinite(a) & ~np.isfinite(b), 1.0, r)
-        r = np.where(bad & np.isfinite(b) & ~np.isfinite(a), 0.0, r)
+    # both underflowed: b - a is -inf - -inf = nan
+    r = np.where(np.isnan(r), setup.pi_plus, r)
     return float(r[0]) if scalar else r
 
 

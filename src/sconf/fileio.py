@@ -3,6 +3,7 @@ key=value text format of setup files, training configs and their --set items
 ('#' starts a comment, blank lines are skipped), and the number lists of CLI
 flags and config values."""
 
+import contextlib
 import csv
 import io
 import os
@@ -14,13 +15,19 @@ from .errors import ConfigError
 
 
 def write_atomic(path, data):
-    """Write str (as UTF-8) or bytes to path through a temp file and a rename."""
+    """Write str (as UTF-8) or bytes to path through a temp file and a rename;
+    if the write or the rename fails, the temp file is removed."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_csv(path, header, rows):

@@ -69,15 +69,18 @@ class Architecture:
 
     @staticmethod
     def parse(text):
-        parts = text.split()
+        parts, sizes = text.split(), None
         try:
-            if parts[0] == "linear" and len(parts) == 2:
-                return Architecture.linear(int(parts[1]))
-            if parts[0] == "mlp" and len(parts) == 4:
-                return Architecture.mlp(int(parts[1]), int(parts[2]), int(parts[3]))
+            if (parts[0], len(parts)) in (("linear", 2), ("mlp", 4)):
+                sizes = [int(v) for v in parts[1:]]
         except (ValueError, IndexError):
             pass
-        raise ConfigError(f"bad architecture descriptor {text!r}")
+        if sizes is None:
+            raise ConfigError(f"bad architecture descriptor {text!r}")
+        try:
+            return Architecture(parts[0], *sizes)
+        except ConfigError as exc:
+            raise ConfigError(f"bad architecture descriptor {text!r}: {exc}") from None
 
 
 @dataclass

@@ -3,9 +3,9 @@
 The decay term is added to the gradient before the moment updates (classic
 Adam-with-L2, not decoupled decay). The moment decay rates and the
 denominator guard are the fixed textbook values BETA1 = 0.9, BETA2 = 0.999
-and EPS = 1e-8. The schedule divides the base rate by drop_factor after
+and EPS = 1e-8. The schedule divides the base rate by DROP_FACTOR = 10 after
 every drop_every completed epochs:
-lr(epoch) = lr0 / drop_factor ** floor(epoch / drop_every).
+lr(epoch) = lr0 / 10 ** floor(epoch / drop_every).
 Every update is elementwise, so a stack of T trials, whose parameters and
 moments are (T, d + 1) blocks, takes T independent Adam steps in one.
 
@@ -37,6 +37,7 @@ from .errors import ConfigError
 BLOCK = 2**15
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+DROP_FACTOR = 10.0
 
 
 @dataclass
@@ -44,7 +45,6 @@ class AdamState:
     lr0: float
     weight_decay: float = 0.0
     drop_every: int | None = None
-    drop_factor: float = 10.0
     step_count: int = 0
     m: np.ndarray = field(default=None, repr=False)
     v: np.ndarray = field(default=None, repr=False)
@@ -58,14 +58,12 @@ class AdamState:
             raise ConfigError(f"learning rate lr0 must be finite and nonnegative, got {self.lr0}")
         if self.drop_every is not None and self.drop_every < 1:
             raise ConfigError(f"drop_every must be at least 1 when set, got {self.drop_every}")
-        if not 0.0 < self.drop_factor < np.inf:
-            raise ConfigError(f"drop_factor must be finite and positive, got {self.drop_factor}")
 
     @staticmethod
-    def for_predictor(p, lr0, weight_decay=0.0, drop_every=None, drop_factor=10.0):
+    def for_predictor(p, lr0, weight_decay=0.0, drop_every=None):
         return AdamState(lr0=lr0, weight_decay=weight_decay, drop_every=drop_every,
-                         drop_factor=drop_factor, m=np.zeros_like(p.params),
-                         v=np.zeros_like(p.params), work=_work_buffers(p.params))
+                         m=np.zeros_like(p.params), v=np.zeros_like(p.params),
+                         work=_work_buffers(p.params))
 
 
 def _work_buffers(params):
@@ -77,7 +75,7 @@ def _work_buffers(params):
 def effective_lr(state, epoch):
     if not state.drop_every:
         return state.lr0
-    return state.lr0 / state.drop_factor ** (epoch // state.drop_every)
+    return state.lr0 / DROP_FACTOR ** (epoch // state.drop_every)
 
 
 def step(state, p, epoch):

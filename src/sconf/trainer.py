@@ -18,12 +18,12 @@ Adam step. A stack trains full batch only, and only the linear model stacks.
 It checks the parameter block once per epoch and stops with
 NonFiniteRiskError naming the epoch and the trial.
 
-After every epoch train() records the full-train risk and full-validation
-risk (same estimator kind), and stops with NonFiniteRiskError if a risk is not
-finite; the test set is scored only on the epochs it reports (every
-eval_every-th and the last). The returned predictor is the parameter snapshot
-at the epoch of minimum validation risk; test labels are touched only inside
-evaluate().
+Every epoch of train() is one report row: the full-train risk and the
+full-validation risk (same estimator kind), the test accuracy and zero-one
+risk, and the learning rate, so row e is rows[e]. train() stops with
+NonFiniteRiskError if a train or validation risk is not finite. The returned
+predictor is the parameter snapshot at the epoch of minimum validation risk;
+test labels are touched only inside evaluate().
 """
 
 from dataclasses import dataclass, field
@@ -55,16 +55,12 @@ class TrainConfig:
     lr0: float = 0.1
     weight_decay: float = 0.0
     drop_every: int | None = None
-    drop_factor: float = 10.0
-    eval_every: int = 1
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("need at least one epoch")
         if self.batch_pairs is not None and self.batch_pairs < 1:
             raise ConfigError("batch size must be positive")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be positive")
 
 
 @dataclass
@@ -75,12 +71,6 @@ class TrainReport:
     def to_csv(self, path):
         """Write the rows under REPORT_COLUMNS; each column after the epoch as a float."""
         write_csv(path, REPORT_COLUMNS, [(row[0], *map(float, row[1:])) for row in self.rows])
-
-    def row_at(self, epoch):
-        for row in self.rows:
-            if row[0] == epoch:
-                return row
-        raise KeyError(epoch)
 
 
 def evaluate(p, test):
@@ -224,8 +214,9 @@ def train(train_ds, val_ds, test, cfg):
     train_ds / val_ds are SconfDatasets for the pair estimator kinds and
     LabeledData for the supervised kind. val_ds may be None, in which case the
     training set doubles as the validation set (selection then follows the
-    training risk). Raises NonFiniteRiskError if the train or validation risk
-    of an epoch is NaN or infinite.
+    training risk). Every epoch scores the test set and appends one row to
+    the report, so report.rows[e] is epoch e. Raises NonFiniteRiskError if
+    the train or validation risk of an epoch is NaN or infinite.
     """
     spec = cfg.risk
     _check_dataset(train_ds, spec, "training")
@@ -236,7 +227,7 @@ def train(train_ds, val_ds, test, cfg):
 
     p = model.init(cfg.arch, cfg.seed)
     state = optim.AdamState.for_predictor(p, cfg.lr0, weight_decay=cfg.weight_decay,
-                                          drop_every=cfg.drop_every, drop_factor=cfg.drop_factor)
+                                          drop_every=cfg.drop_every)
     report = TrainReport()
 
     best = (np.inf, None, 0)
@@ -247,10 +238,9 @@ def train(train_ds, val_ds, test, cfg):
         for role, value in (("train", train_risk), ("validation", val_risk)):
             if not np.isfinite(value):
                 raise NonFiniteRiskError(epoch, role, value)
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            test_acc, test_01 = evaluate(p, test)
-            lr = optim.effective_lr(state, epoch)
-            report.rows.append((epoch, train_risk, val_risk, test_acc, test_01, lr))
+        test_acc, test_01 = evaluate(p, test)
+        lr = optim.effective_lr(state, epoch)
+        report.rows.append((epoch, train_risk, val_risk, test_acc, test_01, lr))
         if val_risk < best[0]:
             best = (val_risk, p.params.copy(), epoch)
 

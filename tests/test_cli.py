@@ -160,6 +160,17 @@ class TestTrain:
         assert not (out / "report.csv").exists()
         assert not (out / "model.ckpt").exists()
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # report.csv is a directory, so the rename onto it fails: exit 3, and
+        # the atomic writer removes its temp file
+        cfg = self.write_cfg(tmp_path, "setup=B\nepochs=1\nseed=1\n")
+        out = tmp_path / "out"
+        (out / "report.csv").mkdir(parents=True)
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert [name for name in os.listdir(out) if ".tmp." in name] == []
+        assert not (out / "model.ckpt").exists()
+
     def test_balanced_prior_guard_exit_code(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "setup=B\nepochs=1\nseed=1\npi_plus=0.5\n")
         assert run_cli(["train", str(cfg), "--out", str(tmp_path / "o")]) == 4
@@ -320,7 +331,6 @@ class TestInputValidation:
         ("setup=B\nestimator=supervised\nconfidence_epochs=7", "confidence_epochs"),
         ("setup=B\nconfidence_lr0=5", "confidence_lr0"),
         ("setup=B\nidx_test_images=/nope", "idx_test_images"),
-        ("setup=B\ndrop_factor=3", "drop_factor"),
         ("setup=B\nestimator=supervised\npi_plus=0.9", "pi_plus"),
     ])
     def test_ignored_train_key(self, tmp_path, capsys, text, named):
@@ -337,9 +347,9 @@ class TestInputValidation:
     def test_every_unread_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("setup=B\nestimator=supervised\nepochs=1\nnoise_std=0.3\n"
-                       "corruption=mnist\nsubsample=50\nconfidence_epochs=7\ndrop_factor=3\n")
+                       "corruption=mnist\nsubsample=50\nconfidence_epochs=7\n")
         assert run_cli(["train", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert ("confidence_epochs, corruption, drop_factor, noise_std, subsample"
+        assert ("confidence_epochs, corruption, noise_std, subsample"
                 in capsys.readouterr().err)
 
     def test_unread_idx_key_exits_before_the_confidence_fit(self, tmp_path, monkeypatch):
@@ -348,24 +358,22 @@ class TestInputValidation:
 
         monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(random_idx_source(tmp_path) + "\nepochs=1\ndrop_factor=3\n")
+        cfg.write_text(random_idx_source(tmp_path) + "\nepochs=1\nnoise_std=0.1\n")
         out = tmp_path / "out"
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("setting,named", [
-        ("lr0=-1", "lr0"), ("estimator=bogus", "bogus"), ("loss=hinge", "hinge"),
+        ("lr0=-1", "lr0"), ("estimator=bogus", "bogus"),
         ("estimator=corrected", "k > 0"), ("k=0.5", "k applies"),
-        ("drop_every=0", "drop_every"), ("drop_every=2\ndrop_factor=0", "drop_factor"),
-        ("epochs=0", "epochs"), ("eval_every=0", "eval_every"), ("batch_pairs=0", "batch_pairs"),
+        ("drop_every=0", "drop_every"), ("epochs=0", "epochs"), ("batch_pairs=0", "batch_pairs"),
         ("arch=mlp:5", "arch"), ("arch=mlp:0,5", "hidden widths"), ("arch=cnn", "arch"),
-        ("pi_plus=1.5", "pi_plus"), ("pi_plus=0.5005", "1/2"), ("loss=zero_one", "derivative"),
+        ("pi_plus=1.5", "pi_plus"), ("pi_plus=0.5005", "1/2"),
         ("confidence_batch=0", "confidence_batch"), ("confidence_epochs=0", "confidence_epochs"),
         ("val_fraction=-0.5", "val_fraction"), ("val_fraction=1.5", "val_fraction"),
         ("subsample=0", "subsample"), ("seed=-1", "seeds must be nonnegative"),
         ("confidence_lr0=-1", "confidence_lr0"), ("weight_decay=nan", "weight_decay"),
         ("weight_decay=inf", "weight_decay"), ("estimator=corrected\nk=inf", "finite k > 0"),
-        ("drop_every=1\ndrop_factor=inf", "drop_factor"),
     ])
     def test_bad_setting_exits_before_the_idx_load(self, tmp_path, monkeypatch, capsys,
                                                    setting, named):
@@ -404,7 +412,6 @@ class TestInputValidation:
         ("seed=-1", "seeds must be nonnegative"), ("noise_std=-1", "noise std"),
         ("noise_std=nan", "noise std"), ("weight_decay=nan", "weight_decay"),
         ("weight_decay=inf", "weight_decay"), ("estimator=corrected\nk=inf", "finite k > 0"),
-        ("drop_every=1\ndrop_factor=inf", "drop_factor"),
     ])
     def test_bad_synthetic_train_setting_exits_2(self, tmp_path, monkeypatch, capsys, setting,
                                                  named):
@@ -424,6 +431,9 @@ class TestInputValidation:
         (["epochs"], "--set:1: expected key=value"),
         (["epochs=1", "whatever=3"], "--set:2: unknown key 'whatever'"),
         (["epochs=1", "epochs=2"], "--set:2: duplicate key 'epochs'"),
+        (["eval_every=4"], "--set:1: unknown key 'eval_every'"),
+        (["drop_factor=3"], "--set:1: unknown key 'drop_factor'"),
+        (["loss=logistic"], "--set:1: unknown key 'loss'"),
     ])
     def test_malformed_set_item(self, tmp_path, capsys, items, message):
         # --set items are parsed like config lines: a repeated key is an
@@ -441,10 +451,9 @@ class TestInputValidation:
     # a setting per key where the key applies: a synthetic setup=B run, or an
     # IDX run for the keys in IDX_SOURCE_KEYS (whose source sets the file keys)
     VALID_SETTINGS = {
-        "estimator": "estimator=nn", "k": "estimator=corrected k=0.1", "loss": "loss=logistic",
+        "estimator": "estimator=nn", "k": "estimator=corrected k=0.1",
         "arch": "arch=mlp:4,4", "epochs": "epochs=2", "batch_pairs": "batch_pairs=64",
         "lr0": "lr0=0.05", "weight_decay": "weight_decay=0.001", "drop_every": "drop_every=1",
-        "drop_factor": "drop_every=1 drop_factor=2", "eval_every": "eval_every=1",
         "seed": "seed=2", "pi_plus": "pi_plus=0.7", "setup": "setup=A",
         "noise_std": "noise_std=0.1", "val_fraction": "val_fraction=0.2",
         "idx_images": "", "idx_labels": "", "idx_test_images": "", "idx_test_labels": "",
@@ -466,7 +475,7 @@ class TestInputValidation:
         cfg.write_text(source + "\n" + "".join(f"{k}={v}\n" for k, v in values.items()))
         assert run_cli(["train", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.parametrize("setting", ("lr0=-1", "lr0=nan", "drop_every=0", "drop_factor=0"))
+    @pytest.mark.parametrize("setting", ("lr0=-1", "lr0=nan", "drop_every=0"))
     def test_bad_learning_rate_schedule(self, tmp_path, capsys, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"setup=B\nepochs=1\nseed=1\n{setting}\n")

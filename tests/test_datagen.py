@@ -57,6 +57,8 @@ class TestSampleLabeled:
         c = sample_labeled(preset("C"), 40, 20, seed=6)
         assert np.array_equal(a.X, b.X)
         assert not np.array_equal(a.X, c.X)
+        # == is identity, not an elementwise compare that cannot be a bool
+        assert a == a and a != b
 
     def test_train_test_recipe(self):
         setup = preset("C")
@@ -90,8 +92,10 @@ class TestPosterior:
 
     def test_far_tail_stays_finite(self):
         setup = preset("A")
-        r = posterior_plus(np.array([[1e6, -1e6], [-1e6, 1e6]]), setup)
+        r = posterior_plus(np.array([[1e6, -1e6], [-1e6, 1e6], [1e300, -1e300]]), setup)
         assert np.all((r >= 0) & (r <= 1))
+        # at the last point both densities underflow: the posterior is the prior
+        assert r[2] == setup.pi_plus
 
 
 class TestSimilarityConfidence:
@@ -205,6 +209,8 @@ class TestPairBlock:
         assert np.array_equal(ds.x, x) and np.array_equal(ds.x_prime, xp)
         with pytest.raises(AttributeError):
             ds.x = xp
+        # == is identity, not an elementwise compare that cannot be a bool
+        assert ds == ds and ds != SconfDataset(rows, [0.1, 0.5, 0.9])
         with pytest.raises(ConfigError, match="confidences must lie in"):
             SconfDataset(rows, [0.1, 1.5, 0.9])
         with pytest.raises(ConfigError, match="s must be"):

@@ -222,12 +222,20 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("desc", (b"linear 0", b"mlp 4 0 5", b"\xff\xfe"))
+    # the error ends with the constructor's reason, when the fields parse
+    DESCRIPTOR_ERROR_ENDS = {
+        b"linear 0": "'linear 0': input dimension must be positive",
+        b"mlp 4 0 5": "'mlp 4 0 5': architecture hidden widths must be positive, got 0, 5",
+        b"\xff\xfe": "bad architecture descriptor '\ufffd\ufffd'",
+    }
+
+    @pytest.mark.parametrize("desc", DESCRIPTOR_ERROR_ENDS)
     def test_bad_descriptor_is_a_data_error(self, tmp_path, desc):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"SCONF-CKPT-1\n" + desc + b"\n" + b"\x00" * 24)
-        with pytest.raises(DataError, match="bad architecture descriptor"):
+        with pytest.raises(DataError, match="bad architecture descriptor") as info:
             load_checkpoint(path)
+        assert str(info.value).endswith(self.DESCRIPTOR_ERROR_ENDS[desc])
 
     def test_stack_is_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -94,7 +94,7 @@ class TestStep:
 
 class TestSchedule:
     def test_step_decay_boundaries(self):
-        state = AdamState(lr0=0.1, drop_every=30, drop_factor=10.0)
+        state = AdamState(lr0=0.1, drop_every=30)
         expected = {0: 0.1, 29: 0.1, 30: 0.01, 59: 0.01, 60: 0.001}
         for epoch, lr in expected.items():
             assert effective_lr(state, epoch) == pytest.approx(lr)

@@ -119,42 +119,35 @@ class TestTrainBasics:
         cfg = linear_cfg(spec, epochs=12)
         p, report = train(ds, val_ds, test, cfg)
         vals = [row[2] for row in report.rows]
-        assert report.row_at(report.best_epoch)[2] == pytest.approx(min(vals))
+        assert report.rows[report.best_epoch][2] == pytest.approx(min(vals))
         # the returned parameters really are the best-epoch snapshot
         z, zp = (model.forward(p, val_ds.x), model.forward(p, val_ds.x_prime))
         assert pair_risk(z, zp, val_ds.s, spec) == pytest.approx(min(vals), abs=1e-12)
 
-    def test_eval_every_thins_rows_keeps_final(self):
-        setup, ds = small_pair_data()
-        test = small_test(setup)
-        cfg = linear_cfg(RiskSpec("unbiased", 0.625), epochs=7, eval_every=3)
-        _, report = train(ds, None, test, cfg)
-        assert [r[0] for r in report.rows] == [2, 5, 6]
-
     def test_test_set_scored_only_on_recorded_epochs(self, monkeypatch):
+        # every epoch is recorded: the test set is scored once per epoch,
+        # and row e is epoch e
         setup, ds = small_pair_data()
         test = small_test(setup)
         spec = RiskSpec("unbiased", 0.625)
-        _, every = train(ds, None, test, linear_cfg(spec, epochs=7, drop_every=3))
-        calls = []
+        calls, scores = [], []
 
         def counting_evaluate(p, data):
             calls.append(data)
-            return evaluate(p, data)
+            scores.append(evaluate(p, data))
+            return scores[-1]
 
         monkeypatch.setattr(trainer, "evaluate", counting_evaluate)
-        _, thinned = train(ds, None, test, linear_cfg(spec, epochs=7, drop_every=3,
-                                                      eval_every=3))
-        assert len(calls) == len(thinned.rows) == 3
+        _, report = train(ds, None, test, linear_cfg(spec, epochs=7, drop_every=3))
+        assert len(calls) == len(report.rows) == 7
         assert all(data is test for data in calls)
-        assert thinned.rows == [every.rows[epoch] for epoch in (2, 5, 6)]
-        assert thinned.best_epoch == every.best_epoch
+        assert [row[0] for row in report.rows] == list(range(7))
+        assert [row[3:5] for row in report.rows] == scores
 
     def test_lr_schedule_recorded(self):
         setup, ds = small_pair_data()
         test = small_test(setup)
-        cfg = linear_cfg(RiskSpec("unbiased", 0.625), epochs=4, drop_every=2,
-                         drop_factor=10.0)
+        cfg = linear_cfg(RiskSpec("unbiased", 0.625), epochs=4, drop_every=2)
         _, report = train(ds, None, test, cfg)
         assert [r[5] for r in report.rows] == pytest.approx([0.1, 0.1, 0.01, 0.01])
 
