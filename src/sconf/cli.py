@@ -17,10 +17,12 @@ a repeated --set key is an error too, not last-wins. Every key a train config
 gives must be read by the run (noise_std or pi_plus with estimator=supervised
 exits 2), and every setting is checked before any data is sampled or loaded.
 Seeds must be nonnegative, and a confidence noise std finite and nonnegative.
---out or SCONF_OUT_DIR names the output directory. Exit codes: 0 success, 2
-config error, 3 data error, 4 numeric guard (class prior too balanced for the
-pair estimators), 5 training diverged (a train or validation risk became NaN
-or infinite; no report or checkpoint is written).
+--out or SCONF_OUT_DIR names the output directory (default: the working
+directory). Exit codes: 0 success, 2 config error, 3 data or file error (a
+train run whose output write fails removes the outputs it already wrote), 4
+numeric guard (class prior too balanced for the pair estimators), 5 training
+diverged (a train or validation risk became NaN or infinite; no report or
+checkpoint is written).
 """
 
 import argparse
@@ -31,31 +33,23 @@ import numpy as np
 
 from . import dataset_io, experiments, model, optim, svgplot, trainer
 from .datagen import (PRESET_PI_PLUS, add_confidence_noise, check_noise_std, load_setup_file,
-                      make_pairs, preset, preset_synth, sample_train_test)
+                      make_pairs, preset_synth, sample_train_test)
 from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
 from .fileio import parse_key_values, parse_list, write_csv
 from .risk import RiskSpec, check_estimator
 from .rng import make_rng
 from .trainer import TrainConfig
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_GUARD = 4
-EXIT_DIVERGED = 5
-
-
-def _out_dir(args):
-    out = args.out or os.environ.get("SCONF_OUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+# the classes are disjoint, so the first isinstance match is the exit code
+EXIT_CODES = {BalancedPriorError: 4, ConfigError: 2, NonFiniteRiskError: 5, DataError: 3,
+              OSError: 3}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_reproduce_table1(args):
-    out = _out_dir(args)
+def cmd_reproduce_table1(args, out):
     runs = experiments.reproduce_table(trials=args.trials)
     summary = experiments.summarize_table(runs)
     csv_path = os.path.join(out, "table1.csv")
@@ -64,18 +58,16 @@ def cmd_reproduce_table1(args):
     setups = sorted({r[0] for r in summary})
     mean_acc = {r[:3]: r[3] for r in summary}
     series = {f"sconf std={std}": [mean_acc.get((s, "sconf", std), float("nan")) for s in setups]
-              for std in (0.0, 0.1, 0.2, 0.3)}
+              for std in sorted({r[2] for r in summary if r[1] == "sconf"})}
     series["supervised"] = [mean_acc.get((s, "supervised", 0.0), float("nan")) for s in setups]
     svgplot.bar_chart(os.path.join(out, "table1.svg"), setups, series,
                       title="Mean test accuracy over trials", ylabel="accuracy [%]")
     for row in summary:
         print(f"{row[0]} {row[1]:10s} std={row[2]:.1f}: {row[3]:.2f} +- {row[4]:.2f}")
     print(f"wrote {csv_path}")
-    return 0
 
 
-def cmd_collapse_demo(args):
-    out = _out_dir(args)
+def cmd_collapse_demo(args, out):
     results, all_ds, test, bayes_acc = experiments.collapse_demo(args.seed)
     csv_path = os.path.join(out, "collapse.csv")
     write_csv(csv_path,
@@ -101,11 +93,9 @@ def cmd_collapse_demo(args):
         print(f"{r['method']:16s} pairs={r['n_pairs']:6d} frac+={r['frac_positive']:.3f} "
               f"acc={r['test_acc']:.3f} oracle_frac+={r['oracle_frac_positive']:.3f}")
     print(f"bayes accuracy {bayes_acc:.4f}; wrote {csv_path}")
-    return 0
 
 
-def cmd_sweep_n(args):
-    out = _out_dir(args)
+def cmd_sweep_n(args, out):
     grid = parse_list(args.n_grid, int, "--n-grid")
     rows, slope = experiments.sweep_n(args.setup, grid, args.trials, base_seed=args.seed)
     csv_path = os.path.join(out, "sweep_n.csv")
@@ -121,11 +111,9 @@ def cmd_sweep_n(args):
     else:
         print(f"log-log slope: {slope:.3f}")
     print(f"wrote {csv_path}")
-    return 0
 
 
-def cmd_sweep_noise(args):
-    out = _out_dir(args)
+def cmd_sweep_noise(args, out):
     stds = parse_list(args.stds, float, "--stds")
     rows = experiments.sweep_noise(args.setup, stds, args.trials)
     csv_path = os.path.join(out, "sweep_noise.csv")
@@ -137,16 +125,15 @@ def cmd_sweep_noise(args):
     for r in rows:
         print(f"std={r[0]:.1f}: acc {r[1]:.2f} +- {r[2]:.2f}, sigma_n {r[3]:.1f}")
     print(f"wrote {csv_path}")
-    return 0
 
 
-def cmd_prior(args):
-    out = _out_dir(args)
-    if args.setup_file:
-        synth = load_setup_file(args.setup_file)
-        setup = synth.setup
-    else:
-        setup = preset(args.setup)
+def _synth(args):
+    """The SynthSpec of --setup-file if given, else of the --setup preset."""
+    return load_setup_file(args.setup_file) if args.setup_file else preset_synth(args.setup)
+
+
+def cmd_prior(args, out):
+    setup = _synth(args).setup
     est = experiments.prior_experiment(setup, args.n, args.seed, noise_std=args.noise_std)
     if est.n < 100:
         print(f"warning: only {est.n} pairs; the confidence mean is wide-sample here")
@@ -157,12 +144,10 @@ def cmd_prior(args):
                 float(setup.pi_plus), err)])
     print(f"pi_s_hat={est.pi_s_hat:.5f} pi_plus_hat={est.pi_plus_hat:.5f} "
           f"clamped={est.clamped} (true pi+ {setup.pi_plus:.4f}, error {err:.5f})")
-    return 0
 
 
-def cmd_gen_synth(args):
-    out = _out_dir(args)
-    synth = load_setup_file(args.setup_file) if args.setup_file else preset_synth(args.setup)
+def cmd_gen_synth(args, out):
+    synth = _synth(args)
     train, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, args.seed)
     ds = add_confidence_noise(make_pairs(train.X, synth.setup, args.seed), args.noise_std,
                               args.seed)
@@ -174,7 +159,6 @@ def cmd_gen_synth(args):
     write_csv(test_path, ("x1", "x2", "y"),
               [(float(x[0]), float(x[1]), int(y)) for x, y in zip(test.X, test.y)])
     print(f"wrote {pairs_path} ({len(ds)} pairs) and {test_path} ({len(test)} examples)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +277,31 @@ def _train_from_config(given, out):
     predictor, report = trainer.train(train_ds, val_ds, test, tc)
 
     report_path = os.path.join(out, "report.csv")
-    report.to_csv(report_path)
-    model.save_checkpoint(predictor, os.path.join(out, "model.ckpt"))
     epochs, train_risk, val_risk, _, test_01, _ = zip(*report.rows)
-    svgplot.line_plot(os.path.join(out, "curves.svg"), epochs,
-                      {"train risk": train_risk, "val risk": val_risk, "test 0-1 risk": test_01},
-                      title="Learning curves", xlabel="epoch", ylabel="risk")
+    writes = (
+        (report_path, report.to_csv),
+        (os.path.join(out, "model.ckpt"), lambda path: model.save_checkpoint(predictor, path)),
+        (os.path.join(out, "curves.svg"), lambda path: svgplot.line_plot(
+            path, epochs,
+            {"train risk": train_risk, "val risk": val_risk, "test 0-1 risk": test_01},
+            title="Learning curves", xlabel="epoch", ylabel="risk")),
+    )
+    written = []
+    try:
+        for path, write in writes:
+            write(path)
+            written.append(path)
+    except BaseException:
+        # a failed run leaves none of its outputs; the path that blocked the
+        # failed write is not one of them
+        for path in written:
+            os.remove(path)
+        raise
     final = report.rows[-1]
     best = report.rows[report.best_epoch]
     print(f"final epoch {final[0]}: train_risk {final[1]:.5f} test_acc {final[3]:.4f}")
     print(f"best val epoch {report.best_epoch}: test_acc {best[3]:.4f}")
     print(f"wrote {report_path}")
-    return 0
 
 
 def _split_pairs(ds, val_fraction, seed):
@@ -329,8 +326,7 @@ def _parse_arch(text, d):
     raise ConfigError(f"unknown arch {text!r} (use linear, mlp, or mlp:H1,H2)")
 
 
-def cmd_train(args):
-    out = _out_dir(args)
+def cmd_train(args, out):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -339,7 +335,7 @@ def cmd_train(args):
     given = {}
     for lines, source in ((text, args.config), ("\n".join(args.set or ()), "--set")):
         given.update((k, v) for k, (_, v) in parse_key_values(lines, TRAIN_KEYS, source).items())
-    return _train_from_config(given, out)
+    _train_from_config(given, out)
 
 
 # ---------------------------------------------------------------------------
@@ -349,54 +345,49 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="sconf", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None)
+    synth = argparse.ArgumentParser(add_help=False)
+    synth.add_argument("--setup", default="A")
+    synth.add_argument("--setup-file", default=None)
+    synth.add_argument("--seed", type=int, required=True)
+    synth.add_argument("--noise-std", type=float, default=0.0)
 
-    p = sub.add_parser("reproduce-table1", help="synthetic benchmark table")
+    p = sub.add_parser("reproduce-table1", parents=[common], help="synthetic benchmark table")
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_reproduce_table1)
 
-    p = sub.add_parser("collapse-demo", help="one-sided failure demonstration")
+    p = sub.add_parser("collapse-demo", parents=[common],
+                       help="one-sided failure demonstration")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_collapse_demo)
 
-    p = sub.add_parser("sweep-n", help="excess risk against sample size")
+    p = sub.add_parser("sweep-n", parents=[common], help="excess risk against sample size")
     p.add_argument("--setup", default="B")
     p.add_argument("--n-grid", default="50,100,200,400,800,1600")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep_n)
 
-    p = sub.add_parser("sweep-noise", help="accuracy against confidence noise")
+    p = sub.add_parser("sweep-noise", parents=[common], help="accuracy against confidence noise")
     p.add_argument("--setup", default="A")
     p.add_argument("--stds", default="0.0,0.1,0.2,0.3")
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep_noise)
 
-    p = sub.add_parser("prior", help="class-prior estimation from confidences")
-    p.add_argument("--setup", default="A")
-    p.add_argument("--setup-file", default=None)
+    p = sub.add_parser("prior", parents=[common, synth],
+                       help="class-prior estimation from confidences")
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_prior)
 
-    p = sub.add_parser("train", help="one training run from a config file")
+    p = sub.add_parser("train", parents=[common], help="one training run from a config file")
     p.add_argument("config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("gen-synth", help="write a synthetic pair dataset as CSV")
-    p.add_argument("--setup", default="A")
-    p.add_argument("--setup-file", default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("gen-synth", parents=[common, synth],
+                       help="write a synthetic pair dataset as CSV")
     p.set_defaults(fn=cmd_gen_synth)
 
     return ap
@@ -405,19 +396,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except BalancedPriorError as exc:
+        out = args.out or os.environ.get("SCONF_OUT_DIR") or "."
+        os.makedirs(out, exist_ok=True)
+        args.fn(args, out)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonFiniteRiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

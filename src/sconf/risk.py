@@ -12,7 +12,7 @@ total is an unbiased estimate of the supervised classification risk, but
 either partial can go negative in a finite sample. The corrected estimators
 use f(x) = x for x >= 0 and k|x| for x < 0:
 
-    nn           k -> 0 limit, implemented as max(0, x)
+    nn           k = 0, max(0, x)
     abs          k = 1, |x|
     corrected(k) any finite k > 0
 
@@ -140,17 +140,14 @@ def partial_risks(z, z_prime, s, spec):
 def correction(x, spec):
     """(f(x), f'(x)) for the spec's correction of one partial risk.
 
-    f is the identity for the unbiased and one-sided kinds and for x >= 0 (so
-    f'(0) = 1 at the kink); a NaN passes through unchanged.
+    f is the identity for the kinds without a k (unbiased, one-sided) and for
+    x >= 0 (so f'(0) = 1 at the kink); a NaN passes through unchanged. Below
+    zero f(x) = -k x, with k = 0 for nn and k = 1 for abs.
     """
-    if spec.kind not in PAIR_KINDS:
-        raise ConfigError(f"no correction for kind {spec.kind!r}")
-    if spec.kind in IDENTITY_KINDS or not x < 0.0:
+    k = {"nn": 0.0, "abs": 1.0, "corrected": spec.k}.get(spec.kind)
+    if k is None or not x < 0.0:
         return float(x), 1.0
-    if spec.kind == "nn":
-        return 0.0, 0.0
-    slope = -1.0 if spec.kind == "abs" else -spec.k
-    return float(slope * x), slope
+    return float(-k * x), 0.0 - k
 
 
 def total_risk(pr, spec):

@@ -103,11 +103,9 @@ def _dataset_risk(p, ds, spec):
 
 
 def _check_dataset(ds, spec, role):
-    want_pairs = spec.kind != "supervised"
-    if want_pairs and not isinstance(ds, SconfDataset):
-        raise ConfigError(f"{role} data for kind {spec.kind!r} must be an SconfDataset")
-    if not want_pairs and not isinstance(ds, LabeledData):
-        raise ConfigError(f"{role} data for supervised training must be LabeledData")
+    want = LabeledData if spec.kind == "supervised" else SconfDataset
+    if not isinstance(ds, want):
+        raise ConfigError(f"{role} data for kind {spec.kind!r} must be {want.__name__}")
     if len(ds) == 0:
         raise ConfigError(f"{role} dataset is empty")
 

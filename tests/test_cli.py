@@ -160,16 +160,18 @@ class TestTrain:
         assert not (out / "report.csv").exists()
         assert not (out / "model.ckpt").exists()
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
-        # report.csv is a directory, so the rename onto it fails: exit 3, and
-        # the atomic writer removes its temp file
+    @pytest.mark.parametrize("blocked", ("report.csv", "model.ckpt", "curves.svg"))
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, blocked):
+        # the output is a directory, so the rename onto it fails: exit 3, the
+        # atomic writer removes its temp file, and the run removes the outputs
+        # it wrote before, but not the directory that blocked it
         cfg = self.write_cfg(tmp_path, "setup=B\nepochs=1\nseed=1\n")
         out = tmp_path / "out"
-        (out / "report.csv").mkdir(parents=True)
+        (out / blocked).mkdir(parents=True)
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error:")
-        assert [name for name in os.listdir(out) if ".tmp." in name] == []
-        assert not (out / "model.ckpt").exists()
+        assert os.listdir(out) == [blocked]
+        assert (out / blocked).is_dir()
 
     def test_balanced_prior_guard_exit_code(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "setup=B\nepochs=1\nseed=1\npi_plus=0.5\n")
@@ -250,6 +252,17 @@ class TestSweeps:
         rows = [ln.split(",") for ln in lines[1:]]
         assert float(rows[0][3]) == 0.0
         assert float(rows[1][3]) > 0.0
+
+
+class TestReproduceTable1:
+    def test_figure_draws_every_level_of_the_table(self, tmp_path):
+        assert run_cli(["reproduce-table1", "--trials", "1", "--out", str(tmp_path)]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "table1.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 20  # 4 setups x (4 sconf noise levels + supervised)
+        svg = (tmp_path / "table1.svg").read_text()
+        for level in {r[2] for r in rows if r[1] == "sconf"}:
+            assert f"sconf std={level}" in svg
+        assert "supervised" in svg
 
 
 class TestCollapseDemo:

@@ -5,7 +5,7 @@ import pytest
 
 from sconf.errors import BalancedPriorError, ConfigError
 from sconf.losses import loss_derivative, loss_value
-from sconf.risk import (PartialRisks, RiskSpec, pair_risk, partial_risks,
+from sconf.risk import (PartialRisks, RiskSpec, correction, pair_risk, partial_risks,
                         risk_gradient_weights, supervised_risk, total_risk)
 
 
@@ -122,6 +122,34 @@ class TestTotalRisk:
                 assert v >= unb - 1e-15
             if rp >= 0 and rm >= 0:
                 assert nn == unb == ab == ck
+
+    XS = (-2.0, -0.0, 0.0, 3.0, math.nan, -1e-300)
+    NAN = (math.nan, 1.0)
+    CORRECTIONS = {  # (f(x), f'(x)) for each x of XS; -0.0 and 0.0 keep their sign
+        "nn": [(0.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (3.0, 1.0), NAN, (0.0, 0.0)],
+        "abs": [(2.0, -1.0), (-0.0, 1.0), (0.0, 1.0), (3.0, 1.0), NAN, (1e-300, -1.0)],
+        0.5: [(1.0, -0.5), (-0.0, 1.0), (0.0, 1.0), (3.0, 1.0), NAN, (5e-301, -0.5)],
+    }
+
+    @staticmethod
+    def same(u, v):
+        # equal values with the same sign bit, or both NaN
+        return (math.isnan(u) and math.isnan(v)) or (
+            u == v and math.copysign(1.0, u) == math.copysign(1.0, v))
+
+    @pytest.mark.parametrize("kind", CORRECTIONS)
+    def test_correction_table_keeps_the_sign_of_zero(self, kind):
+        spec = (RiskSpec("corrected", 0.7, k=kind) if isinstance(kind, float)
+                else RiskSpec(kind, 0.7))
+        for x, want in zip(self.XS, self.CORRECTIONS[kind]):
+            got = correction(x, spec)
+            assert all(map(self.same, got, want)), (x, got, want)
+
+    def test_corrected_with_k_one_is_abs(self):
+        xs = self.XS + tuple(np.random.default_rng(9).normal(0, 1, 200))
+        for x in xs:
+            got = correction(x, RiskSpec("corrected", 0.7, k=1.0))
+            assert all(map(self.same, got, correction(x, RiskSpec("abs", 0.7)))), x
 
 
 class TestGradientWeights:
