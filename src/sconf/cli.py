@@ -18,9 +18,10 @@ gives must be read by the run (noise_std or pi_plus with estimator=supervised
 exits 2), and every setting is checked before any data is sampled or loaded.
 Seeds must be nonnegative, and a confidence noise std finite and nonnegative.
 --out or SCONF_OUT_DIR names the output directory (default: the working
-directory). Exit codes: 0 success, 2 config error, 3 data or file error (a
-train run whose output write fails removes the outputs it already wrote), 4
-numeric guard (class prior too balanced for the pair estimators), 5 training
+directory); a failed command removes it if it made it and it is still empty.
+Exit codes: 0 success, 2 config error, 3 data or file error (a train run
+whose output write fails removes the outputs it already wrote), 4 numeric
+guard (class prior too balanced for the pair estimators), 5 training
 diverged (a train or validation risk became NaN or infinite; no report or
 checkpoint is written).
 """
@@ -53,8 +54,7 @@ def cmd_reproduce_table1(args, out):
     runs = experiments.reproduce_table(trials=args.trials)
     summary = experiments.summarize_table(runs)
     csv_path = os.path.join(out, "table1.csv")
-    write_csv(csv_path, ("setup", "method", "noise_std", "mean_acc", "std_acc"),
-              summary)
+    write_csv(csv_path, ("setup", "method", "noise_std", "mean_acc", "std_acc"), summary)
     setups = sorted({r[0] for r in summary})
     mean_acc = {r[:3]: r[3] for r in summary}
     series = {f"sconf std={std}": [mean_acc.get((s, "sconf", std), float("nan")) for s in setups]
@@ -106,10 +106,7 @@ def cmd_sweep_n(args, out):
                       xlabel="n pairs", ylabel="excess risk", logx=True, logy=True)
     for r in rows:
         print(f"n={r[0]:5d} mean excess {r[1]:.4f} (+- {r[2]:.4f})")
-    if slope is None:
-        print("single-point grid: no slope")
-    else:
-        print(f"log-log slope: {slope:.3f}")
+    print("single-point grid: no slope" if slope is None else f"log-log slope: {slope:.3f}")
     print(f"wrote {csv_path}")
 
 
@@ -395,11 +392,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out = args.out or os.environ.get("SCONF_OUT_DIR") or "."
+    fresh = not os.path.exists(out)
     try:
-        out = args.out or os.environ.get("SCONF_OUT_DIR") or "."
         os.makedirs(out, exist_ok=True)
         args.fn(args, out)
     except tuple(EXIT_CODES) as exc:
+        if fresh and os.path.isdir(out) and not os.listdir(out):
+            os.rmdir(out)  # a failed command leaves no directory it made behind
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     return 0

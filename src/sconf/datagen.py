@@ -10,10 +10,10 @@ Gaussian, clipped back into [0, 1]; its std must be finite and nonnegative
 
 An SconfDataset of n pairs is its (2n, d) row block, x over x', and its n
 confidences; subset and pair_up build their block with one take of the rows
-and the dataset keeps it as given. pair_up is the one pairing recipe:
-pair_indices permutes the points with the stream (seed, 1) and pairs
-consecutive entries, and each pair's confidence comes from the posteriors of
-its two points.
+and the dataset keeps it as given. pair_up is the one pairing recipe: it
+pairs the points by pair_indices, which permutes them with the stream
+(seed, 1) and pairs consecutive entries, and each pair's confidence comes
+from the posteriors of its two points.
 
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
@@ -187,10 +187,14 @@ def sample_labeled(setup, n_plus, n_minus, seed):
 
 
 def sample_train_test(setup, n_plus, n_minus, seed):
-    """Training sample and its held-out test set: the test set has twice the
-    training counts and is drawn from the stream (seed, 6)."""
-    return (sample_labeled(setup, n_plus, n_minus, seed),
-            sample_labeled(setup, 2 * n_plus, 2 * n_minus, make_rng(seed, 6).integers(2**31)))
+    """Training sample and its held-out test set (sample_test)."""
+    return sample_labeled(setup, n_plus, n_minus, seed), sample_test(setup, n_plus, n_minus, seed)
+
+
+def sample_test(setup, n_plus, n_minus, seed):
+    """The held-out test set of a training sample: twice its counts, drawn
+    from the stream (seed, 6)."""
+    return sample_labeled(setup, 2 * n_plus, 2 * n_minus, make_rng(seed, 6).integers(2**31))
 
 
 def _log_density(X, mu, sigma):
@@ -246,10 +250,10 @@ def pair_indices(n, seed):
     return perm[0::2], perm[1::2]
 
 
-def pair_up(X, r, seed):
-    """Pair the rows of X (pair_indices) with confidences from their
-    positive-class posteriors r. |pairs| = n // 2."""
-    i1, i2 = pair_indices(len(X), seed)
+def pair_up(X, r, pairs):
+    """Pair the rows of X by the index arrays (i1, i2) of pair_indices, with
+    confidences from their positive-class posteriors r."""
+    i1, i2 = pairs
     return SconfDataset(X[np.concatenate([i1, i2])], similarity_confidence(r[i1], r[i2]))
 
 
@@ -262,7 +266,7 @@ def make_pairs(points, setup, seed):
     n = points.shape[0]
     if n % 2 != 0:
         raise ConfigError(f"need an even number of points to pair, got {n}; drop one point")
-    return pair_up(points, posterior_plus(points, setup), seed)
+    return pair_up(points, posterior_plus(points, setup), pair_indices(n, seed))
 
 
 def check_noise_std(std):

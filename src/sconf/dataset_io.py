@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, trainer
-from .datagen import LabeledData, pair_up
+from .datagen import LabeledData, pair_indices, pair_up
 from .errors import ConfigError, DataError
 from .fileio import write_atomic
 
@@ -168,5 +168,6 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
                                       seed=seed, batch=batch)
     scores = model.forward(p, labeled.X)
     p.discard_cache()
-    posteriors = 1.0 / (1.0 + np.exp(-scores))
-    return pair_up(labeled.X, posteriors, seed), posteriors
+    with np.errstate(over="ignore"):  # a score below about -709 gives exp = inf, posterior 0
+        posteriors = 1.0 / (1.0 + np.exp(-scores))
+    return pair_up(labeled.X, posteriors, pair_indices(len(labeled), seed)), posteriors

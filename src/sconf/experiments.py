@@ -11,14 +11,15 @@ objective sum_i a_i l(z_i, +1) + b_i l(z_i, -1) is algebraically identical to
 the full pair risk, but costs O(n) per step instead of O(n^2). With noisy
 confidences, the pair noise of a sample at level std is std times one draw
 of standard normals (pair_normals), which is what Generator.normal(0, std)
-returns from the same stream; the table weights each seed at all its noise
-levels in one call, which draws the normals and builds the pair blocks once
-and only scales and clips them per level.
+returns from the same stream. The table weights seed by seed: it draws a
+seed's normals once for every setup, and weights each setup's sample at all
+its noise levels in one call, which builds the pair blocks, right of the
+diagonal only, once and only scales and clips them per level.
 
 The linear protocols are many independent fits of one shape, so each is run
 as a trial stack (see trainer.train_weighted_points, also importable from
 here): one full-batch Adam run over a (T, d + 1) parameter block. table_runs
-fits every (seed, method, noise level) trial of one setup at once, which
+fits every (seed, method, noise level) trial of a setup at once, which
 serves reproduce_table and sweep_noise; sweep_n fits the trials of each n at
 once, every trial being the unbiased disjoint-pair risk in point form. Each
 trial is scored on its test set alone, after the last epoch. Stacks are full
@@ -36,8 +37,8 @@ import numpy as np
 
 from . import model, trainer
 from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSetup,
-                      add_confidence_noise, check_noise_std, make_pairs, pair_indices,
-                      posterior_plus, preset, sample_labeled, sample_train_test)
+                      add_confidence_noise, check_noise_std, make_pairs, pair_indices, pair_up,
+                      posterior_plus, preset, sample_labeled, sample_test, sample_train_test)
 from .errors import ConfigError
 from .prior import estimate_prior
 from .rng import make_rng
@@ -130,40 +131,40 @@ def _noise_deltas(r, normals, stds):
     and sum |delta_ij| over i < j. Returns an (len(stds), n) array of the
     sums and the list of the |delta| totals.
 
-    normals holds the pairs i < j in row-major order. A block of rows at a
-    time builds, once for every level, its s_ij block, its upper-triangle
-    mask and its segment of normals scattered into the upper triangle of a
-    zeroed buffer; each level then scales that buffer by std into a scratch
-    block, and adds its row sums to the block's points and its column sums
-    to their partners. std * z is the value Generator.normal(0, std) draws
-    from the same stream (0 + std * z; the 0 + changes at most the sign of a
-    zero, which s_ij + 0 absorbs).
+    normals holds the pairs i < j in row-major order. A block of rows lo..hi
+    builds, once for all levels, its s_ij and its scattered normals right of
+    the diagonal only (columns lo+1..n-1, one contiguous block). Each level
+    scales the normals by std into a scratch block, zeroes the entries on or
+    left of the diagonal (all in its leading square) and adds its column sums
+    to the partners; the row sums and |delta| total sum a copy in a zero-padded
+    full-width buffer, so numpy's pairwise summation sees each value where the
+    full block had it. std * z is what Generator.normal(0, std) draws from the
+    same stream (0 + std * z: the 0 + can flip only a zero's sign, which s_ij + 0 absorbs).
     """
     n = len(r)
     q = 1.0 - r
-    cols = np.arange(n)
     sums = np.zeros((len(stds), n))
-    sigma_n, start = [0.0] * len(stds), 0
+    sigma_n = [0.0] * len(stds)
     block = max(1, 2**15 // n)  # rows per block: ~2^15 pairs keep the buffers in cache
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        upper = cols[lo:hi, None] < cols
-        S = np.multiply.outer(r[lo:hi], r)
-        S += np.multiply.outer(q[lo:hi], q)
+        upper = np.arange(lo, hi)[:, None] < np.arange(lo + 1, n)
+        S = np.multiply.outer(r[lo:hi], r[lo + 1:])
+        S += np.multiply.outer(q[lo:hi], q[lo + 1:])
         z = np.zeros_like(S)
-        stop = start + np.count_nonzero(upper)
-        z[upper] = normals[start:stop]
-        start = stop
-        delta = np.empty_like(S)
+        # row i's pairs start at i (2n - i - 1) / 2 in the row-major order
+        z[upper] = normals[lo * (2 * n - lo - 1) // 2:hi * (2 * n - hi - 1) // 2]
+        delta, full = np.empty_like(S), np.zeros((hi - lo, n))
         for k, std in enumerate(stds):
             np.multiply(z, std, out=delta)
             delta += S
             np.clip(delta, 0.0, 1.0, out=delta)
             delta -= S
-            delta *= upper
-            sums[k, lo:hi] += delta.sum(axis=1)
-            sums[k] += delta.sum(axis=0)
-            sigma_n[k] += float(np.abs(delta, out=delta).sum())
+            delta[:, :hi - lo] *= upper[:, :hi - lo]
+            full[:, lo + 1:] = delta
+            sums[k, lo:hi] += full.sum(axis=1)
+            sums[k, lo + 1:] += delta.sum(axis=0)
+            sigma_n[k] += float(np.abs(full, out=full).sum())
     return sums, sigma_n
 
 
@@ -181,50 +182,47 @@ class TableRun:
     sigma_n: float
 
 
-def table_runs(setup_name, trials):
-    """One TableRun per (seed, method, noise_std) trial of one setup.
+def table_runs(setup_names, trials):
+    """One TableRun per setup of setup_names and (seed, method, noise_std)
+    trial, setup by setup, each in the order given.
 
-    Each trial weights its seed's training points by all-pairs confidences
-    (method "sconf") or one-hot labels ("supervised"), see _trial_weights.
-    Every trial has the same (800, 2) shape, so all of them are fit as one
-    stack, in the order given; each final predictor is scored on its seed's
-    test set.
+    Trials are weighted seed by seed, by all-pairs confidences ("sconf") or
+    one-hot labels ("supervised"), straight into one (trials, n) block per
+    setup. A seed's pair normals are drawn once, if a level is nonzero, into
+    one buffer every seed refills; each setup's all_pairs_point_weights call
+    for the seed shares them and covers all its levels. Each setup's trials
+    are fit as one stack and scored on their seeds' test sets.
     """
-    if not trials:
+    if not trials or not setup_names:
         return []
-    setup = preset(setup_name)
-    data = {seed: sample_train_test(setup, *TRAIN_COUNTS, seed) for seed in {t[0] for t in trials}}
-    a, b, sigma_n = _trial_weights(setup, trials, data)
-    X = np.stack([data[seed][0].X for seed, _, _ in trials])
-    p = train_weighted_points(X, np.stack(a), np.stack(b), model.Architecture.linear(setup.dim),
-                              epochs=SYNTH_EPOCHS, lr0=SYNTH_LR0, drop_every=SYNTH_DROP)
-    return [TableRun(setup_name, method, noise_std, seed,
-                     trainer.evaluate(p.trial(t), data[seed][1])[0], sigma_n[t])
-            for t, (seed, method, noise_std) in enumerate(trials)]
-
-
-def _trial_weights(setup, trials, data):
-    """Lists a, b, sigma_n of table_runs' trials, in their order. The trials
-    are weighted seed by seed: one all_pairs_point_weights call covers every
-    noise level of a seed's sconf trials, so the seed's O(n^2) pair work is
-    done once, and its pair normals are drawn once, only if a level is
-    nonzero, into one buffer that every seed refills."""
-    a, b, sigma_n = ([None] * len(trials) for _ in range(3))
-    sconf = {}  # seed -> its all-pairs trials
+    by_seed = {}  # seed -> (its all-pairs trials, its supervised trials)
     for t, (seed, method, _) in enumerate(trials):
-        if method == "supervised":
-            (a[t], b[t]), sigma_n[t] = trainer.one_hot(data[seed][0].y), 0.0
-        else:
-            sconf.setdefault(seed, []).append(t)
-    normals = None
-    for seed, ts in sconf.items():
-        points = data[seed][0]
-        stds = [trials[t][2] for t in ts]
+        by_seed.setdefault(seed, ([], []))[method == "supervised"].append(t)
+    data = {(name, seed): sample_labeled(preset(name), *TRAIN_COUNTS, seed)
+            for name in setup_names for seed in by_seed}
+    weights = np.empty((len(setup_names), 2, len(trials), sum(TRAIN_COUNTS)))
+    sigma_n, normals = np.zeros((len(setup_names), len(trials))), None
+    for seed, (sconf, supervised) in by_seed.items():
+        stds = [trials[t][2] for t in sconf]
         if any(std != 0.0 for std in stds):
-            normals = pair_normals(seed, len(points), out=normals)
-        for t, weights in zip(ts, all_pairs_point_weights(points.X, setup, stds, normals)):
-            a[t], b[t], sigma_n[t] = weights
-    return a, b, sigma_n
+            normals = pair_normals(seed, sum(TRAIN_COUNTS), out=normals)
+        for (a, b), sigma, name in zip(weights, sigma_n, setup_names):
+            points = data[name, seed]
+            a[supervised], b[supervised] = trainer.one_hot(points.y)
+            levels = all_pairs_point_weights(points.X, preset(name), stds, normals) if sconf else ()
+            for t, level in zip(sconf, levels):
+                a[t], b[t], sigma[t] = level
+    del normals  # free the pair normals before the fits
+    runs = []
+    for (a, b), sigma, name in zip(weights, sigma_n, setup_names):
+        X = np.stack([data[name, seed].X for seed, _, _ in trials])
+        tests = {seed: sample_test(preset(name), *TRAIN_COUNTS, seed) for seed in by_seed}
+        p = train_weighted_points(X, a, b, model.Architecture.linear(preset(name).dim),
+                                  epochs=SYNTH_EPOCHS, lr0=SYNTH_LR0, drop_every=SYNTH_DROP)
+        runs += [TableRun(name, method, noise_std, seed,
+                          trainer.evaluate(p.trial(t), tests[seed])[0], float(sigma[t]))
+                 for t, (seed, method, noise_std) in enumerate(trials)]
+    return runs
 
 
 def trial_seeds(trials, seeds=None):
@@ -239,17 +237,13 @@ def reproduce_table(trials=5, setups=("A", "B", "C", "D"), noise_stds=(0.0, 0.1,
                     seeds=None):
     """All runs behind the benchmark table; seeds default to 1..trials."""
     seeds = trial_seeds(trials, seeds)
-    runs = []
-    for name in setups:
-        runs += table_runs(name, [(seed, "sconf", std) for std in noise_stds for seed in seeds]
-                           + [(seed, "supervised", 0.0) for seed in seeds])
-    return runs
+    return table_runs(setups, [(seed, "sconf", std) for std in noise_stds for seed in seeds]
+                      + [(seed, "supervised", 0.0) for seed in seeds])
 
 
 def summarize_table(runs):
     """(setup, method, noise_std) -> (mean_acc, std_acc) over seeds, in %."""
-    keys = sorted({(r.setup, r.method, r.noise_std) for r in runs},
-                  key=lambda k: (k[0], k[1], k[2]))
+    keys = sorted({(r.setup, r.method, r.noise_std) for r in runs})
     out = []
     for key in keys:
         accs = np.array([r.acc_final for r in runs
@@ -298,8 +292,8 @@ def split_pairs_by_label(train, setup, seed):
     collapses; without it a handful of near-boundary pairs with extreme 1/s
     (or 1/(1-s)) weights dominate the objective.
     """
-    all_ds = make_pairs(train.X, setup, seed)
-    i1, i2 = pair_indices(len(train), seed)
+    i1, i2 = pairs = pair_indices(len(train), seed)
+    all_ds = pair_up(train.X, posterior_plus(train.X, setup), pairs)
     same = train.y[i1] == train.y[i2]
     sim = same & (all_ds.s >= setup.pi_plus)
     dis = ~same & (all_ds.s <= setup.pi_minus)
@@ -432,14 +426,11 @@ def sweep_noise(setup_name, stds, trials):
     """Accuracy and summed confidence deviation per noise level, over the
     seeds 1..trials."""
     seeds = trial_seeds(trials)
-    all_runs = table_runs(setup_name, [(seed, "sconf", std) for std in stds for seed in seeds])
-    rows = []
-    for k, std in enumerate(stds):
-        runs = all_runs[k * len(seeds):(k + 1) * len(seeds)]
-        accs = np.array([r.acc_final for r in runs])
-        sig = np.array([r.sigma_n for r in runs])
-        rows.append((float(std), 100.0 * accs.mean(), 100.0 * accs.std(), float(sig.mean())))
-    return rows
+    runs = table_runs((setup_name,), [(seed, "sconf", std) for std in stds for seed in seeds])
+    accs = np.array([r.acc_final for r in runs]).reshape(len(stds), len(seeds))
+    sigs = np.array([r.sigma_n for r in runs]).reshape(len(stds), len(seeds))
+    return [(float(std), 100.0 * acc.mean(), 100.0 * acc.std(), float(sig.mean()))
+            for std, acc, sig in zip(stds, accs, sigs)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ other terms, and the gradient accumulates onto +0, so no output bit changes.
 
 The linear model also comes as a stack of T independent trials
 (init(arch, seed, trials=T)): parameters and gradients are a (T, d + 1)
-block, a batch is a (T, n, d) block scored into (T, n) by
-einsum("tnd,td->tn") plus each trial's bias, and backward() sums each
-trial's rows on its own. The MLP is never stacked. trial(t) is trial t as
-an ordinary one-trial predictor that shares the stack's parameters.
+block, a batch is a (T, n, d) block scored into (T, n) by a multiply-add
+over the features in order plus each trial's bias (for d <= 2 the bytes of
+einsum("tnd,td->tn"), in less time), and backward() sums each trial's rows
+on its own. The MLP is never stacked. trial(t) is trial t as an ordinary
+one-trial predictor that shares the stack's parameters.
 """
 
 from dataclasses import dataclass, field
@@ -158,7 +159,10 @@ def forward(p, X):
     if p.arch.kind == "linear":
         p._cache = {"X": X}
         if p.stacked:
-            return np.einsum("tnd,td->tn", X, v["w"]) + v["b"]
+            z = X[..., 0] * v["w"][:, :1]
+            for k in range(1, p.arch.d):
+                z += X[..., k] * v["w"][:, k:k + 1]
+            return z + v["b"]
         return X @ v["w"] + v["b"][0]
     a1 = X @ v["W1"]
     a1 += v["b1"]

@@ -63,7 +63,7 @@ class TestGenSynth:
         assert run_cli(["gen-synth", "--setup-file", str(sf), "--seed", "9",
                         "--out", str(out)]) == 2
         assert "unknown key 'seed'" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCONF_OUT_DIR", str(tmp_path / "env_out"))
@@ -355,7 +355,7 @@ class TestInputValidation:
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
     def test_every_unread_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -374,7 +374,7 @@ class TestInputValidation:
         cfg.write_text(random_idx_source(tmp_path) + "\nepochs=1\nnoise_std=0.1\n")
         out = tmp_path / "out"
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting,named", [
         ("lr0=-1", "lr0"), ("estimator=bogus", "bogus"),
@@ -404,7 +404,7 @@ class TestInputValidation:
         assert run_cli(["train", str(cfg), "--out", str(out)]) == (4 if named == "1/2" else 2)
         err = capsys.readouterr().err
         assert named in err and err.startswith("error:") and "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,named", [
         ("gen-synth --seed -1", "seeds must be nonnegative"),
@@ -420,6 +420,24 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
         assert os.listdir(tmp_path) == []
+
+    def test_failed_command_removes_only_a_directory_it_made(self, tmp_path, monkeypatch):
+        made, kept, full = tmp_path / "made", tmp_path / "kept", tmp_path / "full"
+        kept.mkdir()
+        full.mkdir()
+        (full / "old.csv").write_text("x\n")
+        for out in (made, kept, full):
+            assert run_cli(["prior", "--seed", "-1", "--out", str(out)]) == 2
+        assert not made.exists()
+        assert kept.is_dir() and os.listdir(kept) == []
+        assert os.listdir(full) == ["old.csv"]
+        # the same for a directory named by SCONF_OUT_DIR; a parent it made stays
+        monkeypatch.setenv("SCONF_OUT_DIR", str(tmp_path / "env" / "out"))
+        assert run_cli(["gen-synth", "--seed", "-1"]) == 2
+        assert os.listdir(tmp_path / "env") == []
+        # a command that succeeds keeps the directory it made
+        assert run_cli(["gen-synth", "--seed", "1", "--out", str(made)]) == 0
+        assert sorted(os.listdir(made)) == ["pairs.csv", "test.csv"]
 
     @pytest.mark.parametrize("setting,named", [
         ("seed=-1", "seeds must be nonnegative"), ("noise_std=-1", "noise std"),
@@ -438,7 +456,7 @@ class TestInputValidation:
         assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert named in err and err.startswith("error:") and "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("items,message", [
         (["epochs"], "--set:1: expected key=value"),
@@ -459,7 +477,7 @@ class TestInputValidation:
             argv += ["--set", item]
         assert run_cli(argv) == 2
         assert message in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     # a setting per key where the key applies: a synthetic setup=B run, or an
     # IDX run for the keys in IDX_SOURCE_KEYS (whose source sets the file keys)

@@ -182,6 +182,18 @@ class TestModelConfidences:
         target = r_bar**2 + (1 - r_bar) ** 2
         assert abs(float(np.mean(ds.s)) - target) < 0.03
 
+    def test_score_below_exp_range_gives_posterior_zero(self):
+        # unscaled inputs of magnitude 1e6 drive the fitted scores far below
+        # -709, where exp(-score) overflows to inf: the posterior is exactly
+        # 0.0, and no RuntimeWarning (an error under the test settings) is raised
+        X = np.array([[-1e6], [-2e6], [1e6], [2e6]])
+        y = np.array([-1, -1, 1, 1])
+        ds, posteriors = posterior_model_confidences(
+            LabeledData(X, y), Architecture.linear(1), seed=1, epochs=5, batch=4, lr0=0.1)
+        assert posteriors[0] == 0.0 and posteriors[1] == 0.0
+        assert posteriors[2] == 1.0 and posteriors[3] == 1.0
+        assert set(ds.s) <= {0.0, 1.0}
+
     def test_odd_point_dropped(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(7, 2))

@@ -78,6 +78,20 @@ class TestTrialStack:
             backward(one, u[t])
             assert np.allclose(one.grads, p.grads[t], rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_forward_gives_the_bytes_of_einsum(self, d):
+        # the stacked scores are a multiply-add over the features in their
+        # order; for d <= 2 that rounds as einsum("tnd,td->tn") does
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            trials, n = int(rng.integers(1, 30)), int(rng.integers(1, 900))
+            p = init(Architecture.linear(d), trials=trials)
+            if seed:  # seed 0 keeps the zero parameters of a fresh stack
+                p.params[:] = rng.normal(size=p.params.shape) * 10.0 ** rng.integers(-3, 4)
+            X = rng.normal(size=(trials, n, d)) * 10.0 ** rng.integers(-3, 4)
+            want = np.einsum("tnd,td->tn", X, p.params[:, :d]) + p.params[:, d:]
+            assert forward(p, X).tobytes() == want.tobytes()
+
     def test_shape_mismatch(self):
         p = init(Architecture.linear(2), trials=3)
         for bad in (np.zeros((5, 2)), np.zeros((2, 5, 2)), np.zeros((3, 5, 4))):

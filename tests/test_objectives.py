@@ -11,12 +11,14 @@ f(sum b l(u, -1)) over the scored rows u, with one_hot(y) weights and the
 identity f for the supervised kind.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sconf import experiments, model, trainer
+from sconf import datagen, experiments, model, trainer
 from sconf.dataset_io import posterior_model_confidences
 from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
 from sconf.errors import ConfigError
@@ -133,8 +135,8 @@ def test_shared_pair_normals_give_the_same_weights(monkeypatch):
     assert len(posteriors) == 1
 
 
-# (method, noise std, seed) -> (acc_final, sigma_n) of table_runs("A", ...)
-# below, as weighting each noise level in its own call gave them
+# (method, noise std, seed) -> (acc_final, sigma_n) of table_runs((setup,), TABLE_TRIALS),
+# as weighting each setup and noise level in its own call gave them
 TABLE_A_PIN = {
     ("sconf", 0.0, 1): (0.881875, 0.0),
     ("sconf", 0.0, 2): (0.900625, 0.0),
@@ -147,9 +149,49 @@ TABLE_A_PIN = {
     ("supervised", 0.0, 1): (0.890625, 0.0),
     ("supervised", 0.0, 2): (0.900625, 0.0),
 }
+TABLE_B_PIN = {
+    ("sconf", 0.0, 1): (0.889375, 0.0),
+    ("sconf", 0.0, 2): (0.90875, 0.0),
+    ("sconf", 0.1, 1): (0.88875, 22013.933818507394),
+    ("sconf", 0.1, 2): (0.90625, 21613.633549069407),
+    ("sconf", 0.2, 1): (0.89, 40278.824100725564),
+    ("sconf", 0.2, 2): (0.904375, 39711.21399110122),
+    ("sconf", 0.3, 1): (0.88875, 56189.99695309164),
+    ("sconf", 0.3, 2): (0.905, 55551.06343636512),
+    ("supervised", 0.0, 1): (0.888125, 0.0),
+    ("supervised", 0.0, 2): (0.9075, 0.0),
+}
+TABLE_C_PIN = {
+    ("sconf", 0.0, 1): (0.860625, 0.0),
+    ("sconf", 0.0, 2): (0.871875, 0.0),
+    ("sconf", 0.1, 1): (0.860625, 23471.233892671404),
+    ("sconf", 0.1, 2): (0.871875, 23387.238834495245),
+    ("sconf", 0.2, 1): (0.860625, 42866.97527941901),
+    ("sconf", 0.2, 2): (0.865625, 42606.95419289539),
+    ("sconf", 0.3, 1): (0.860625, 59352.16221907031),
+    ("sconf", 0.3, 2): (0.86, 58960.35007254879),
+    ("supervised", 0.0, 1): (0.861875, 0.0),
+    ("supervised", 0.0, 2): (0.868125, 0.0),
+}
+TABLE_D_PIN = {
+    ("sconf", 0.0, 1): (0.904375, 0.0),
+    ("sconf", 0.0, 2): (0.911875, 0.0),
+    ("sconf", 0.1, 1): (0.905, 22387.091016042035),
+    ("sconf", 0.1, 2): (0.911875, 22365.138390972126),
+    ("sconf", 0.2, 1): (0.90125, 40290.58166477858),
+    ("sconf", 0.2, 2): (0.914375, 40018.03010465723),
+    ("sconf", 0.3, 1): (0.898125, 55842.05292029859),
+    ("sconf", 0.3, 2): (0.9125, 55364.89789205283),
+    ("supervised", 0.0, 1): (0.904375, 0.0),
+    ("supervised", 0.0, 2): (0.911875, 0.0),
+}
+TABLE_PINS = {"A": TABLE_A_PIN, "B": TABLE_B_PIN, "C": TABLE_C_PIN, "D": TABLE_D_PIN}
+TABLE_TRIALS = ([(seed, "sconf", std) for std in (0.0, 0.1, 0.2, 0.3) for seed in (1, 2)]
+                + [(seed, "supervised", 0.0) for seed in (1, 2)])
 
 
-def test_table_runs_pin_and_one_normals_draw_per_seed(monkeypatch):
+def counted_pair_normals(monkeypatch):
+    """The seeds of every experiments.pair_normals draw from here on."""
     draws = []
 
     def counting_pair_normals(seed, n, out=None):
@@ -157,12 +199,105 @@ def test_table_runs_pin_and_one_normals_draw_per_seed(monkeypatch):
         return pair_normals(seed, n, out=out)
 
     monkeypatch.setattr(experiments, "pair_normals", counting_pair_normals)
-    runs = experiments.table_runs("A", [(seed, "sconf", std) for std in (0.0, 0.1, 0.2, 0.3)
-                                        for seed in (1, 2)]
-                                  + [(seed, "supervised", 0.0) for seed in (1, 2)])
-    assert {(r.method, r.noise_std, r.seed): (r.acc_final, r.sigma_n) for r in runs} == TABLE_A_PIN
-    assert len(runs) == len(TABLE_A_PIN)
+    return draws
+
+
+def test_table_runs_pin_and_one_normals_draw_per_seed(monkeypatch):
+    draws = counted_pair_normals(monkeypatch)
+    for name, pin in TABLE_PINS.items():
+        draws.clear()
+        runs = experiments.table_runs((name,), TABLE_TRIALS)
+        assert {r.setup for r in runs} == {name}
+        assert {(r.method, r.noise_std, r.seed): (r.acc_final, r.sigma_n) for r in runs} == pin
+        assert len(runs) == len(pin)
+        assert sorted(draws) == [1, 2]
+
+
+def test_reproduce_table_draws_each_seeds_normals_once_for_all_setups(monkeypatch):
+    alone = [run for name in "ABCD" for run in experiments.table_runs((name,), TABLE_TRIALS)]
+    draws = counted_pair_normals(monkeypatch)
+    runs = experiments.reproduce_table(seeds=[1, 2])
     assert sorted(draws) == [1, 2]
+    # field for field, in the same order, what each setup gives alone
+    assert [dataclasses.astuple(r) for r in runs] == [dataclasses.astuple(r) for r in alone]
+    assert all(type(r.sigma_n) is float for r in runs)
+    # exact confidences and supervised trials need no normals at all
+    draws.clear()
+    assert len(experiments.reproduce_table(seeds=[1, 2], noise_stds=(0.0,))) == 4 * 2 * 2
+    assert draws == []
+
+
+def _full_block_noise_deltas(r, normals, stds):
+    """experiments._noise_deltas as it was before it worked right of the
+    diagonal only: every level's arithmetic over full-width (rows, n) blocks,
+    masked to the upper triangle. The oracle of its sums' bytes."""
+    n = len(r)
+    q = 1.0 - r
+    cols = np.arange(n)
+    sums = np.zeros((len(stds), n))
+    sigma_n, start = [0.0] * len(stds), 0
+    block = max(1, 2**15 // n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        upper = cols[lo:hi, None] < cols
+        S = np.multiply.outer(r[lo:hi], r)
+        S += np.multiply.outer(q[lo:hi], q)
+        z = np.zeros_like(S)
+        stop = start + np.count_nonzero(upper)
+        z[upper] = normals[start:stop]
+        start = stop
+        delta = np.empty_like(S)
+        for k, std in enumerate(stds):
+            np.multiply(z, std, out=delta)
+            delta += S
+            np.clip(delta, 0.0, 1.0, out=delta)
+            delta -= S
+            delta *= upper
+            sums[k, lo:hi] += delta.sum(axis=1)
+            sums[k] += delta.sum(axis=0)
+            sigma_n[k] += float(np.abs(delta, out=delta).sum())
+    return sums, sigma_n
+
+
+@pytest.mark.parametrize("n", (2, 3, 41, 800))
+def test_right_of_diagonal_noise_deltas_equal_the_full_blocks(n):
+    # several row blocks at n = 800 (40 rows each), a lone one below; levels
+    # that clip nothing, some, most, and the exact one
+    levels = (0.1, 0.2, 0.3, 3.0, 0.0, 1e-9)
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(size=n)
+        r[:2] = (0.0, 1.0)[:n]  # s_ij of exactly 0 and 1 sit on the clip bounds
+        normals = rng.standard_normal(n * (n - 1) // 2)
+        sums, sigma_n = experiments._noise_deltas(r, normals, levels)
+        want_sums, want_sigma_n = _full_block_noise_deltas(r, normals, levels)
+        assert sums.tobytes() == want_sums.tobytes()
+        assert [v.hex() for v in sigma_n] == [v.hex() for v in want_sigma_n]
+
+
+def test_split_pairs_by_label_pairs_once():
+    setup, seed = experiments.COLLAPSE_SETUP, 3
+    train, _ = datagen.sample_train_test(setup, *experiments.TRAIN_COUNTS, seed)
+    calls, pair_indices = [], datagen.pair_indices
+
+    def counting_pair_indices(n, seed):
+        calls.append(n)
+        return pair_indices(n, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "pair_indices", counting_pair_indices)
+        mp.setattr(datagen, "pair_indices", counting_pair_indices)
+        got = experiments.split_pairs_by_label(train, setup, seed)
+    assert calls == [len(train)]
+    # the two-draw recipe it replaces gives the same three datasets, byte for byte
+    all_ds = make_pairs(train.X, setup, seed)
+    i1, i2 = datagen.pair_indices(len(train), seed)
+    same = train.y[i1] == train.y[i2]
+    want = (all_ds.subset(same & (all_ds.s >= setup.pi_plus)),
+            all_ds.subset(~same & (all_ds.s <= setup.pi_minus)), all_ds)
+    assert [(ds.rows.tobytes(), ds.s.tobytes()) for ds in got] == \
+        [(ds.rows.tobytes(), ds.s.tobytes()) for ds in want]
+    assert 0 < len(got[0]) and 0 < len(got[1])
 
 
 @pytest.mark.parametrize("arch", (model.Architecture.linear(2), model.Architecture.mlp(2, 8, 6)))
