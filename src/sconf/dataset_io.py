@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model, trainer
 from .datagen import LabeledData, pair_indices, pair_up
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NonFiniteRiskError
 from .fileio import write_atomic
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -161,6 +161,8 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
 
     Returns (dataset, posteriors), the posteriors aligned with the input
     order. An odd point is dropped from the pairing but keeps its posterior.
+    Raises NonFiniteRiskError, naming the confidence model and the first
+    row, if the fitted model scores a row NaN or infinite.
     """
     if len(labeled) == 0:
         raise ConfigError("need labeled data to fit a confidence model")
@@ -168,6 +170,11 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
                                       seed=seed, batch=batch)
     scores = model.forward(p, labeled.X)
     p.discard_cache()
+    # finite parameters near the float limit can still overflow a score
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise NonFiniteRiskError(epochs - 1, "confidence model", float(scores[bad[0]]),
+                                 row=int(bad[0]))
     with np.errstate(over="ignore"):  # a score below about -709 gives exp = inf, posterior 0
         posteriors = 1.0 / (1.0 + np.exp(-scores))
     return pair_up(labeled.X, posteriors, pair_indices(len(labeled), seed)), posteriors

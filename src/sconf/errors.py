@@ -25,11 +25,17 @@ class BalancedPriorError(SconfError, ValueError):
 
 
 class NonFiniteRiskError(SconfError, ArithmeticError):
-    """Training diverged: the train or validation risk of an epoch, or a
-    parameter of one trial of a weighted-point fit, is NaN or infinite (too
-    large a learning rate, for instance)."""
+    """Training diverged: the train or validation risk of an epoch, a
+    parameter of one trial of a weighted-point fit, or the score a fitted
+    model gives one row, is NaN or infinite (too large a learning rate, for
+    instance)."""
 
-    def __init__(self, epoch, role, value, trial=None):
-        what = f"{role} risk" if trial is None else f"trial {trial} {role} parameter"
+    def __init__(self, epoch, role, value, trial=None, row=None):
+        if row is not None:
+            what = f"{role} score of row {row}"
+        elif trial is not None:
+            what = f"trial {trial} {role} parameter"
+        else:
+            what = f"{role} risk"
         super().__init__(f"epoch {epoch}: {what} is {value!r}; training diverged")
-        self.epoch, self.role, self.value, self.trial = epoch, role, value, trial
+        self.epoch, self.role, self.value, self.trial, self.row = epoch, role, value, trial, row

@@ -40,6 +40,7 @@ from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSet
                       add_confidence_noise, check_noise_std, make_pairs, pair_indices, pair_up,
                       posterior_plus, preset, sample_labeled, sample_test, sample_train_test)
 from .errors import ConfigError
+from .losses import accuracy
 from .prior import estimate_prior
 from .rng import make_rng
 from .risk import RiskSpec, pair_risk, pair_weights
@@ -58,13 +59,9 @@ COLLAPSE_SETUP = GaussianSetup([-4.0, 0.0], [2.0, 2.0],
                                [[3.0, 0.0], [0.0, 3.0]], PRESET_PI_PLUS)
 
 
-def bayes_predict(X, setup):
-    """The analytic Bayes classifier sign(r(x) - 1/2), ties positive."""
-    return np.where(posterior_plus(X, setup) >= 0.5, 1, -1)
-
-
 def bayes_accuracy(test, setup):
-    return float(np.mean(bayes_predict(test.X, setup) == test.y))
+    """Test accuracy of the analytic Bayes classifier sign(r(x) - 1/2), ties positive."""
+    return accuracy(posterior_plus(test.X, setup), test.y, threshold=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +336,7 @@ def _collapse_record(method, n_pairs, p, test, oracle_frac):
     p.discard_cache()
     return {"method": method, "n_pairs": n_pairs,
             "frac_positive": float(np.mean(scores >= 0.0)),
-            "test_acc": float(np.mean(np.where(scores >= 0, 1, -1) == test.y)),
+            "test_acc": accuracy(scores, test.y),
             "oracle_frac_positive": oracle_frac, "predictor": p}
 
 

@@ -5,6 +5,7 @@ zero_one: 1 on misclassification, with sign(0) = +1 so ties are deterministic.
 Only the logistic loss has a derivative; zero_one is evaluation-only.
 weighted_derivative() is the derivative of a_i l(z_i, +1) + b_i l(z_i, -1),
 the point objective's per-row gradient, fused into one sigmoid.
+accuracy() is one minus the mean zero-one loss, with the same sign rule.
 """
 
 import numpy as np
@@ -29,11 +30,19 @@ def loss_value(kind, z, y):
         m = -y * z
         out = np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
     elif kind == "zero_one":
-        pred = np.where(z >= 0.0, 1, -1)
-        out = (pred != y).astype(float)
+        out = ((z >= 0.0) != (y == 1)).astype(float)
     else:
         raise ConfigError(f"unknown loss kind {kind!r}")
     return float(out) if out.ndim == 0 else out
+
+
+def accuracy(z, y, threshold=0.0):
+    """Share of the scores z whose side of threshold matches the label y in
+    {-1, +1}: z >= threshold predicts +1, so ties are positive and a NaN
+    score predicts -1. The correct signs are counted, not materialized as
+    predictions; the count is exact and the one division correctly rounded,
+    so this is bit for bit np.mean(np.where(z >= threshold, 1, -1) == y)."""
+    return float(np.count_nonzero((z >= threshold) == (y == 1)) / len(y))
 
 
 def loss_derivative(kind, z, y):
@@ -60,6 +69,14 @@ def weighted_derivative(kind, z, a, b):
     """
     if kind != "logistic":
         raise ConfigError(f"loss kind {kind!r} has no derivative")
-    t = np.exp(-np.abs(z))
+    # b - (a + b) * (np.where(z >= 0, t, 1.0) / (1.0 + t)) with t = exp(-|z|),
+    # the same operations in the same order, in two z-sized buffers
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
     # sigmoid(-z) = t / (1 + t) for z >= 0 and 1 / (1 + t) for z < 0
-    return b - (a + b) * (np.where(z >= 0, t, 1.0) / (1.0 + t))
+    q = np.where(z >= 0, t, 1.0)
+    t += 1.0
+    q /= t
+    q *= a + b
+    return np.subtract(b, q, out=q)

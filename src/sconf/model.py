@@ -13,10 +13,19 @@ expressions max(X W + b, 0) and da[a <= 0] = 0: the multiply can turn an
 intermediate zero into -0, but the matmuls and sums only add such zeros to
 other terms, and the gradient accumulates onto +0, so no output bit changes.
 
+backward() adds into the gradient buffer, except for the first call after
+init() or optim.step(): that call finds the buffer all zeros (grads_ready is
+False) and writes the two big weight-matrix products straight into it with
+np.matmul(out=), skipping a temporary and a pass over the buffer. Only the
+sign of a zero gradient can differ from adding them to zeros, and Adam's
+first moment update adds it to +0, so no parameter bit changes. A second
+backward() before a step still accumulates.
+
 The linear model also comes as a stack of T independent trials
 (init(arch, seed, trials=T)): parameters and gradients are a (T, d + 1)
 block, a batch is a (T, n, d) block scored into (T, n) by a multiply-add
-over the features in order plus each trial's bias (for d <= 2 the bytes of
+over the features in order plus each trial's bias, added in place as the
+single model's is (for d <= 2 the bytes of
 einsum("tnd,td->tn"), in less time), and backward() sums each trial's rows
 on its own. The MLP is never stacked. trial(t) is trial t as an ordinary
 one-trial predictor that shares the stack's parameters.
@@ -162,8 +171,10 @@ def forward(p, X):
             z = X[..., 0] * v["w"][:, :1]
             for k in range(1, p.arch.d):
                 z += X[..., k] * v["w"][:, k:k + 1]
-            return z + v["b"]
-        return X @ v["w"] + v["b"][0]
+        else:
+            z = X @ v["w"]
+        z += v["b"]
+        return z
     a1 = X @ v["W1"]
     a1 += v["b1"]
     np.maximum(a1, 0.0, out=a1)
@@ -187,7 +198,9 @@ def backward(p, upstream):
     X = cache["X"]
     if u.shape != X.shape[:-1]:
         raise ConfigError("upstream must have one entry per batch row")
-    p.grads_ready = True
+    # a gradient buffer is all zeros until the first backward after init()
+    # or optim.step()
+    clean, p.grads_ready = not p.grads_ready, True
     g = p.grad_views()
     if p.arch.kind == "linear":
         if p.stacked:
@@ -203,12 +216,20 @@ def backward(p, upstream):
     g["b3"] += u.sum()
     da2 = np.outer(u, v["w3"])
     da2 *= a2 > 0.0
-    g["W2"] += a1.T @ da2
+    _add_matmul(a1.T, da2, g["W2"], clean)
     g["b2"] += da2.sum(axis=0)
     da1 = da2 @ v["W2"].T
     da1 *= a1 > 0.0
-    g["W1"] += X.T @ da1
+    _add_matmul(X.T, da1, g["W1"], clean)
     g["b1"] += da1.sum(axis=0)
+
+
+def _add_matmul(a, b, out, clean):
+    """out += a @ b; a clean (all-zero) out takes the product in place."""
+    if clean:
+        np.matmul(a, b, out=out)
+    else:
+        out += a @ b
 
 
 def save_checkpoint(p, path):

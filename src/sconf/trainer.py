@@ -23,7 +23,9 @@ full-validation risk (same estimator kind), the test accuracy and zero-one
 risk, and the learning rate, so row e is rows[e]. train() stops with
 NonFiniteRiskError if a train or validation risk is not finite. The returned
 predictor is the parameter snapshot at the epoch of minimum validation risk;
-test labels are touched only inside evaluate().
+test labels are touched only inside evaluate(). evaluate() counts the scores
+whose sign matches the label (losses.accuracy) rather than building an array
+of +-1 predictions and averaging it; the result is the same float.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +36,7 @@ from . import model, optim
 from .datagen import LabeledData, SconfDataset
 from .errors import ConfigError, NonFiniteRiskError
 from .fileio import write_csv
-from .losses import loss_derivative, weighted_derivative
+from .losses import accuracy, loss_derivative, weighted_derivative
 from .rng import make_rng
 from .risk import (IDENTITY_KINDS, RiskSpec, pair_risk, partial_risks, risk_gradient_weights,
                    supervised_risk)
@@ -79,8 +81,7 @@ def evaluate(p, test):
         raise ConfigError("empty test set")
     scores = model.forward(p, test.X)
     p.discard_cache()
-    pred = np.where(scores >= 0.0, 1, -1)
-    acc = float(np.mean(pred == test.y))
+    acc = accuracy(scores, test.y)
     return acc, 1.0 - acc
 
 
@@ -140,13 +141,16 @@ def one_hot(y):
 
 def point_grad(p, X, a, b, loss="logistic"):
     """score_grad of sum_i a_i l(z_i, +1) + b_i l(z_i, -1) over the rows of X;
-    a minibatch's gradient is rescaled by n/|batch|. For a stack, X is
-    (T, n, d), a and b are (T, n), and idx is ALL_ROWS."""
+    a minibatch's gradient is rescaled by n/|batch|, a full batch's is not.
+    For a stack, X is (T, n, d), a and b are (T, n), and idx is ALL_ROWS."""
     n = X.shape[-2]
 
     def score_grad(idx):
         z = model.forward(p, X[idx])
-        return n / z.shape[-1] * weighted_derivative(loss, z, a[idx], b[idx])
+        g = weighted_derivative(loss, z, a[idx], b[idx])
+        if z.shape[-1] < n:  # a full batch's factor n / n = 1.0 would change no bit
+            g *= n / z.shape[-1]
+        return g
 
     return score_grad
 

@@ -145,6 +145,25 @@ class TestTrain:
         assert "trial 0 train parameter is" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_confidence_scores_past_the_float_range_exit_code(self, tmp_path, capsys):
+        # a full-batch confidence fit at lr 1e308 keeps finite parameters near
+        # 4e307 that score some rows +-inf; the run must not train on the
+        # saturated confidences of the rest
+        cfg = self.write_cfg(tmp_path, f"""
+            {random_idx_source(tmp_path)}
+            epochs=2
+            seed=1
+            confidence_epochs=3
+            confidence_batch=120
+            confidence_lr0=1e308
+        """)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):  # the diverging fit overflows on the way
+            assert run_cli(["train", str(cfg), "--out", str(out)]) == 5
+        assert re.search(r"epoch 2: confidence model score of row \d+ is -?inf",
+                         capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["train", str(tmp_path / "absent.cfg"),
                         "--out", str(tmp_path / "o")]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sconf.errors import ConfigError
-from sconf.losses import loss_derivative, loss_value, weighted_derivative
+from sconf.losses import accuracy, loss_derivative, loss_value, weighted_derivative
 
 
 class TestValues:
@@ -25,6 +25,14 @@ class TestValues:
         # sign(0) = +1: score zero is a positive prediction
         assert loss_value("zero_one", 0.0, 1) == 0.0
         assert loss_value("zero_one", 0.0, -1) == 1.0
+
+    def test_zero_one_gives_the_bits_of_the_prediction_form(self):
+        z = np.array([0.0, -0.0, np.nan, 5e-324, -5e-324, np.inf, -np.inf, 2.0, -2.0] * 2)
+        y = np.repeat([1, -1], 9)
+        want = (np.where(z >= 0.0, 1, -1) != y).astype(float)
+        assert loss_value("zero_one", z, y).tobytes() == want.tobytes()
+        assert loss_value("zero_one", -0.0, -1) == 1.0
+
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(1)
@@ -80,6 +88,17 @@ class TestDerivative:
             loss_derivative("zero_one", 0.5, 1)
 
 
+class TestAccuracy:
+    def test_counts_the_bits_of_the_mean_of_predictions(self):
+        rng = np.random.default_rng(3)
+        for n, threshold in ((1, 0.0), (9, 0.0), (1001, 0.5), (40_000, 0.5)):
+            z = rng.choice([threshold, 0.0, -0.0, np.nan, 0.25, 0.75, -1.0], n)
+            y = rng.choice([-1, 1], n)
+            want = float(np.mean(np.where(z >= threshold, 1, -1) == y))
+            got = accuracy(z, y, threshold)
+            assert type(got) is float and got.hex() == want.hex()
+
+
 class TestWeightedDerivative:
     def test_equals_weighted_label_derivatives(self):
         rng = np.random.default_rng(5)
@@ -100,3 +119,23 @@ class TestWeightedDerivative:
     def test_zero_one_has_none(self):
         with pytest.raises(ConfigError):
             weighted_derivative("zero_one", np.zeros(2), np.ones(2), np.ones(2))
+
+    @staticmethod
+    def _plain(z, a, b):
+        t = np.exp(-np.abs(z))
+        return b - (a + b) * (np.where(z >= 0, t, 1.0) / (1.0 + t))
+
+    def test_gives_the_bits_of_the_plain_expression(self):
+        # the in-place buffers run the same operations in the same order
+        rng = np.random.default_rng(12)
+        z = np.concatenate([rng.normal(0, 30, 500),
+                            [0.0, -0.0, 745.0, -745.0, 744.5, -744.5, 800.0, -800.0]])
+        a, b = rng.normal(size=(2, len(z)))
+        assert weighted_derivative("logistic", z, a, b).tobytes() == self._plain(z, a, b).tobytes()
+
+    def test_trial_block_gives_the_bits_of_the_plain_expression(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(0, 10, (4, 300))
+        z[:, :4] = [0.0, -0.0, 745.0, -745.0]
+        a, b = rng.random((2, 4, 300))
+        assert weighted_derivative("logistic", z, a, b).tobytes() == self._plain(z, a, b).tobytes()

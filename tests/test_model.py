@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sconf import optim
 from sconf.errors import ConfigError, DataError
-from sconf.model import (Architecture, backward, forward, init, load_checkpoint,
+from sconf.model import (Architecture, Predictor, backward, forward, init, load_checkpoint,
                          save_checkpoint)
 
 
@@ -38,6 +39,13 @@ class TestForward:
         p = init(Architecture.linear(2))
         assert np.array_equal(p.params, np.zeros(3))
         assert np.allclose(forward(p, np.random.default_rng(0).normal(size=(5, 2))), 0.0)
+
+    def test_linear_gives_the_bits_of_matmul_plus_bias(self):
+        rng = np.random.default_rng(20)
+        p = init(Architecture.linear(5))
+        p.params[:] = rng.normal(size=6)
+        X = rng.normal(size=(300, 5))
+        assert forward(p, X).tobytes() == (X @ p.params[:5] + p.params[5]).tobytes()
 
     def test_linear_dot_product(self):
         p = init(Architecture.linear(2))
@@ -91,6 +99,16 @@ class TestTrialStack:
             X = rng.normal(size=(trials, n, d)) * 10.0 ** rng.integers(-3, 4)
             want = np.einsum("tnd,td->tn", X, p.params[:, :d]) + p.params[:, d:]
             assert forward(p, X).tobytes() == want.tobytes()
+
+    def test_forward_gives_the_bits_of_the_multiply_add(self):
+        # the bias is added in place onto the product of the features
+        rng = np.random.default_rng(21)
+        p = init(Architecture.linear(3), trials=5)
+        p.params[:] = rng.normal(size=p.params.shape)
+        X = rng.normal(size=(5, 200, 3))
+        w, b = p.params[:, :3], p.params[:, 3:]
+        want = X[..., 0] * w[:, :1] + X[..., 1] * w[:, 1:2] + X[..., 2] * w[:, 2:3] + b
+        assert forward(p, X).tobytes() == want.tobytes()
 
     def test_shape_mismatch(self):
         p = init(Architecture.linear(2), trials=3)
@@ -175,6 +193,32 @@ class TestBackward:
         backward(p, u)
         for name, grad in p.grad_views().items():
             assert np.array_equal(grad, g[name]), name
+
+    def test_clean_buffer_gives_the_bits_of_accumulating_onto_zeros(self):
+        # the first backward after init() or a step writes the big weight
+        # gradients straight into the zero buffer, later ones add to it; only
+        # a zero's sign can differ from adding every batch onto zeros
+        rng = np.random.default_rng(9)
+        p = init(Architecture.mlp(30, 40, 20), seed=4)
+        p.views()["b1"][:10] = -50.0  # dead units make exact zeros
+
+        def onto_zeros(X, u):
+            q = Predictor(p.arch, p.params, np.zeros_like(p.grads), grads_ready=True)
+            forward(q, X)
+            backward(q, u)
+            return q.grads
+
+        batches = [(rng.normal(size=(64, 30)), rng.normal(size=64)) for _ in range(3)]
+        want = np.zeros_like(p.grads)
+        for X, u in batches[:2]:
+            forward(p, X)
+            backward(p, u)
+            want += onto_zeros(X, u)
+            assert (p.grads + 0.0).tobytes() == want.tobytes()
+        optim.step(optim.AdamState.for_predictor(p, 0.01), p, 0)
+        forward(p, batches[2][0])
+        backward(p, batches[2][1])
+        assert (p.grads + 0.0).tobytes() == (onto_zeros(*batches[2]) + 0.0).tobytes()
 
     @pytest.mark.parametrize("arch", [Architecture.linear(4), Architecture.mlp(4, 8, 6)])
     def test_finite_difference_gradients(self, arch):

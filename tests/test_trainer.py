@@ -4,6 +4,7 @@ import pytest
 from sconf import model, optim, trainer
 from sconf.datagen import LabeledData, SconfDataset, make_pairs, preset, sample_labeled
 from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
+from sconf.losses import weighted_derivative
 from sconf.experiments import all_pairs_point_weights, pair_normals
 from sconf.model import Architecture
 from sconf.risk import RiskSpec, pair_risk
@@ -58,6 +59,34 @@ class TestEvaluate:
         p = model.init(Architecture.linear(2))
         with pytest.raises(ConfigError):
             evaluate(p, LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+
+    @pytest.mark.parametrize("n", (1, 3, 7, 12_345, 200_000))
+    def test_counting_gives_the_bits_of_the_mean_of_predictions(self, monkeypatch, n):
+        # evaluate counts the correct signs; the mean of materialized +-1
+        # predictions must come out bit for bit the same, with sign(0) = +1
+        # and a NaN score predicting -1
+        rng = np.random.default_rng(n)
+        special = np.array([0.0, -0.0, np.nan, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0])
+        scores = np.where(rng.random(n) < 0.3, rng.choice(special, n), rng.normal(size=n))
+        y = np.where(rng.random(n) < 0.6, 1, -1)
+        monkeypatch.setattr(model, "forward", lambda p, X: scores)
+        acc, r01 = evaluate(model.init(Architecture.linear(1)), LabeledData(np.zeros((n, 1)), y))
+        want = float(np.mean(np.where(scores >= 0, 1, -1) == y))
+        assert type(acc) is float and acc.hex() == want.hex()
+        assert r01.hex() == (1.0 - want).hex()
+
+    def test_full_batch_gradient_is_not_rescaled(self):
+        # n / n = 1.0 would change no bit; a minibatch is still rescaled
+        rng = np.random.default_rng(4)
+        X, a, b = rng.normal(size=(50, 2)), rng.random(50), rng.random(50)
+        p = model.init(Architecture.linear(2))
+        p.params[:] = rng.normal(size=3)
+        score_grad = point_grad(p, X, a, b)
+        z = X @ p.params[:2] + p.params[2]
+        full = weighted_derivative("logistic", z, a, b)
+        assert score_grad(trainer.ALL_ROWS).tobytes() == (50 / 50 * full).tobytes()
+        idx = np.arange(0, 50, 5)
+        assert np.array_equal(score_grad(idx), 50 / 10 * full[idx])
 
 
 class TestTrainBasics:
