@@ -17,7 +17,8 @@ from .datagen import (GaussianSetup, LabeledData, SconfDataset, SynthSpec,
                       sample_train_test, similarity_confidence)
 from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError, SconfError
 from .losses import loss_derivative, loss_value
-from .model import Architecture, Predictor, backward, forward, init, load_checkpoint, save_checkpoint
+from .model import (Architecture, Predictor, backward, forward, init, load_checkpoint,
+                    save_checkpoint, score)
 from .optim import AdamState, effective_lr, step
 from .prior import PriorEstimate, estimate_prior, invert_pair_mean
 from .risk import (PartialRisks, RiskSpec, pair_risk, pair_weights, partial_risks,

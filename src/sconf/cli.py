@@ -269,6 +269,7 @@ def _train_from_config(given, out):
 
     train_set, test, prior = load()
     train_ds, val_ds = _split_pairs(train_set, val_fraction, seed)
+    del train_set  # a split copies the rows; the unsplit block is not needed in training
     spec = RiskSpec(pi_plus=prior if pi_plus is None else pi_plus, **risk)
     tc = TrainConfig(risk=spec, arch=_parse_arch(arch, test.X.shape[1]), **schedule)
     predictor, report = trainer.train(train_ds, val_ds, test, tc)

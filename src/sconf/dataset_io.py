@@ -4,14 +4,14 @@ IDX is the big-endian binary container used by the MNIST-family datasets:
 magic 0x00000803 for image tensors, 0x00000801 for label vectors, whose low
 byte counts the 32-bit dimensions before the uint8 payload; _read_idx and
 _write_idx carry both kinds. Gzipped files are read transparently. Pixels are
-flattened and scaled into [0, 1] by 1/255.
+flattened and scaled into [0, 1] by 1/255, dividing the float copy in place.
 
 Binary corruption maps a multiclass label space onto {-1, +1} by a fixed
 positive-class set. Similarity confidences for such data come from a
 probabilistic classifier trained with logistic loss on the labeled points:
 trainer.train_weighted_points with the one-hot point weights
-trainer.one_hot(y). Its sigmoid outputs play the role of the class
-posterior, and datagen.pair_up pairs the points with them.
+trainer.one_hot(y). The sigmoid of its model.score() outputs plays the role
+of the class posterior, and datagen.pair_up pairs the points with them.
 """
 
 import gzip
@@ -79,7 +79,8 @@ def load_idx(images_path, labels_path):
     if images.shape[0] != labels.shape[0]:
         raise DataError(f"{images_path} has {images.shape[0]} images but "
                         f"{labels_path} has {labels.shape[0]} labels")
-    X = images.reshape(images.shape[0], -1).astype(float) / 255.0
+    X = images.reshape(images.shape[0], -1).astype(float)
+    X /= 255.0  # the bytes of astype(float) / 255.0, with no second float array
     return X, labels.astype(int)
 
 
@@ -168,8 +169,7 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
         raise ConfigError("need labeled data to fit a confidence model")
     p = trainer.train_weighted_points(labeled.X, *trainer.one_hot(labeled.y), arch, epochs, lr0,
                                       seed=seed, batch=batch)
-    scores = model.forward(p, labeled.X)
-    p.discard_cache()
+    scores = model.score(p, labeled.X)
     # finite parameters near the float limit can still overflow a score
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):

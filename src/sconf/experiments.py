@@ -332,8 +332,7 @@ def collapse_demo(seed):
 
 
 def _collapse_record(method, n_pairs, p, test, oracle_frac):
-    scores = model.forward(p, test.X)
-    p.discard_cache()
+    scores = model.score(p, test.X)
     return {"method": method, "n_pairs": n_pairs,
             "frac_positive": float(np.mean(scores >= 0.0)),
             "test_acc": accuracy(scores, test.y),

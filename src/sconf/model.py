@@ -29,6 +29,19 @@ single model's is (for d <= 2 the bytes of
 einsum("tnd,td->tn"), in less time), and backward() sums each trial's rows
 on its own. The MLP is never stacked. trial(t) is trial t as an ordinary
 one-trial predictor that shares the stack's parameters.
+
+score() is the one scoring-only pass (no backward follows): it returns the
+scores and leaves no activation cache. A linear model, single or stacked, is
+scored in one forward() call. An MLP is scored in blocks of
+SCORE_BLOCK // (h1 + h2) rows, one forward() per block, so its two hidden
+layers hold about SCORE_BLOCK float64 values (8 MB) whatever the number of
+rows: 1,048 rows for 784-500-500, against 8 KB a row for one forward() over
+the whole set. A block's scores are the bytes of forward() on that block, and
+an MLP set of at most one block is scored bit for bit as forward() scores it.
+A longer set can differ from one forward() in the last bits, since OpenBLAS
+blocks its GEMM by the row count and so sums in an order that depends on it.
+The stated tolerance is 1e-15 of the largest |score| of the set; random
+784-500-500 sets of 4,000 and 9,000 rows differed by at most 4.1e-16 of it.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +53,9 @@ from .fileio import write_atomic
 from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"SCONF-CKPT-1"
+# activation values (float64) per MLP scoring block: 8 MB, as optim.BLOCK
+# bounds the Adam step's work buffers
+SCORE_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -183,6 +199,23 @@ def forward(p, X):
     np.maximum(a2, 0.0, out=a2)
     p._cache = {"X": X, "a1": a1, "a2": a2}
     return a2 @ v["w3"] + v["b3"][0]
+
+
+def score(p, X):
+    """Scores for a batch without the activation cache: forward() for a linear
+    model, one forward() per block of SCORE_BLOCK // (h1 + h2) rows for an MLP.
+    p keeps no cache afterwards."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    rows = len(X) if p.arch.kind == "linear" else max(1, SCORE_BLOCK // (p.arch.h1 + p.arch.h2))
+    if len(X) <= rows or X.ndim != 2:  # forward() rejects a malformed batch by its whole shape
+        z = forward(p, X)
+    else:
+        z = np.empty(len(X))
+        for lo in range(0, len(X), rows):
+            z[lo:lo + rows] = forward(p, X[lo:lo + rows])
+            p.discard_cache()  # before the next block's activations exist
+    p.discard_cache()
+    return z
 
 
 def backward(p, upstream):

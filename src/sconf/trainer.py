@@ -26,6 +26,9 @@ predictor is the parameter snapshot at the epoch of minimum validation risk;
 test labels are touched only inside evaluate(). evaluate() counts the scores
 whose sign matches the label (losses.accuracy) rather than building an array
 of +-1 predictions and averaging it; the result is the same float.
+evaluate() and the per-epoch risks score through model.score(), which keeps
+no activations and scores an MLP in fixed row blocks; only the training
+steps call model.forward() directly, since backward() needs its cache.
 """
 
 from dataclasses import dataclass, field
@@ -79,15 +82,14 @@ def evaluate(p, test):
     """(accuracy, zero-one risk) of sign(g(x)) on a labeled test set; sign(0) = +1."""
     if len(test) == 0:
         raise ConfigError("empty test set")
-    scores = model.forward(p, test.X)
-    p.discard_cache()
-    acc = accuracy(scores, test.y)
+    acc = accuracy(model.score(p, test.X), test.y)
     return acc, 1.0 - acc
 
 
-def _pair_scores(p, ds, idx=ALL_ROWS):
-    full = isinstance(idx, slice) and idx == ALL_ROWS
-    rows = ds.rows if full else ds.rows[np.concatenate([idx, idx + len(ds)])]
+def _pair_scores(p, ds, idx):
+    """forward() scores of the x and x' members of the pairs in batch idx; a
+    minibatch gathers its rows, a full batch (ALL_ROWS) scores the block."""
+    rows = ds.rows if idx is ALL_ROWS else ds.rows[np.concatenate([idx, idx + len(ds)])]
     z = model.forward(p, rows)
     half = len(z) // 2
     return z[:half], z[half:]
@@ -95,12 +97,9 @@ def _pair_scores(p, ds, idx=ALL_ROWS):
 
 def _dataset_risk(p, ds, spec):
     if spec.kind == "supervised":
-        scores = model.forward(p, ds.X)
-        p.discard_cache()
-        return supervised_risk(scores, ds.y, spec.loss)
-    z, zp = _pair_scores(p, ds)
-    p.discard_cache()
-    return pair_risk(z, zp, ds.s, spec)
+        return supervised_risk(model.score(p, ds.X), ds.y, spec.loss)
+    z = model.score(p, ds.rows)
+    return pair_risk(z[:len(ds)], z[len(ds):], ds.s, spec)
 
 
 def _check_dataset(ds, spec, role):

@@ -4,13 +4,14 @@ import struct
 import numpy as np
 import pytest
 
+from sconf import model, trainer
 from sconf.cli import _split_pairs
 from sconf.dataset_io import (BinaryCorruption, corrupt_binary, corruption,
                               load_idx, posterior_model_confidences,
                               read_idx_images, read_idx_labels,
                               write_idx_images, write_idx_labels)
 from sconf.datagen import LabeledData, SconfDataset
-from sconf.errors import ConfigError, DataError
+from sconf.errors import ConfigError, DataError, NonFiniteRiskError
 from sconf.model import Architecture
 
 
@@ -34,6 +35,16 @@ class TestIdxRoundTrip:
         assert np.array_equal(got_labels, labels)
         assert np.allclose(X[0], np.array([0, 51, 102, 153, 204, 255]) / 255.0)
         assert np.allclose(X[1], np.array([255, 0, 255, 0, 255, 0]) / 255.0)
+
+    def test_scaling_gives_the_bytes_of_dividing_a_float_copy(self, tmp_path):
+        images = np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5) * 4
+        images[0, 0, :] = (0, 1, 127, 254, 255)
+        ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"
+        write_idx_images(ip, images)
+        write_idx_labels(lp, np.arange(3, dtype=np.uint8))
+        X, _ = load_idx(ip, lp)
+        assert X.dtype == np.float64 and X.shape == (3, 20)
+        assert X.tobytes() == (images.reshape(3, -1).astype(float) / 255.0).tobytes()
 
     def test_byte_exact_file_round_trip(self, tiny_idx, tmp_path):
         ip, lp, images, labels = tiny_idx
@@ -193,6 +204,25 @@ class TestModelConfidences:
         assert posteriors[0] == 0.0 and posteriors[1] == 0.0
         assert posteriors[2] == 1.0 and posteriors[3] == 1.0
         assert set(ds.s) <= {0.0, 1.0}
+
+    def test_non_finite_score_names_its_row_past_the_first_block(self, monkeypatch):
+        # hidden layers of 2**17 + 1 units leave 7 rows per scoring block, so
+        # row 30 lies in the fifth block; all-ones weights sum its huge inputs
+        # past the float range
+        arch = Architecture.mlp(2, 2**17, 1)
+        rows = model.SCORE_BLOCK // (arch.h1 + arch.h2)
+        bad = 30
+        assert rows == 7 and bad >= 4 * rows
+        X = np.random.default_rng(4).uniform(0.0, 1.0, (40, 2))
+        X[bad] = 1e304
+        fitted = model.init(arch)
+        fitted.params[:] = 1.0
+        monkeypatch.setattr(trainer, "train_weighted_points", lambda *args, **kwargs: fitted)
+        with pytest.raises(NonFiniteRiskError, match=f"score of row {bad} is inf") as info:
+            with np.errstate(over="ignore"):
+                posterior_model_confidences(LabeledData(X, np.tile([1, -1], 20)), arch,
+                                            seed=1, epochs=1)
+        assert info.value.row == bad and info.value.role == "confidence model"
 
     def test_odd_point_dropped(self):
         rng = np.random.default_rng(9)

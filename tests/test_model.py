@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sconf import optim
 from sconf.errors import ConfigError, DataError
-from sconf.model import (Architecture, Predictor, backward, forward, init, load_checkpoint,
-                         save_checkpoint)
+from sconf.model import (SCORE_BLOCK, Architecture, Predictor, backward, forward, init,
+                         load_checkpoint, save_checkpoint, score)
 
 
 def mlp_forward_oracle(p, X):
@@ -128,6 +130,77 @@ class TestTrialStack:
             init(Architecture.linear(2), trials=0)
         with pytest.raises(ConfigError):
             init(Architecture.linear(2)).trial(0)
+
+
+def block_rows(arch):
+    """Rows in one MLP scoring block of model.score."""
+    return SCORE_BLOCK // (arch.h1 + arch.h2)
+
+
+class TestScore:
+    # rows in one block of the 784-500-500 MLP: 1,048
+    MNIST_BLOCK = block_rows(Architecture.mlp(784))
+
+    @pytest.mark.parametrize("trials", (None, 3))
+    @pytest.mark.parametrize("n", (1, MNIST_BLOCK + 1, 200_000))
+    def test_linear_gives_the_bytes_of_forward(self, trials, n):
+        rng = np.random.default_rng(n)
+        p = init(Architecture.linear(2), trials=trials)
+        p.params[:] = rng.normal(size=p.params.shape)
+        X = rng.normal(size=(n, 2) if trials is None else (trials, n, 2))
+        want = forward(p, X)
+        assert p._cache is not None
+        assert score(p, X).tobytes() == want.tobytes()
+        assert p._cache is None
+
+    @pytest.mark.parametrize("n", (1, 999, "block"))
+    def test_mlp_of_at_most_one_block_gives_the_bytes_of_forward(self, n):
+        arch = Architecture.mlp(6, 40, 24)
+        n = block_rows(arch) if n == "block" else n
+        p = init(arch, seed=2)
+        X = np.random.default_rng(3).normal(size=(n, 6))
+        want = forward(p, X)
+        assert score(p, X).tobytes() == want.tobytes()
+        assert p._cache is None
+
+    def test_mlp_is_scored_block_by_block(self):
+        arch = Architecture.mlp(784)
+        rows = block_rows(arch)
+        assert rows == 1048
+        p = init(arch, seed=5)
+        X = np.random.default_rng(6).uniform(0.0, 1.0, (3 * rows + 17, 784))
+        got = score(p, X)
+        assert p._cache is None
+        for lo in range(0, len(X), rows):
+            assert got[lo:lo + rows].tobytes() == forward(p, X[lo:lo + rows]).tobytes()
+        # OpenBLAS sums a GEMM in an order that depends on the row count, so
+        # the blocks may round apart from one pass over all rows: by at most
+        # 4.1e-16 of the largest |score| in the sets measured
+        whole = forward(p, X)
+        assert np.max(np.abs(got - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    def test_malformed_batch_is_named_by_its_whole_shape(self):
+        p = init(Architecture.mlp(3, 500, 500))
+        with pytest.raises(ConfigError, match=r"shape \(2000, 2, 3\)"):
+            score(p, np.zeros((2000, 2, 3)))
+        with pytest.raises(ConfigError, match="input dim 4"):
+            score(p, np.zeros((2000, 4)))
+
+    def test_mlp_memory_is_bounded_by_the_block(self):
+        arch = Architecture.mlp(4, 32, 32)
+        n = 8 * block_rows(arch)
+        p = init(arch, seed=7)
+        X = np.random.default_rng(8).normal(size=(n, 4))
+        tracemalloc.start()
+        try:
+            z = score(p, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's two hidden layers hold 8 * SCORE_BLOCK bytes; one
+        # forward over all rows would hold 8 times that
+        assert z.shape == (n,)
+        assert peak - z.nbytes < 1.25 * 8 * SCORE_BLOCK
 
 
 class TestBackward:

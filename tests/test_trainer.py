@@ -270,9 +270,6 @@ def test_pair_scores_equal_stacked_members(arch):
     z, zp = _pair_scores(p, ds, idx)
     stacked = model.forward(p, np.vstack([ds.x[idx], ds.x_prime[idx]]))
     assert np.array_equal(np.concatenate([z, zp]), stacked)
-    z, zp = _pair_scores(p, ds)
-    assert np.array_equal(np.concatenate([z, zp]), model.forward(p, np.vstack([ds.x, ds.x_prime])))
-
     z, zp = _pair_scores(p, ds, trainer.ALL_ROWS)
     assert np.array_equal(np.concatenate([z, zp]), model.forward(p, ds.rows))
 
