@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fileio import parse_key_values, parse_list
+from .losses import sigmoid
 from .rng import make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -219,10 +220,8 @@ def posterior_plus(X, setup):
     with np.errstate(divide="ignore", over="ignore"):  # an underflowed density is -inf
         a = np.log(setup.pi_plus) + _log_density(X, setup.mu_plus, setup.sigma_plus)
         b = np.log(setup.pi_minus) + _log_density(X, setup.mu_minus, setup.sigma_minus)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one density underflowed: exp(b - a) is 0 or inf, so r is 1.0 or 0.0
-        r = 1.0 / (1.0 + np.exp(b - a))
-    # both underflowed: b - a is -inf - -inf = nan
+    with np.errstate(invalid="ignore"):  # both underflowed: -inf - -inf is nan, r the prior
+        r = sigmoid(a - b)  # one underflowed: a - b is +-inf, so r is 1.0 or 0.0
     r = np.where(np.isnan(r), setup.pi_plus, r)
     return float(r[0]) if scalar else r
 

@@ -25,6 +25,7 @@ from . import model, trainer
 from .datagen import LabeledData, pair_indices, pair_up
 from .errors import ConfigError, DataError, NonFiniteRiskError
 from .fileio import write_atomic
+from .losses import sigmoid
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -175,6 +176,5 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
     if len(bad):
         raise NonFiniteRiskError(epochs - 1, "confidence model", float(scores[bad[0]]),
                                  row=int(bad[0]))
-    with np.errstate(over="ignore"):  # a score below about -709 gives exp = inf, posterior 0
-        posteriors = 1.0 / (1.0 + np.exp(-scores))
+    posteriors = sigmoid(scores)
     return pair_up(labeled.X, posteriors, pair_indices(len(labeled), seed)), posteriors

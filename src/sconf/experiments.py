@@ -369,9 +369,9 @@ def sweep_n_excess(setup, n_pairs, seeds, test, bayes_risk):
 
     Each trial is the unbiased pair risk in point form: the pair block
     ds.rows with pair_weights(ds.s) on both halves. Its correction f is the
-    identity, so the gradient is trainer.train's. The final-epoch model is
-    scored once: there is no independent validation set here, so the
-    best-epoch snapshot would just echo the training minimum.
+    identity, so the gradient is trainer.train's expression up to rounding.
+    The final-epoch model is scored once: there is no independent validation
+    set here, so the best-epoch snapshot would just echo the training minimum.
     """
     n_points = 2 * n_pairs
     n_plus = round(n_points * setup.pi_plus)

@@ -6,6 +6,7 @@ Only the logistic loss has a derivative; zero_one is evaluation-only.
 weighted_derivative() is the derivative of a_i l(z_i, +1) + b_i l(z_i, -1),
 the point objective's per-row gradient, fused into one sigmoid.
 accuracy() is one minus the mean zero-one loss, with the same sign rule.
+sigmoid() is the posterior of a score, 1 / (1 + exp(-x)).
 """
 
 import numpy as np
@@ -43,6 +44,12 @@ def accuracy(z, y, threshold=0.0):
     predictions; the count is exact and the one division correctly rounded,
     so this is bit for bit np.mean(np.where(z >= threshold, 1, -1) == y)."""
     return float(np.count_nonzero((z >= threshold) == (y == 1)) / len(y))
+
+
+def sigmoid(x):
+    """1 / (1 + exp(-x)), elementwise; 0.0 without a warning where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def loss_derivative(kind, z, y):

@@ -23,12 +23,11 @@ backward() before a step still accumulates.
 
 The linear model also comes as a stack of T independent trials
 (init(arch, seed, trials=T)): parameters and gradients are a (T, d + 1)
-block, a batch is a (T, n, d) block scored into (T, n) by a multiply-add
-over the features in order plus each trial's bias, added in place as the
-single model's is (for d <= 2 the bytes of
-einsum("tnd,td->tn"), in less time), and backward() sums each trial's rows
-on its own. The MLP is never stacked. trial(t) is trial t as an ordinary
-one-trial predictor that shares the stack's parameters.
+block and a batch a (T, n, d) block, scored into (T, n). forward() and
+backward() broadcast the single model's matmul over the trial axis, and
+numpy computes each trial's product as the 2-D one, so trial t of a stack
+computes the single model's bytes. The MLP is never stacked. trial(t) is
+trial t as an ordinary one-trial predictor that shares the stack's parameters.
 
 score() is the one scoring-only pass (no backward follows): it returns the
 scores and leaves no activation cache. A linear model, single or stacked, is
@@ -172,23 +171,18 @@ def init(arch, seed=0, trials=None):
 def forward(p, X):
     """Scores for a batch; caches activations for one backward() call.
 
-    A stack scores a (T, n, d) batch, one (n, d) block per trial, into (T, n).
+    A stack scores a (T, n, d) batch into (T, n): trial t computes the single model's bytes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[-1] != p.arch.d:
         raise ConfigError(f"input dim {X.shape[-1]} does not match architecture dim {p.arch.d}")
-    if X.ndim != 2 + p.stacked or (p.stacked and len(X) != len(p.params)):
+    if X.shape[:-2] != p.params.shape[:-1]:  # (T, n, d) for a stack of T, else (n, d)
         raise ConfigError(f"a batch of shape {X.shape} does not fit parameters of shape "
                           f"{p.params.shape}")
     v = p.views()
     if p.arch.kind == "linear":
         p._cache = {"X": X}
-        if p.stacked:
-            z = X[..., 0] * v["w"][:, :1]
-            for k in range(1, p.arch.d):
-                z += X[..., k] * v["w"][:, k:k + 1]
-        else:
-            z = X @ v["w"]
+        z = (X @ v["w"][..., None])[..., 0]
         z += v["b"]
         return z
     a1 = X @ v["W1"]
@@ -222,7 +216,7 @@ def backward(p, upstream):
     """Accumulate d(sum_i upstream_i * score_i)/d params into p.grads.
 
     Consumes the activation cache of the last forward(). The ReLU subgradient
-    at exactly 0 is taken as 0.
+    at exactly 0 is taken as 0. A stack's trial t computes the single model's bytes.
     """
     if p._cache is None:
         raise ConfigError("backward() needs a preceding forward() on this predictor")
@@ -236,12 +230,8 @@ def backward(p, upstream):
     clean, p.grads_ready = not p.grads_ready, True
     g = p.grad_views()
     if p.arch.kind == "linear":
-        if p.stacked:
-            g["w"] += np.einsum("tnd,tn->td", X, u)
-            g["b"] += u.sum(axis=1, keepdims=True)
-        else:
-            g["w"] += X.T @ u
-            g["b"] += u.sum()
+        g["w"] += (X.swapaxes(-1, -2) @ u[..., None])[..., 0]
+        g["b"] += u.sum(axis=-1, keepdims=True)
         return
     v = p.views()
     a1, a2 = cache["a1"], cache["a2"]

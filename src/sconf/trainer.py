@@ -50,6 +50,14 @@ REPORT_COLUMNS = ("epoch", "train_risk", "val_risk", "test_acc", "test_01_risk",
 ALL_ROWS = slice(None)
 
 
+def _check_fit_size(epochs, batch):
+    # TrainConfig's and train_weighted_points' one check; batch None is full batch
+    if epochs < 1:
+        raise ConfigError("need at least one epoch")
+    if batch is not None and batch < 1:
+        raise ConfigError("batch size must be positive")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     risk: RiskSpec
@@ -62,10 +70,7 @@ class TrainConfig:
     drop_every: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("need at least one epoch")
-        if self.batch_pairs is not None and self.batch_pairs < 1:
-            raise ConfigError("batch size must be positive")
+        _check_fit_size(self.epochs, self.batch_pairs)
 
 
 @dataclass
@@ -165,10 +170,7 @@ def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
     if a parameter is not finite after an epoch, and ConfigError, as
     TrainConfig does, for fewer than one epoch or a batch below 1.
     """
-    if epochs < 1:
-        raise ConfigError("need at least one epoch")
-    if batch is not None and batch < 1:
-        raise ConfigError("batch size must be positive")
+    _check_fit_size(epochs, batch)
     X = np.asarray(X, dtype=float)
     trials, n = (len(X) if X.ndim == 3 else None), X.shape[-2]
     if trials is not None and batch is not None and batch < n:

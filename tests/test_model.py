@@ -84,33 +84,30 @@ class TestTrialStack:
         backward(p, u)
         for t in range(4):
             one = p.trial(t)
-            assert np.allclose(forward(one, X[t]), z[t], rtol=1e-14, atol=1e-14)
+            assert forward(one, X[t]).tobytes() == z[t].tobytes()
             backward(one, u[t])
-            assert np.allclose(one.grads, p.grads[t], rtol=1e-14, atol=1e-14)
+            assert one.grads.tobytes() == p.grads[t].tobytes()
 
-    @pytest.mark.parametrize("d", (1, 2))
-    def test_forward_gives_the_bytes_of_einsum(self, d):
-        # the stacked scores are a multiply-add over the features in their
-        # order; for d <= 2 that rounds as einsum("tnd,td->tn") does
-        for seed in range(12):
-            rng = np.random.default_rng(seed)
-            trials, n = int(rng.integers(1, 30)), int(rng.integers(1, 900))
-            p = init(Architecture.linear(d), trials=trials)
-            if seed:  # seed 0 keeps the zero parameters of a fresh stack
-                p.params[:] = rng.normal(size=p.params.shape) * 10.0 ** rng.integers(-3, 4)
-            X = rng.normal(size=(trials, n, d)) * 10.0 ** rng.integers(-3, 4)
-            want = np.einsum("tnd,td->tn", X, p.params[:, :d]) + p.params[:, d:]
-            assert forward(p, X).tobytes() == want.tobytes()
-
-    def test_forward_gives_the_bits_of_the_multiply_add(self):
-        # the bias is added in place onto the product of the features
-        rng = np.random.default_rng(21)
-        p = init(Architecture.linear(3), trials=5)
-        p.params[:] = rng.normal(size=p.params.shape)
-        X = rng.normal(size=(5, 200, 3))
-        w, b = p.params[:, :3], p.params[:, 3:]
-        want = X[..., 0] * w[:, :1] + X[..., 1] * w[:, 1:2] + X[..., 2] * w[:, 2:3] + b
-        assert forward(p, X).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("d", (1, 2, 3, 16, 784))
+    @pytest.mark.parametrize("n", (1, 9, 800))
+    @pytest.mark.parametrize("trials", (1, 4, 25))
+    @pytest.mark.parametrize("fresh", (True, False))
+    def test_each_trial_computes_the_single_models_bytes(self, fresh, trials, n, d):
+        # one matmul broadcast over the trial axis: row t of the stack's
+        # scores and gradient are the bytes of trial t's own 2-D products
+        rng = np.random.default_rng([trials, n, d])
+        p = init(Architecture.linear(d), trials=trials)
+        if not fresh:  # a fresh stack keeps its zero parameters
+            p.params[:] = rng.normal(size=p.params.shape) * 10.0 ** rng.integers(-3, 4, (trials, 1))
+        X = rng.normal(size=(trials, n, d)) * 10.0 ** rng.integers(-3, 4)
+        u = rng.normal(size=(trials, n))
+        z = forward(p, X)
+        backward(p, u)
+        for t in range(trials):
+            one = p.trial(t)
+            assert forward(one, X[t]).tobytes() == z[t].tobytes()
+            backward(one, u[t])
+            assert one.grads.tobytes() == p.grads[t].tobytes()
 
     def test_shape_mismatch(self):
         p = init(Architecture.linear(2), trials=3)

@@ -394,15 +394,6 @@ def test_supervised_risk_equals_one_hot_row_risk(seed, n, loss):
     assert abs(supervised_risk(z, y, loss) - rows) <= 1e-12
 
 
-# einsum and BLAS sum the same products in different orders; the drift after
-# a few dozen Adam steps stays within this, relative to the largest parameter
-STACK_TOL = 1e-13
-
-
-def _assert_params_close(got, want):
-    assert np.max(np.abs(got - want)) <= STACK_TOL * max(1.0, np.max(np.abs(want)))
-
-
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(trials=st.integers(1, 6), n=st.integers(2, 40), d=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1), epochs=st.integers(1, 25))
@@ -412,13 +403,19 @@ def test_every_stacked_trial_matches_its_single_fit(trials, n, d, seed, epochs):
     a = rng.uniform(-0.5, 1.0, size=(trials, n)) / n
     b = rng.uniform(-0.5, 1.0, size=(trials, n)) / n
     arch = model.Architecture.linear(d)
+    # a stack scores and backpropagates each trial as the single model does,
+    # so every step, and so every parameter, is the single fit's bit for bit
     stack = train_weighted_points(X, a, b, arch, epochs, 0.1, drop_every=7)
-    test_X = rng.normal(size=(50, d))
     for t in range(trials):
         single = train_weighted_points(X[t], a[t], b[t], arch, epochs, 0.1, drop_every=7)
-        _assert_params_close(stack.params[t], single.params)
-        assert np.array_equal(model.forward(stack.trial(t), test_X) >= 0,
-                              model.forward(single, test_X) >= 0)
+        assert stack.params[t].tobytes() == single.params.tobytes()
+
+
+# trainer.train's pair step takes loss_derivative once per label and adds the
+# weighted terms; the point step takes weighted_derivative's one fused sigmoid.
+# The two round differently, and the drift after a dozen Adam steps stays
+# within this, relative to the largest parameter
+STACK_TOL = 1e-13
 
 
 @pytest.mark.parametrize("n_pairs", (7, 60))
@@ -446,4 +443,5 @@ def test_pair_risk_training_matches_point_form_stack(n_pairs):
         upto = train_weighted_points(ds.rows[None], np.tile(weights[t][0], 2)[None],
                                      np.tile(weights[t][1], 2)[None], arch,
                                      report.best_epoch + 1, 0.1, drop_every=5)
-        _assert_params_close(upto.params[0], chosen.params)
+        want = chosen.params
+        assert np.max(np.abs(upto.params[0] - want)) <= STACK_TOL * max(1.0, np.max(np.abs(want)))
