@@ -18,12 +18,12 @@ gives must be read by the run (noise_std or pi_plus with estimator=supervised
 exits 2), and every setting is checked before any data is sampled or loaded.
 Seeds must be nonnegative, and a confidence noise std finite and nonnegative.
 --out or SCONF_OUT_DIR names the output directory (default: the working
-directory); a failed command removes it if it made it and it is still empty.
-Exit codes: 0 success, 2 config error, 3 data or file error (a train run
-whose output write fails removes the outputs it already wrote), 4 numeric
-guard (class prior too balanced for the pair estimators), 5 training
-diverged (a train or validation risk became NaN or infinite; no report or
-checkpoint is written).
+directory). A command that fails, by any exception, leaves none of its
+outputs: main removes every file the command wrote, then the directory if
+main made it and it is now empty. Exit codes: 0 success, 2 config error,
+3 data or file error, 4 numeric guard (class prior too balanced for the pair
+estimators), 5 training diverged (a train or validation risk became NaN or
+infinite); any other exception propagates after the cleanup.
 """
 
 import argparse
@@ -50,75 +50,69 @@ EXIT_CODES = {BalancedPriorError: 4, ConfigError: 2, NonFiniteRiskError: 5, Data
 # subcommands
 
 
-def cmd_reproduce_table1(args, out):
+def cmd_reproduce_table1(args, write):
     runs = experiments.reproduce_table(trials=args.trials)
     summary = experiments.summarize_table(runs)
-    csv_path = os.path.join(out, "table1.csv")
-    write_csv(csv_path, ("setup", "method", "noise_std", "mean_acc", "std_acc"), summary)
+    csv_path = write("table1.csv", write_csv,
+                     ("setup", "method", "noise_std", "mean_acc", "std_acc"), summary)
     setups = sorted({r[0] for r in summary})
     mean_acc = {r[:3]: r[3] for r in summary}
     series = {f"sconf std={std}": [mean_acc.get((s, "sconf", std), float("nan")) for s in setups]
               for std in sorted({r[2] for r in summary if r[1] == "sconf"})}
     series["supervised"] = [mean_acc.get((s, "supervised", 0.0), float("nan")) for s in setups]
-    svgplot.bar_chart(os.path.join(out, "table1.svg"), setups, series,
-                      title="Mean test accuracy over trials", ylabel="accuracy [%]")
+    write("table1.svg", svgplot.bar_chart, setups, series,
+          title="Mean test accuracy over trials", ylabel="accuracy [%]")
     for row in summary:
         print(f"{row[0]} {row[1]:10s} std={row[2]:.1f}: {row[3]:.2f} +- {row[4]:.2f}")
     print(f"wrote {csv_path}")
 
 
-def cmd_collapse_demo(args, out):
+def cmd_collapse_demo(args, write):
     results, all_ds, test, bayes_acc = experiments.collapse_demo(args.seed)
-    csv_path = os.path.join(out, "collapse.csv")
-    write_csv(csv_path,
-              ("method", "n_pairs", "frac_positive", "test_acc", "oracle_frac_positive"),
-              [(r["method"], r["n_pairs"], r["frac_positive"], r["test_acc"],
-                r["oracle_frac_positive"]) for r in results])
-
-    hist_path = os.path.join(out, "confidence_hist.csv")
+    csv_path = write("collapse.csv", write_csv,
+                     ("method", "n_pairs", "frac_positive", "test_acc", "oracle_frac_positive"),
+                     [(r["method"], r["n_pairs"], r["frac_positive"], r["test_acc"],
+                       r["oracle_frac_positive"]) for r in results])
     counts, edges = np.histogram(all_ds.s, bins=40, range=(0.0, 1.0))
-    write_csv(hist_path, ("bin_left", "bin_right", "count"), zip(edges, edges[1:], counts))
-    svgplot.histogram(os.path.join(out, "confidence_hist.svg"), edges, counts,
-                      title="Similarity confidence of unlabeled pairs", xlabel="s",
-                      vlines=((PRESET_PI_PLUS, "pi+"), (1 - PRESET_PI_PLUS, "pi-")))
-    points = [(float(x[0]), float(x[1]), 0 if y > 0 else 1)
-              for x, y in zip(test.X, test.y)]
+    write("confidence_hist.csv", write_csv, ("bin_left", "bin_right", "count"),
+          zip(edges, edges[1:], counts))
+    write("confidence_hist.svg", svgplot.histogram, edges, counts,
+          title="Similarity confidence of unlabeled pairs", xlabel="s",
+          vlines=((PRESET_PI_PLUS, "pi+"), (1 - PRESET_PI_PLUS, "pi-")))
+    points = [(float(x[0]), float(x[1]), 0 if y > 0 else 1) for x, y in zip(test.X, test.y)]
     lines = {}
     for r in results:
         v = r["predictor"].views()
         lines[r["method"]] = (float(v["w"][0]), float(v["w"][1]), float(v["b"][0]))
-    svgplot.scatter_with_lines(os.path.join(out, "boundaries.svg"), points, lines,
-                               title="Decision boundaries")
+    write("boundaries.svg", svgplot.scatter_with_lines, points, lines, title="Decision boundaries")
     for r in results:
         print(f"{r['method']:16s} pairs={r['n_pairs']:6d} frac+={r['frac_positive']:.3f} "
               f"acc={r['test_acc']:.3f} oracle_frac+={r['oracle_frac_positive']:.3f}")
     print(f"bayes accuracy {bayes_acc:.4f}; wrote {csv_path}")
 
 
-def cmd_sweep_n(args, out):
+def cmd_sweep_n(args, write):
     grid = parse_list(args.n_grid, int, "--n-grid")
     rows, slope = experiments.sweep_n(args.setup, grid, args.trials, base_seed=args.seed)
-    csv_path = os.path.join(out, "sweep_n.csv")
-    write_csv(csv_path, ("n_pairs", "mean_excess_01_risk", "std_excess_01_risk"), rows)
-    svgplot.line_plot(os.path.join(out, "sweep_n.svg"), [r[0] for r in rows],
-                      {"mean excess 0-1 risk": [max(r[1], 1e-6) for r in rows]},
-                      title="Excess risk vs pairs",
-                      xlabel="n pairs", ylabel="excess risk", logx=True, logy=True)
+    csv_path = write("sweep_n.csv", write_csv,
+                     ("n_pairs", "mean_excess_01_risk", "std_excess_01_risk"), rows)
+    write("sweep_n.svg", svgplot.line_plot, [r[0] for r in rows],
+          {"mean excess 0-1 risk": [max(r[1], 1e-6) for r in rows]}, title="Excess risk vs pairs",
+          xlabel="n pairs", ylabel="excess risk", logx=True, logy=True)
     for r in rows:
         print(f"n={r[0]:5d} mean excess {r[1]:.4f} (+- {r[2]:.4f})")
     print("single-point grid: no slope" if slope is None else f"log-log slope: {slope:.3f}")
     print(f"wrote {csv_path}")
 
 
-def cmd_sweep_noise(args, out):
+def cmd_sweep_noise(args, write):
     stds = parse_list(args.stds, float, "--stds")
     rows = experiments.sweep_noise(args.setup, stds, args.trials)
-    csv_path = os.path.join(out, "sweep_noise.csv")
-    write_csv(csv_path, ("noise_std", "mean_acc", "std_acc", "mean_sigma_n"), rows)
-    svgplot.line_plot(os.path.join(out, "sweep_noise.svg"), [r[0] for r in rows],
-                      {"mean accuracy [%]": [r[1] for r in rows]},
-                      title=f"Noise robustness, setup {args.setup}",
-                      xlabel="confidence noise std", ylabel="accuracy [%]")
+    csv_path = write("sweep_noise.csv", write_csv,
+                     ("noise_std", "mean_acc", "std_acc", "mean_sigma_n"), rows)
+    write("sweep_noise.svg", svgplot.line_plot, [r[0] for r in rows],
+          {"mean accuracy [%]": [r[1] for r in rows]}, xlabel="confidence noise std",
+          ylabel="accuracy [%]", title=f"Noise robustness, setup {args.setup}")
     for r in rows:
         print(f"std={r[0]:.1f}: acc {r[1]:.2f} +- {r[2]:.2f}, sigma_n {r[3]:.1f}")
     print(f"wrote {csv_path}")
@@ -129,32 +123,29 @@ def _synth(args):
     return load_setup_file(args.setup_file) if args.setup_file else preset_synth(args.setup)
 
 
-def cmd_prior(args, out):
+def cmd_prior(args, write):
     setup = _synth(args).setup
     est = experiments.prior_experiment(setup, args.n, args.seed, noise_std=args.noise_std)
     if est.n < 100:
         print(f"warning: only {est.n} pairs; the confidence mean is wide-sample here")
     err = abs(est.pi_plus_hat - setup.pi_plus)
-    write_csv(os.path.join(out, "prior.csv"),
-              ("n_pairs", "pi_s_hat", "pi_plus_hat", "clamped", "true_pi_plus", "abs_error"),
-              [(est.n, est.pi_s_hat, est.pi_plus_hat, int(est.clamped),
-                float(setup.pi_plus), err)])
+    write("prior.csv", write_csv,
+          ("n_pairs", "pi_s_hat", "pi_plus_hat", "clamped", "true_pi_plus", "abs_error"),
+          [(est.n, est.pi_s_hat, est.pi_plus_hat, int(est.clamped), float(setup.pi_plus), err)])
     print(f"pi_s_hat={est.pi_s_hat:.5f} pi_plus_hat={est.pi_plus_hat:.5f} "
           f"clamped={est.clamped} (true pi+ {setup.pi_plus:.4f}, error {err:.5f})")
 
 
-def cmd_gen_synth(args, out):
+def cmd_gen_synth(args, write):
     synth = _synth(args)
     train, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, args.seed)
     ds = add_confidence_noise(make_pairs(train.X, synth.setup, args.seed), args.noise_std,
                               args.seed)
-    pairs_path = os.path.join(out, "pairs.csv")
-    write_csv(pairs_path, ("x1", "x2", "xp1", "xp2", "s"),
-              [(float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(s))
-               for a, b, s in zip(ds.x, ds.x_prime, ds.s)])
-    test_path = os.path.join(out, "test.csv")
-    write_csv(test_path, ("x1", "x2", "y"),
-              [(float(x[0]), float(x[1]), int(y)) for x, y in zip(test.X, test.y)])
+    pairs_path = write("pairs.csv", write_csv, ("x1", "x2", "xp1", "xp2", "s"),
+                       [(float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(s))
+                        for a, b, s in zip(ds.x, ds.x_prime, ds.s)])
+    test_path = write("test.csv", write_csv, ("x1", "x2", "y"),
+                      [(float(x[0]), float(x[1]), int(y)) for x, y in zip(test.X, test.y)])
     print(f"wrote {pairs_path} ({len(ds)} pairs) and {test_path} ({len(test)} examples)")
 
 
@@ -176,7 +167,7 @@ TRAIN_KEYS = {
 IDX_FILE_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
 
 
-def _train_from_config(given, out):
+def _train_from_config(given, write):
     """One trainer run from the config values given ({key: text}); a key not
     given takes its TRAIN_KEYS default. Every key is read before any data is
     sampled or loaded, and a given key the run never reads is a ConfigError."""
@@ -229,7 +220,7 @@ def _train_from_config(given, out):
             ds = make_pairs(points.X, synth.setup, seed) if pairs else points
             if noise_std > 0:
                 ds = add_confidence_noise(ds, noise_std, seed)
-            return ds, test, synth.setup.pi_plus
+            return ds, test, synth.setup.pi_plus, _parse_arch(arch, synth.setup.dim)
     elif get("idx_images"):
         files = [get(key) for key in IDX_FILE_KEYS]
         for key, path in zip(IDX_FILE_KEYS, files):
@@ -249,15 +240,21 @@ def _train_from_config(given, out):
         def load():
             labeled, test = (dataset_io.corrupt_binary(*dataset_io.load_idx(*pair), rule)
                              for pair in (files[:2], files[2:]))
+            if labeled.X.shape[1] != test.X.shape[1]:
+                raise DataError(f"{files[0]} has images of {labeled.X.shape[1]} pixels but "
+                                f"{files[2]} has images of {test.X.shape[1]}")
             if subsample is not None:
+                if subsample > len(labeled):
+                    raise ConfigError(f"config key subsample is {subsample}, more than the "
+                                      f"{len(labeled)} training images")
                 idx = make_rng(seed, 7).permutation(len(labeled))[:subsample]
                 labeled = type(labeled)(labeled.X[idx], labeled.y[idx])
             prior = float(np.mean(labeled.y == 1))
-            if not pairs:
-                return labeled, test, prior
-            ds, _ = dataset_io.posterior_model_confidences(
-                labeled, _parse_arch(arch, labeled.X.shape[1]), seed, **confidence)
-            return ds, test, prior
+            net = _parse_arch(arch, test.X.shape[1])
+            if pairs:
+                labeled, _ = dataset_io.posterior_model_confidences(labeled, net, seed,
+                                                                    **confidence)
+            return labeled, test, prior, net
     else:
         raise ConfigError("config must name either a synthetic setup or IDX paths")
     val_fraction = num("val_fraction") if pairs else 0.0
@@ -267,34 +264,19 @@ def _train_from_config(given, out):
     if unread:
         raise ConfigError(f"config keys this run never reads: {', '.join(unread)}")
 
-    train_set, test, prior = load()
+    train_set, test, prior, net = load()
     train_ds, val_ds = _split_pairs(train_set, val_fraction, seed)
     del train_set  # a split copies the rows; the unsplit block is not needed in training
     spec = RiskSpec(pi_plus=prior if pi_plus is None else pi_plus, **risk)
-    tc = TrainConfig(risk=spec, arch=_parse_arch(arch, test.X.shape[1]), **schedule)
-    predictor, report = trainer.train(train_ds, val_ds, test, tc)
+    predictor, report = trainer.train(train_ds, val_ds, test,
+                                      TrainConfig(risk=spec, arch=net, **schedule))
 
-    report_path = os.path.join(out, "report.csv")
+    report_path = write("report.csv", report.to_csv)
+    write("model.ckpt", lambda path: model.save_checkpoint(predictor, path))
     epochs, train_risk, val_risk, _, test_01, _ = zip(*report.rows)
-    writes = (
-        (report_path, report.to_csv),
-        (os.path.join(out, "model.ckpt"), lambda path: model.save_checkpoint(predictor, path)),
-        (os.path.join(out, "curves.svg"), lambda path: svgplot.line_plot(
-            path, epochs,
-            {"train risk": train_risk, "val risk": val_risk, "test 0-1 risk": test_01},
-            title="Learning curves", xlabel="epoch", ylabel="risk")),
-    )
-    written = []
-    try:
-        for path, write in writes:
-            write(path)
-            written.append(path)
-    except BaseException:
-        # a failed run leaves none of its outputs; the path that blocked the
-        # failed write is not one of them
-        for path in written:
-            os.remove(path)
-        raise
+    write("curves.svg", svgplot.line_plot, epochs,
+          {"train risk": train_risk, "val risk": val_risk, "test 0-1 risk": test_01},
+          title="Learning curves", xlabel="epoch", ylabel="risk")
     final = report.rows[-1]
     best = report.rows[report.best_epoch]
     print(f"final epoch {final[0]}: train_risk {final[1]:.5f} test_acc {final[3]:.4f}")
@@ -324,7 +306,7 @@ def _parse_arch(text, d):
     raise ConfigError(f"unknown arch {text!r} (use linear, mlp, or mlp:H1,H2)")
 
 
-def cmd_train(args, out):
+def cmd_train(args, write):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -333,7 +315,7 @@ def cmd_train(args, out):
     given = {}
     for lines, source in ((text, args.config), ("\n".join(args.set or ()), "--set")):
         given.update((k, v) for k, (_, v) in parse_key_values(lines, TRAIN_KEYS, source).items())
-    _train_from_config(given, out)
+    _train_from_config(given, write)
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +377,29 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     out = args.out or os.environ.get("SCONF_OUT_DIR") or "."
     fresh = not os.path.exists(out)
+    written = []
+
+    def write(name, writer, *values, **options):
+        # recorded once the writer returns: a path that blocked a write is not removed
+        path = os.path.join(out, name)
+        writer(path, *values, **options)
+        written.append(path)
+        return path
+
     try:
         os.makedirs(out, exist_ok=True)
-        args.fn(args, out)
-    except tuple(EXIT_CODES) as exc:
+        args.fn(args, write)
+    except BaseException as exc:
+        # a failed command leaves none of its outputs, nor a directory it made
+        for path in written:
+            os.remove(path)
         if fresh and os.path.isdir(out) and not os.listdir(out):
-            os.rmdir(out)  # a failed command leaves no directory it made behind
+            os.rmdir(out)
+        code = next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+        return code
     return 0
 
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-BalancedPriorError -> 4, NonFiniteRiskError -> 5.
+OSError -> 3, BalancedPriorError -> 4, NonFiniteRiskError -> 5.
 """
 
 

@@ -395,6 +395,8 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
     grid is degenerate)."""
     if list(n_grid) != sorted(n_grid):
         raise ConfigError("n grid must be ascending")
+    if any(n < 1 for n in n_grid):
+        raise ConfigError(f"n grid values must be at least 1 pair, got {min(n_grid)}")
     if base_seed < 0:  # a trial seed of a large n could still come out nonnegative
         raise ConfigError(f"seeds must be nonnegative, got base seed {base_seed}")
     seeds = trial_seeds(trials)

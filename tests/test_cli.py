@@ -179,18 +179,43 @@ class TestTrain:
         assert not (out / "report.csv").exists()
         assert not (out / "model.ckpt").exists()
 
-    @pytest.mark.parametrize("blocked", ("report.csv", "model.ckpt", "curves.svg"))
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, blocked):
+    # each command with one of its outputs, the last it writes where it has several
+    BLOCKED_OUTPUTS = [
+        ("train {cfg}", "report.csv"), ("train {cfg}", "model.ckpt"),
+        ("train {cfg}", "curves.svg"), ("reproduce-table1 --trials 1", "table1.svg"),
+        ("collapse-demo --seed 1", "boundaries.svg"),
+        ("sweep-n --n-grid 30,60 --trials 1", "sweep_n.svg"),
+        ("sweep-noise --stds 0.0,0.3 --trials 1", "sweep_noise.svg"),
+        ("prior --seed 1 --n 200", "prior.csv"), ("gen-synth --seed 1", "test.csv"),
+    ]
+
+    @pytest.mark.parametrize("argv,blocked", BLOCKED_OUTPUTS,
+                             ids=[blocked for _, blocked in BLOCKED_OUTPUTS])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, argv, blocked):
         # the output is a directory, so the rename onto it fails: exit 3, the
-        # atomic writer removes its temp file, and the run removes the outputs
-        # it wrote before, but not the directory that blocked it
+        # atomic writer removes its temp file, and the command removes the
+        # outputs it wrote before, but not the directory that blocked it
         cfg = self.write_cfg(tmp_path, "setup=B\nepochs=1\nseed=1\n")
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
-        assert run_cli(["train", str(cfg), "--out", str(out)]) == 3
+        assert run_cli(argv.format(cfg=cfg).split() + ["--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error:")
         assert os.listdir(out) == [blocked]
         assert (out / blocked).is_dir()
+
+    def test_interrupted_command_propagates_after_removing_its_outputs(self, tmp_path,
+                                                                       monkeypatch):
+        # an exception outside the exit-code table is not turned into an exit
+        # code, but the files written before it are removed all the same
+        def interrupt(*args, **kwargs):
+            assert os.listdir(out) == ["sweep_n.csv"]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(svgplot, "line_plot", interrupt)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["sweep-n", "--n-grid", "30", "--trials", "1", "--out", str(out)])
+        assert not out.exists()
 
     def test_balanced_prior_guard_exit_code(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "setup=B\nepochs=1\nseed=1\npi_plus=0.5\n")
@@ -260,6 +285,14 @@ class TestSweeps:
     def test_sweep_n_unsorted_grid(self, tmp_path):
         assert run_cli(["sweep-n", "--n-grid", "100,50", "--trials", "1",
                         "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("grid,named", (("0,10", "got 0"), ("-5,10", "got -5")))
+    def test_sweep_n_grid_below_one_pair(self, tmp_path, capsys, grid, named):
+        assert run_cli(["sweep-n", f"--n-grid={grid}", "--trials", "1",
+                        "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "n grid values must be at least 1 pair" in err and named in err
+        assert os.listdir(tmp_path) == []
 
     def test_sweep_noise_schema(self, tmp_path):
         assert run_cli(["sweep-noise", "--setup", "A", "--stds", "0.0,0.3",
@@ -383,6 +416,36 @@ class TestInputValidation:
         assert run_cli(["train", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert ("confidence_epochs, corruption, noise_std, subsample"
                 in capsys.readouterr().err)
+
+    def test_subsample_above_the_training_set_exits_2(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the confidence model was fit")
+
+        monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(random_idx_source(tmp_path) + "\nepochs=1\nsubsample=1000\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "subsample is 1000, more than the 120 training images" in err
+        assert not out.exists()
+
+    def test_train_and_test_image_widths_must_match(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the confidence model was fit")
+
+        monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
+        source = random_idx_source(tmp_path)
+        wide = tmp_path / "wide.idx"
+        dataset_io.write_idx_images(wide, np.zeros((40, 5, 5), np.uint8))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(source.replace(str(tmp_path / "test.idx"), str(wide)) + "\nepochs=1\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'train.idx'} has images of 16 pixels but {wide} has images of 25"
+                in err)
+        assert not out.exists()
 
     def test_unread_idx_key_exits_before_the_confidence_fit(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
