@@ -114,7 +114,7 @@ def cmd_sweep_noise(args, write):
           {"mean accuracy [%]": [r[1] for r in rows]}, xlabel="confidence noise std",
           ylabel="accuracy [%]", title=f"Noise robustness, setup {args.setup}")
     for r in rows:
-        print(f"std={r[0]:.1f}: acc {r[1]:.2f} +- {r[2]:.2f}, sigma_n {r[3]:.1f}")
+        print(f"std={r[0]}: acc {r[1]:.2f} +- {r[2]:.2f}, sigma_n {r[3]:.1f}")
     print(f"wrote {csv_path}")
 
 

@@ -9,12 +9,11 @@ with sub-point spread. all_pairs_point_weights sums each point's unbiased
 pair weights (risk.pair_weights) over its partners into one (a_i, b_i); the
 objective sum_i a_i l(z_i, +1) + b_i l(z_i, -1) is algebraically identical to
 the full pair risk, but costs O(n) per step instead of O(n^2). With noisy
-confidences, the pair noise of a sample at level std is std times one draw
-of standard normals (pair_normals), which is what Generator.normal(0, std)
-returns from the same stream. The table weights seed by seed: it draws a
-seed's normals once for every setup, and weights each setup's sample at all
-its noise levels in one call, which builds the pair blocks, right of the
-diagonal only, once and only scales and clips them per level.
+confidences, the pair noise at level std is std times the standard normals of
+make_rng(seed, 2), which is what Generator.normal(0, std) draws from it. The
+table weights every setup's sample of a seed at all its levels in one call,
+which draws each row block's normals, right of the diagonal only, as the pair
+loop reaches it, and only scales and clips them per setup and level.
 
 The linear protocols are many independent fits of one shape, so each is run
 as a trial stack (see trainer.train_weighted_points, also importable from
@@ -68,11 +67,11 @@ def bayes_accuracy(test, setup):
 # all-pairs confidence weights
 
 
-def pair_normals(seed, n, out=None):
+def pair_normals(seed, n):
     """The standard normals behind the noisy all-pairs confidences of n points:
-    one per unordered pair (i < j, row-major) from the stream (seed, 2),
-    written into out if it is given."""
-    return make_rng(seed, 2).standard_normal(n * (n - 1) // 2, out=out)
+    one per unordered pair (i < j, row-major), the whole stream (seed, 2) that
+    _noise_deltas draws block by block when it is given make_rng(seed, 2)."""
+    return make_rng(seed, 2).standard_normal(n * (n - 1) // 2)
 
 
 def all_pairs_point_weights(X, setup, noise_stds=(0.0,), normals=None):
@@ -84,17 +83,18 @@ def all_pairs_point_weights(X, setup, noise_stds=(0.0,), normals=None):
     partners, normalized by the ordered pair count and 2 (pi+ - pi-) exactly
     as in the pair risk. The exact confidences aggregate in closed form, O(n).
     At a level std, confidence noise is std times normals, one standard normal
-    per unordered pair (the draw of pair_normals(seed, n), which a nonzero
-    level needs), clipped to [0, 1]; each point adds the change it makes to
-    its pair confidences to the closed form (_noise_deltas), without
-    materializing the pair matrix. The levels of one call share the
-    posterior, the closed form and the O(n^2) pair blocks, so a caller that
-    weights one sample at several levels passes them all at once. Every level
-    is checked before any work. sigma_n is the summed absolute confidence
-    deviation over unordered pairs (0 when exact).
+    per unordered pair from make_rng(seed, 2) (a nonzero level needs it, as
+    that generator or as its whole draw pair_normals(seed, n)), clipped to
+    [0, 1]; each point adds the change it makes to its pair confidences to the
+    closed form (_noise_deltas), without materializing the pair matrix. The
+    levels of one call share the posterior, the closed form and the O(n^2)
+    pair blocks; a (K, n, d) stack X with a sequence of K setups shares the
+    pair normals too, and gives a and b a leading K axis and sigma_n as a (K,)
+    array. Every level is checked before any work. sigma_n is the summed
+    absolute confidence deviation over unordered pairs (0 when exact).
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    n = X.shape[-2]
     if n < 2:
         raise ConfigError("need at least two points to form pairs")
     if len(noise_stds) == 0:
@@ -102,67 +102,78 @@ def all_pairs_point_weights(X, setup, noise_stds=(0.0,), normals=None):
     for std in noise_stds:
         check_noise_std(std)
     noisy = [std for std in noise_stds if std != 0.0]
-    if noisy and (normals is None or len(normals) != n * (n - 1) // 2):
+    if noisy and (normals is None or not isinstance(normals, np.random.Generator)
+                  and len(normals) != n * (n - 1) // 2):
         raise ConfigError(f"noise std {noisy[0]} needs the pair normals of {n} points")
-    r = posterior_plus(X, setup)
-    pi_p, pi_m = setup.pi_plus, 1.0 - setup.pi_plus
-    total_r = r.sum()
+    setups = setup if X.ndim == 3 else [setup]
+    r = np.stack([posterior_plus(x, s) for x, s in zip(X.reshape(-1, n, X.shape[-1]), setups,
+                                                       strict=True)])
+    pi_p = np.array([[s.pi_plus] for s in setups])
+    pi_m = 1.0 - pi_p
+    total_r = r.sum(axis=1, keepdims=True)
     # sum over j != i of s_ij, expanded from s = r r' + (1-r)(1-r')
     s_row = r * (total_r - r) + (1.0 - r) * ((n - 1) - (total_r - r))
     deltas = zip(*_noise_deltas(r, normals, noisy)) if noisy else None
-    ordered = n * (n - 1)
-    denom = ordered * (pi_p - pi_m)
+    denom = n * (n - 1) * (pi_p - pi_m)
     out = []
     for std in noise_stds:
-        s, sigma_n = s_row, 0.0
+        s, sigma_n = s_row, np.zeros(len(setups))
         if std != 0.0:
             delta_row, sigma_n = next(deltas)
             s = s_row + delta_row
-        out.append(((s - (n - 1) * pi_m) / denom, ((n - 1) * pi_p - s) / denom, sigma_n))
+        a, b = (s - (n - 1) * pi_m) / denom, ((n - 1) * pi_p - s) / denom
+        out.append((a, b, sigma_n) if X.ndim == 3 else (a[0], b[0], float(sigma_n[0])))
     return out
 
 
 def _noise_deltas(r, normals, stds):
-    """For each level std of stds: per-point sums of
-    delta_ij = clip(s_ij + std * normals_ij, 0, 1) - s_ij over its partners,
-    and sum |delta_ij| over i < j. Returns an (len(stds), n) array of the
-    sums and the list of the |delta| totals.
+    """For each level std of stds and each posterior of r, one (n,) or a
+    (K, n) stack: per-point sums of delta_ij = clip(s_ij + std * normals_ij,
+    0, 1) - s_ij over its partners, and sum |delta_ij| over i < j, shaped
+    (len(stds),) + r.shape resp. (len(stds),) + r.shape[:-1].
 
-    normals holds the pairs i < j in row-major order. A block of rows lo..hi
-    builds, once for all levels, its s_ij and its scattered normals right of
-    the diagonal only (columns lo+1..n-1, one contiguous block). Each level
-    scales the normals by std into a scratch block, zeroes the entries on or
-    left of the diagonal (all in its leading square) and adds its column sums
-    to the partners; the row sums and |delta| total sum a copy in a zero-padded
-    full-width buffer, so numpy's pairwise summation sees each value where the
-    full block had it. std * z is what Generator.normal(0, std) draws from the
-    same stream (0 + std * z: the 0 + can flip only a zero's sign, which s_ij + 0 absorbs).
+    normals, the pairs i < j in row-major order, is drawn or a Generator to
+    draw. A block of rows lo..hi takes its hi (2n - hi - 1) / 2 - lo (2n - lo
+    - 1) / 2 normals as the loop reaches it (a generator's next draws continue
+    its one-call draw) and scatters them right of the diagonal (columns
+    lo+1..n-1) once. Each posterior builds the block's s_ij; each level scales
+    the normals by std, zeroes the entries on or left of the diagonal and adds
+    its column sums to the partners; the row sums and |delta| total sum a copy
+    in a zero-padded full-width buffer, so numpy's pairwise summation sees each
+    value where the full block had it. std * z is what Generator.normal(0, std)
+    draws (0 + std * z can flip only a zero's sign, which s_ij + 0 absorbs).
     """
-    n = len(r)
-    q = 1.0 - r
-    sums = np.zeros((len(stds), n))
-    sigma_n = [0.0] * len(stds)
+    n = r.shape[-1]
+    rows = r.reshape(-1, n)
+    sums = np.zeros((len(stds), len(rows), n))
+    sigma_n = np.zeros((len(stds), len(rows)))
+    draw = normals.standard_normal if isinstance(normals, np.random.Generator) else None
     block = max(1, 2**15 // n)  # rows per block: ~2^15 pairs keep the buffers in cache
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        upper = np.arange(lo, hi)[:, None] < np.arange(lo + 1, n)
-        S = np.multiply.outer(r[lo:hi], r[lo + 1:])
-        S += np.multiply.outer(q[lo:hi], q[lo + 1:])
-        z = np.zeros_like(S)
         # row i's pairs start at i (2n - i - 1) / 2 in the row-major order
-        z[upper] = normals[lo * (2 * n - lo - 1) // 2:hi * (2 * n - hi - 1) // 2]
-        delta, full = np.empty_like(S), np.zeros((hi - lo, n))
-        for k, std in enumerate(stds):
-            np.multiply(z, std, out=delta)
-            delta += S
-            np.clip(delta, 0.0, 1.0, out=delta)
-            delta -= S
-            delta[:, :hi - lo] *= upper[:, :hi - lo]
-            full[:, lo + 1:] = delta
-            sums[k, lo:hi] += full.sum(axis=1)
-            sums[k, lo + 1:] += delta.sum(axis=0)
-            sigma_n[k] += float(np.abs(full, out=full).sum())
-    return sums, sigma_n
+        start, stop = lo * (2 * n - lo - 1) // 2, hi * (2 * n - hi - 1) // 2
+        upper = np.arange(lo, hi)[:, None] < np.arange(lo + 1, n)
+        z, S, delta = np.zeros(upper.shape), np.empty(upper.shape), np.empty(upper.shape)
+        z[upper] = normals[start:stop] if draw is None else draw(stop - start)
+        full = np.zeros((hi - lo, n))
+        for j, (p, q) in enumerate(zip(rows, 1.0 - rows)):
+            S[:] = p[lo + 1:]
+            S *= p[lo:hi, None]
+            delta[:] = q[lo + 1:]
+            delta *= q[lo:hi, None]
+            S += delta
+            for k, std in enumerate(stds):
+                np.multiply(z, std, out=delta)
+                delta += S
+                np.clip(delta, 0.0, 1.0, out=delta)
+                delta -= S
+                delta[:, :hi - lo] *= upper[:, :hi - lo]
+                full[:, lo + 1:] = delta
+                sums[k, j, lo:hi] += full.sum(axis=1)
+                sums[k, j, lo + 1:] += delta.sum(axis=0)
+                sigma_n[k, j] += np.abs(full, out=full).sum()
+    return sums.reshape((len(stds),) + r.shape), sigma_n.reshape((len(stds),) + r.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +196,10 @@ def table_runs(setup_names, trials):
 
     Trials are weighted seed by seed, by all-pairs confidences ("sconf") or
     one-hot labels ("supervised"), straight into one (trials, n) block per
-    setup. A seed's pair normals are drawn once, if a level is nonzero, into
-    one buffer every seed refills; each setup's all_pairs_point_weights call
-    for the seed shares them and covers all its levels. Each setup's trials
-    are fit as one stack and scored on their seeds' test sets.
+    setup. One all_pairs_point_weights call per seed weights every setup at
+    all its levels, drawing the seed's pair normals (if a level is nonzero)
+    block by block from make_rng(seed, 2), each block once for all setups.
+    Each setup's trials are fit as one stack and scored on their seeds' tests.
     """
     if not trials or not setup_names:
         return []
@@ -198,18 +209,17 @@ def table_runs(setup_names, trials):
     data = {(name, seed): sample_labeled(preset(name), *TRAIN_COUNTS, seed)
             for name in setup_names for seed in by_seed}
     weights = np.empty((len(setup_names), 2, len(trials), sum(TRAIN_COUNTS)))
-    sigma_n, normals = np.zeros((len(setup_names), len(trials))), None
+    sigma_n = np.zeros((len(setup_names), len(trials)))
     for seed, (sconf, supervised) in by_seed.items():
         stds = [trials[t][2] for t in sconf]
-        if any(std != 0.0 for std in stds):
-            normals = pair_normals(seed, sum(TRAIN_COUNTS), out=normals)
-        for (a, b), sigma, name in zip(weights, sigma_n, setup_names):
-            points = data[name, seed]
-            a[supervised], b[supervised] = trainer.one_hot(points.y)
-            levels = all_pairs_point_weights(points.X, preset(name), stds, normals) if sconf else ()
-            for t, level in zip(sconf, levels):
-                a[t], b[t], sigma[t] = level
-    del normals  # free the pair normals before the fits
+        X = np.stack([data[name, seed].X for name in setup_names])
+        normals = make_rng(seed, 2) if any(stds) else None
+        levels = all_pairs_point_weights(X, [preset(name) for name in setup_names], stds,
+                                         normals) if sconf else ()
+        for t, level in zip(sconf, levels):
+            weights[:, 0, t], weights[:, 1, t], sigma_n[:, t] = level
+        for (a, b), name in zip(weights, setup_names):
+            a[supervised], b[supervised] = trainer.one_hot(data[name, seed].y)
     runs = []
     for (a, b), sigma, name in zip(weights, sigma_n, setup_names):
         X = np.stack([data[name, seed].X for seed, _, _ in trials])

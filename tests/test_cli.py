@@ -305,6 +305,12 @@ class TestSweeps:
         assert float(rows[0][3]) == 0.0
         assert float(rows[1][3]) > 0.0
 
+    def test_sweep_noise_prints_each_level_as_given(self, tmp_path, capsys):
+        assert run_cli(["sweep-noise", "--setup", "A", "--stds", "0.05,0.1,0.15",
+                        "--trials", "1", "--out", str(tmp_path)]) == 0
+        levels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:3]]
+        assert levels == ["std=0.05", "std=0.1", "std=0.15"]
+
 
 class TestReproduceTable1:
     def test_figure_draws_every_level_of_the_table(self, tmp_path):

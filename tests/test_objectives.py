@@ -12,6 +12,7 @@ identity f for the supervised kind.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,41 +191,56 @@ TABLE_TRIALS = ([(seed, "sconf", std) for std in (0.0, 0.1, 0.2, 0.3) for seed i
                 + [(seed, "supervised", 0.0) for seed in (1, 2)])
 
 
-def counted_pair_normals(monkeypatch):
-    """The seeds of every experiments.pair_normals draw from here on."""
-    draws = []
+def counted_normal_streams(monkeypatch):
+    """The seeds of every pair-normals stream, make_rng(seed, 2), that
+    experiments opens from here on."""
+    streams = []
 
-    def counting_pair_normals(seed, n, out=None):
-        draws.append(seed)
-        return pair_normals(seed, n, out=out)
+    def counting_make_rng(seed, *stream):
+        if stream == (2,):
+            streams.append(seed)
+        return make_rng(seed, *stream)
 
-    monkeypatch.setattr(experiments, "pair_normals", counting_pair_normals)
-    return draws
+    monkeypatch.setattr(experiments, "make_rng", counting_make_rng)
+    return streams
 
 
 def test_table_runs_pin_and_one_normals_draw_per_seed(monkeypatch):
-    draws = counted_pair_normals(monkeypatch)
+    streams = counted_normal_streams(monkeypatch)
     for name, pin in TABLE_PINS.items():
-        draws.clear()
+        streams.clear()
         runs = experiments.table_runs((name,), TABLE_TRIALS)
         assert {r.setup for r in runs} == {name}
         assert {(r.method, r.noise_std, r.seed): (r.acc_final, r.sigma_n) for r in runs} == pin
         assert len(runs) == len(pin)
-        assert sorted(draws) == [1, 2]
+        assert sorted(streams) == [1, 2]
 
 
 def test_reproduce_table_draws_each_seeds_normals_once_for_all_setups(monkeypatch):
     alone = [run for name in "ABCD" for run in experiments.table_runs((name,), TABLE_TRIALS)]
-    draws = counted_pair_normals(monkeypatch)
+    streams = counted_normal_streams(monkeypatch)
     runs = experiments.reproduce_table(seeds=[1, 2])
-    assert sorted(draws) == [1, 2]
+    assert sorted(streams) == [1, 2]
     # field for field, in the same order, what each setup gives alone
     assert [dataclasses.astuple(r) for r in runs] == [dataclasses.astuple(r) for r in alone]
     assert all(type(r.sigma_n) is float for r in runs)
     # exact confidences and supervised trials need no normals at all
-    draws.clear()
+    streams.clear()
     assert len(experiments.reproduce_table(seeds=[1, 2], noise_stds=(0.0,))) == 4 * 2 * 2
-    assert draws == []
+    assert streams == []
+
+
+def test_reproduce_table_peak_memory():
+    # the pair normals are drawn block by block, never held as one
+    # n (n - 1) / 2 buffer; the bound is the peak of weighting each setup alone
+    experiments.reproduce_table(seeds=[1, 2, 3, 4, 5])
+    tracemalloc.start()
+    try:
+        experiments.reproduce_table(seeds=[1, 2, 3, 4, 5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.36e6
 
 
 def _full_block_noise_deltas(r, normals, stds):
@@ -273,6 +289,28 @@ def test_right_of_diagonal_noise_deltas_equal_the_full_blocks(n):
         want_sums, want_sigma_n = _full_block_noise_deltas(r, normals, levels)
         assert sums.tobytes() == want_sums.tobytes()
         assert [v.hex() for v in sigma_n] == [v.hex() for v in want_sigma_n]
+
+
+@pytest.mark.parametrize("n", (2, 3, 41, 800, 801))
+def test_streamed_pair_normals_equal_the_drawn_ones(n):
+    # 801 points end on a partial row block (40 rows each); the generator
+    # form draws each block's normals as the loop reaches it
+    levels = (0.1, 0.3, 0.0, 3.0)
+    seed = 3
+    rng = np.random.default_rng(n)
+    r = rng.uniform(size=(4, n))
+    stream = make_rng(seed, 2)
+    got_sums, got_sigma_n = experiments._noise_deltas(r, stream, levels)
+    # the stream ends where the pairs end: its next draw continues a longer draw
+    assert stream.standard_normal() == make_rng(seed, 2).standard_normal(n * (n - 1) // 2 + 1)[-1]
+    for k, p in enumerate(r):
+        sums, sigma_n = experiments._noise_deltas(p, pair_normals(seed, n), levels)
+        # a (4, n) stack gives each posterior's lone sums, byte for byte
+        assert got_sums[:, k].tobytes() == sums.tobytes()
+        assert [v.hex() for v in got_sigma_n[:, k]] == [v.hex() for v in sigma_n]
+        streamed = experiments._noise_deltas(p, make_rng(seed, 2), levels)
+        assert streamed[0].tobytes() == sums.tobytes()
+        assert [v.hex() for v in streamed[1]] == [v.hex() for v in sigma_n]
 
 
 def test_split_pairs_by_label_pairs_once():
