@@ -15,6 +15,10 @@ pairs the points by pair_indices, which permutes them with the stream
 (seed, 1) and pairs consecutive entries, and each pair's confidence comes
 from the posteriors of its two points.
 
+LabeledData and SconfDataset keep their rows as model.as_input does: a uint8
+block of IDX pixel codes as given, since the model reads a code c as c / 255
+only where it scores a batch, and anything else as float64.
+
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
 
@@ -25,6 +29,7 @@ import numpy as np
 from .errors import ConfigError
 from .fileio import parse_key_values, parse_list
 from .losses import sigmoid
+from .model import as_input
 from .rng import make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -105,13 +110,14 @@ def preset(name):
 
 @dataclass(eq=False)
 class LabeledData:
-    """A batch of labeled examples: features X (n, d) and labels y in {-1, +1}."""
+    """A batch of labeled examples: input rows X (n, d), float64 features or
+    uint8 pixel codes, and labels y in {-1, +1}."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
+        self.X = as_input(self.X)
         self.y = np.asarray(self.y)
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
             raise ConfigError("X must be (n, d) and y must be (n,)")
@@ -127,13 +133,14 @@ class LabeledData:
 class SconfDataset:
     """Unlabeled pairs (x_i, x'_i) with confidences s_i: the (2n, d) block
     rows holds the x members over the x' members, and x and x_prime are views
-    of its halves. The block given is kept, not copied."""
+    of its halves. The block given is kept, not copied: float64 features, or
+    uint8 pixel codes."""
 
     rows: np.ndarray
     s: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=float)
+        self.rows = as_input(self.rows)
         self.s = np.asarray(self.s, dtype=float)
         if self.rows.ndim != 2 or len(self.rows) % 2:
             raise ConfigError("rows must be (2n, d)")
@@ -163,6 +170,8 @@ class SconfDataset:
 
 def _check_finite(**arrays):
     for name, arr in arrays.items():
+        if np.issubdtype(arr.dtype, np.integer):  # pixel codes: always finite
+            continue
         bad = np.argwhere(~np.isfinite(arr))
         if len(bad):
             raise ConfigError(f"{name} has a non-finite value in row {bad[0][0]}")

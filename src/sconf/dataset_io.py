@@ -3,8 +3,10 @@
 IDX is the big-endian binary container used by the MNIST-family datasets:
 magic 0x00000803 for image tensors, 0x00000801 for label vectors, whose low
 byte counts the 32-bit dimensions before the uint8 payload; _read_idx and
-_write_idx carry both kinds. Gzipped files are read transparently. Pixels are
-flattened and scaled into [0, 1] by 1/255, dividing the float copy in place.
+_write_idx carry both kinds. Gzipped files are read transparently. load_idx
+flattens the images and keeps their uint8 pixel codes, one byte a pixel; the
+model reads a code c as the feature c / 255 (model.features) only when a
+batch or a scoring block reaches it.
 
 Binary corruption maps a multiclass label space onto {-1, +1} by a fixed
 positive-class set. Similarity confidences for such data come from a
@@ -74,15 +76,14 @@ def read_idx_labels(path):
 
 
 def load_idx(images_path, labels_path):
-    """Flattened images in [0, 1] plus their original integer labels."""
+    """Flattened images as their (n, rows * cols) uint8 pixel codes, plus
+    their original integer labels. The model reads a code c as c / 255."""
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise DataError(f"{images_path} has {images.shape[0]} images but "
                         f"{labels_path} has {labels.shape[0]} labels")
-    X = images.reshape(images.shape[0], -1).astype(float)
-    X /= 255.0  # the bytes of astype(float) / 255.0, with no second float array
-    return X, labels.astype(int)
+    return images.reshape(images.shape[0], -1), labels.astype(int)
 
 
 def _write_idx(path, magic, array, what):

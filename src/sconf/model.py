@@ -6,6 +6,14 @@ gradients accumulate into a same-shape buffer. forward() caches the
 activations of its batch; backward() consumes the cache and invalidates it,
 so memory stays bounded at one batch.
 
+Input rows come in two forms, and features() is the one rule that reads them.
+A uint8 array holds pixel codes c, read as the feature c / 255; any other
+array is read as float64, as it is. Datasets keep a uint8 block as given
+(as_input()), so IDX images stay one byte a pixel until forward() converts a
+batch, or score() a block. The conversion is one np.divide of the codes, whose
+float64 loop casts each code exactly and rounds its quotient once: the bytes
+of codes.astype(float) / 255.0, element by element.
+
 The MLP's forward() adds each bias and applies the ReLU in place on the
 matmul output, and backward() applies the ReLU mask by multiplying with the
 boolean mask a > 0. Both give bit for bit the results of the plain
@@ -31,12 +39,16 @@ trial t as an ordinary one-trial predictor that shares the stack's parameters.
 
 score() is the one scoring-only pass (no backward follows): it returns the
 scores and leaves no activation cache. A linear model, single or stacked, is
-scored in one forward() call. An MLP is scored in blocks of
-SCORE_BLOCK // (h1 + h2) rows, one forward() per block, so its two hidden
-layers hold about SCORE_BLOCK float64 values (8 MB) whatever the number of
-rows: 1,048 rows for 784-500-500, against 8 KB a row for one forward() over
-the whole set. A block's scores are the bytes of forward() on that block, and
-an MLP set of at most one block is scored bit for bit as forward() scores it.
+scored in one forward() call, which converts pixel codes for the whole set at
+once, since row-blocking its (n, d) @ (d, 1) product can move a score in its
+last bits. An MLP is scored in blocks of SCORE_BLOCK // max(d, h1 + h2) rows,
+one forward() per block, so neither the block's features, converted from
+pixel codes, nor its two hidden layers hold more than about SCORE_BLOCK
+float64 values (8 MB) whatever the number of rows: 1,048 rows for
+784-500-500 and 1,337 for 784-32-32, against 8 KB a row for one forward()
+over the whole set. A block's scores are the bytes of forward() on that
+block, and an MLP set of at most one block is scored bit for bit as
+forward() scores it.
 A longer set can differ from one forward() in the last bits, since OpenBLAS
 blocks its GEMM by the row count and so sums in an order that depends on it.
 The stated tolerance is 1e-15 of the largest |score| of the set; random
@@ -168,12 +180,27 @@ def init(arch, seed=0, trials=None):
     return Predictor(arch, params, np.zeros_like(params))
 
 
+def as_input(X):
+    """X as a dataset keeps its input rows: a uint8 array of pixel codes as
+    given, anything else as float64."""
+    X = np.asarray(X)
+    return X if X.dtype == np.uint8 else X.astype(float, copy=False)
+
+
+def features(X):
+    """The float64 features of input rows: uint8 pixel codes c read as c / 255,
+    anything else converted to float64."""
+    X = as_input(X)
+    return np.divide(X, 255.0) if X.dtype == np.uint8 else X
+
+
 def forward(p, X):
     """Scores for a batch; caches activations for one backward() call.
 
     A stack scores a (T, n, d) batch into (T, n): trial t computes the single model's bytes.
+    X is read through features(), and the cache keeps the float64 batch.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(features(X))
     if X.shape[-1] != p.arch.d:
         raise ConfigError(f"input dim {X.shape[-1]} does not match architecture dim {p.arch.d}")
     if X.shape[:-2] != p.params.shape[:-1]:  # (T, n, d) for a stack of T, else (n, d)
@@ -197,10 +224,12 @@ def forward(p, X):
 
 def score(p, X):
     """Scores for a batch without the activation cache: forward() for a linear
-    model, one forward() per block of SCORE_BLOCK // (h1 + h2) rows for an MLP.
-    p keeps no cache afterwards."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    rows = len(X) if p.arch.kind == "linear" else max(1, SCORE_BLOCK // (p.arch.h1 + p.arch.h2))
+    model, one forward() per block of SCORE_BLOCK // max(d, h1 + h2) rows for
+    an MLP. Pixel codes stay codes until forward() converts a block. p keeps
+    no cache afterwards."""
+    X = np.atleast_2d(as_input(X))
+    a = p.arch
+    rows = len(X) if a.kind == "linear" else max(1, SCORE_BLOCK // max(a.d, a.h1 + a.h2))
     if len(X) <= rows or X.ndim != 2:  # forward() rejects a malformed batch by its whole shape
         z = forward(p, X)
     else:

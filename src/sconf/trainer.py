@@ -165,13 +165,14 @@ def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
     full batch when batch is None. Returns the final predictor.
 
     X of shape (T, n, d) with a, b of shape (T, n) fits T linear trials as one
-    stack, full batch only; trial t of the result is p.trial(t). Raises
+    stack, full batch only; trial t of the result is p.trial(t). uint8 pixel
+    codes stay codes: a minibatch gathers code rows and forward() converts them. Raises
     NonFiniteRiskError, naming the epoch and the trial (0 for a single fit),
     if a parameter is not finite after an epoch, and ConfigError, as
     TrainConfig does, for fewer than one epoch or a batch below 1.
     """
     _check_fit_size(epochs, batch)
-    X = np.asarray(X, dtype=float)
+    X = model.as_input(X)
     trials, n = (len(X) if X.ndim == 3 else None), X.shape[-2]
     if trials is not None and batch is not None and batch < n:
         raise ConfigError(f"a stack of {trials} trials trains full batch only, got batch {batch}")

@@ -29,22 +29,29 @@ def tiny_idx(tmp_path):
 
 class TestIdxRoundTrip:
     def test_exact_vectors(self, tiny_idx):
+        # load_idx keeps the file's pixel codes, one byte a pixel
         ip, lp, images, labels = tiny_idx
         X, got_labels = load_idx(ip, lp)
-        assert X.shape == (2, 6)
+        assert X.dtype == np.uint8 and X.shape == (2, 6)
         assert np.array_equal(got_labels, labels)
-        assert np.allclose(X[0], np.array([0, 51, 102, 153, 204, 255]) / 255.0)
-        assert np.allclose(X[1], np.array([255, 0, 255, 0, 255, 0]) / 255.0)
+        assert X[0].tolist() == [0, 51, 102, 153, 204, 255]
+        assert X[1].tolist() == [255, 0, 255, 0, 255, 0]
 
     def test_scaling_gives_the_bytes_of_dividing_a_float_copy(self, tmp_path):
+        # the model reads a code c as c / 255: the bytes of dividing a float
+        # copy of the codes, for the loaded codes and for every code value
         images = np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5) * 4
         images[0, 0, :] = (0, 1, 127, 254, 255)
         ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"
         write_idx_images(ip, images)
         write_idx_labels(lp, np.arange(3, dtype=np.uint8))
         X, _ = load_idx(ip, lp)
-        assert X.dtype == np.float64 and X.shape == (3, 20)
-        assert X.tobytes() == (images.reshape(3, -1).astype(float) / 255.0).tobytes()
+        assert X.tobytes() == images.tobytes() and X.shape == (3, 20)
+        got = model.features(X)
+        assert got.dtype == np.float64 and got.shape == (3, 20)
+        assert got.tobytes() == (images.reshape(3, -1).astype(float) / 255.0).tobytes()
+        codes = np.arange(256, dtype=np.uint8)
+        assert model.features(codes).tobytes() == (codes.astype(float) / 255.0).tobytes()
 
     def test_byte_exact_file_round_trip(self, tiny_idx, tmp_path):
         ip, lp, images, labels = tiny_idx

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from sconf.datagen import add_confidence_noise, make_pairs, preset, sample_labeled
 from sconf.errors import BalancedPriorError, ConfigError
-from sconf.losses import loss_derivative, loss_value
+from sconf.experiments import all_pairs_point_weights
+from sconf.losses import LOSS_KINDS, loss_derivative, loss_value
 from sconf.risk import (PartialRisks, RiskSpec, correction, pair_risk, partial_risks,
                         risk_gradient_weights, supervised_risk, total_risk)
+from sconf.rng import make_rng
 
 
 def fsum_partials(z, zp, s, spec):
@@ -327,3 +330,60 @@ class TestCollapseOracle:
         spec = RiskSpec("dissimilar_only", 0.7)
         _, frac = threshold_collapse_oracle(ds, spec, np.array([1.0, 0.4]))
         assert frac == 0.0
+
+
+class TestNoisyConfidenceBound:
+    """The paper's noisy-confidence term, deterministic for a fixed scorer.
+
+    The unbiased pair risk is linear in s, so noisy confidences s + ds move it
+    by sum_i ds_i (l+_i - l-_i) / (2n (pi+ - pi-)). With sigma_n = sum |ds|:
+    - logistic, where l(z, +1) - l(z, -1) = -z:
+      |change| <= max|z + z'| sigma_n / (2n |pi+ - pi-|);
+    - zero-one, where a pair's l+ - l- is at most 2 in size:
+      |change| <= sigma_n / (n |pi+ - pi-|).
+    Over all unordered pairs of n points, n(n - 1) replaces 2n, z + z' ranges
+    over i != j, and sigma_n is the one all_pairs_point_weights returns.
+    """
+
+    # a fixed linear scorer on setup C and the noise level, chosen before any run
+    W, B = np.array([0.6, -0.8]), 0.3
+    STD = 0.3
+
+    @staticmethod
+    def bound(loss, reach, sigma_n, pairs_norm, setup):
+        # pairs_norm is 2n for disjoint pairs and n(n - 1) for all pairs
+        gap = abs(setup.pi_plus - setup.pi_minus)
+        return (reach if loss == "logistic" else 2.0) * sigma_n / (pairs_norm * gap)
+
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_disjoint_pairs(self, loss, seed):
+        setup = preset("C")
+        exact = make_pairs(sample_labeled(setup, 500, 300, seed).X, setup, seed)
+        noisy = add_confidence_noise(exact, self.STD, seed)
+        z, zp = exact.x @ self.W + self.B, exact.x_prime @ self.W + self.B
+        spec = RiskSpec("unbiased", setup.pi_plus, loss)
+        change = pair_risk(z, zp, noisy.s, spec) - pair_risk(z, zp, exact.s, spec)
+        n, shift = len(exact), noisy.s - exact.s
+        sigma_n = float(np.abs(shift).sum())
+        assert sigma_n > 0.0
+        gaps = (loss_value(loss, z, 1) + loss_value(loss, zp, 1)
+                - loss_value(loss, z, -1) - loss_value(loss, zp, -1))
+        linear = np.sum(shift * gaps) / (2 * n * (setup.pi_plus - setup.pi_minus))
+        assert change == pytest.approx(linear, rel=1e-9, abs=1e-13)
+        assert abs(change) <= self.bound(loss, np.max(np.abs(z + zp)), sigma_n, 2 * n, setup)
+
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_all_pairs(self, loss, seed):
+        setup = preset("C")
+        X = sample_labeled(setup, 60, 40, seed).X
+        z = X @ self.W + self.B
+        (a0, b0, sigma_0), (a, b, sigma_n) = all_pairs_point_weights(
+            X, setup, (0.0, self.STD), normals=make_rng(seed, 2))
+        assert sigma_0 == 0.0 and sigma_n > 0.0
+        lp, lm = loss_value(loss, z, 1), loss_value(loss, z, -1)
+        change = np.sum(a * lp + b * lm) - np.sum(a0 * lp + b0 * lm)
+        n, zs = len(X), np.sort(z)
+        reach = max(abs(zs[-1] + zs[-2]), abs(zs[0] + zs[1]))  # max |z_i + z_j|, i != j
+        assert abs(change) <= self.bound(loss, reach, sigma_n, n * (n - 1), setup)
