@@ -19,6 +19,16 @@ LabeledData and SconfDataset keep their rows as model.as_input does: a uint8
 block of IDX pixel codes as given, since the model reads a code c as c / 255
 only where it scores a batch, and anything else as float64.
 
+The 200,000-point sweep test set is built and scored without whole-set
+temporaries, and both rules keep the bytes of the whole-set expressions.
+sample_labeled draws each class straight into its rows of one (n, d) block,
+np.matmul(Z, L.T, out=rows) then rows += mu, the bytes of mu + Z @ L.T
+stacked class over class. posterior_plus works in row blocks of
+POSTERIOR_BLOCK rows, the last block taking the remainder, so no block is
+shorter than POSTERIOR_BLOCK unless the whole set is: LAPACK solves a single
+right-hand side in another order than several, so a one-row tail block could
+move a posterior in its last bit. Labels are checked by losses.check_labels.
+
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
 
@@ -28,11 +38,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .fileio import parse_key_values, parse_list
-from .losses import sigmoid
+from .losses import check_labels, sigmoid
 from .model import as_input
 from .rng import make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# rows per posterior_plus block (the last block takes the remainder): its
+# density work buffers hold a few float64 values a row, not the whole set's
+POSTERIOR_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -122,8 +135,7 @@ class LabeledData:
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
             raise ConfigError("X must be (n, d) and y must be (n,)")
         _check_finite(X=self.X)
-        if not np.all(np.isin(self.y, (-1, 1))):
-            raise ConfigError("labels must be -1 or +1")
+        check_labels(self.y)
 
     def __len__(self):
         return self.X.shape[0]
@@ -182,17 +194,22 @@ def sample_labeled(setup, n_plus, n_minus, seed):
 
     Sampling goes through the lower Cholesky factor of each covariance, so the
     requested moments are exact in distribution and the draw is reproducible
-    from the seed.
+    from the seed. Each class is drawn straight into its rows of one (n, d)
+    block, np.matmul(Z, L.T, out=rows) then rows += mu, and its labels are one
+    slice of an np.full block: the bytes, int labels included, of
+    vstack([mu+ + Z+ @ L+.T, mu- + Z- @ L-.T]) over concatenated ones and
+    minus ones, without the per-class and stacked copies.
     """
     if n_plus < 0 or n_minus < 0:
         raise ConfigError("sample counts must be nonnegative")
     rng = make_rng(seed)
-    lp = np.linalg.cholesky(setup.sigma_plus)
-    lm = np.linalg.cholesky(setup.sigma_minus)
-    xp = setup.mu_plus + rng.standard_normal((n_plus, setup.dim)) @ lp.T
-    xm = setup.mu_minus + rng.standard_normal((n_minus, setup.dim)) @ lm.T
-    X = np.vstack([xp, xm])
-    y = np.concatenate([np.ones(n_plus, dtype=int), -np.ones(n_minus, dtype=int)])
+    X = np.empty((n_plus + n_minus, setup.dim))
+    for rows, mu, sigma in ((X[:n_plus], setup.mu_plus, setup.sigma_plus),
+                            (X[n_plus:], setup.mu_minus, setup.sigma_minus)):
+        np.matmul(rng.standard_normal(rows.shape), np.linalg.cholesky(sigma).T, out=rows)
+        rows += mu
+    y = np.full(n_plus + n_minus, -1, dtype=int)
+    y[:n_plus] = 1
     return LabeledData(X, y)
 
 
@@ -223,15 +240,26 @@ def posterior_plus(X, setup):
     Evaluated in log-density space. If both weighted log densities are
     unrepresentable for some point (possible only in the extreme tails), the
     posterior falls back to the prior pi+ for that point.
+
+    The rows are taken in blocks of POSTERIOR_BLOCK, the last block taking the
+    remainder, so only the output is as long as the set. Each row's posterior
+    is the bytes of the whole-set expression, since no block has a single row
+    unless the whole set has.
     """
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 1
-    with np.errstate(divide="ignore", over="ignore"):  # an underflowed density is -inf
-        a = np.log(setup.pi_plus) + _log_density(X, setup.mu_plus, setup.sigma_plus)
-        b = np.log(setup.pi_minus) + _log_density(X, setup.mu_minus, setup.sigma_minus)
-    with np.errstate(invalid="ignore"):  # both underflowed: -inf - -inf is nan, r the prior
-        r = sigmoid(a - b)  # one underflowed: a - b is +-inf, so r is 1.0 or 0.0
-    r = np.where(np.isnan(r), setup.pi_plus, r)
+    X = np.atleast_2d(X)
+    r = np.empty(len(X))
+    blocks = max(len(X) // POSTERIOR_BLOCK, 1)
+    edges = [k * POSTERIOR_BLOCK for k in range(blocks)] + [len(X)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x = X[lo:hi]
+        with np.errstate(divide="ignore", over="ignore"):  # an underflowed density is -inf
+            a = np.log(setup.pi_plus) + _log_density(x, setup.mu_plus, setup.sigma_plus)
+            b = np.log(setup.pi_minus) + _log_density(x, setup.mu_minus, setup.sigma_minus)
+        with np.errstate(invalid="ignore"):  # both underflowed: -inf - -inf is nan, r the prior
+            r_block = sigmoid(a - b)  # one underflowed: a - b is +-inf, so r is 1.0 or 0.0
+        r[lo:hi] = np.where(np.isnan(r_block), setup.pi_plus, r_block)
     return float(r[0]) if scalar else r
 
 

@@ -7,6 +7,8 @@ weighted_derivative() is the derivative of a_i l(z_i, +1) + b_i l(z_i, -1),
 the point objective's per-row gradient, fused into one sigmoid.
 accuracy() is one minus the mean zero-one loss, with the same sign rule.
 sigmoid() is the posterior of a score, 1 / (1 + exp(-x)).
+check_labels() is the one label rule, (y == 1) | (y == -1), for the losses
+here and for datagen.LabeledData.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from .errors import ConfigError
 LOSS_KINDS = ("logistic", "zero_one")
 
 
-def _check_labels(y):
+def check_labels(y):
+    """Raise ConfigError unless every label is -1 or +1: the one label rule."""
     ok = (y == 1 or y == -1) if y.ndim == 0 else np.all((y == 1) | (y == -1))
     if not ok:
         raise ConfigError("labels must be -1 or +1")
@@ -26,7 +29,7 @@ def loss_value(kind, z, y):
     """Loss of score z against label y; elementwise over arrays."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y)
-    _check_labels(y)
+    check_labels(y)
     if kind == "logistic":
         m = -y * z
         out = np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
@@ -58,7 +61,7 @@ def loss_derivative(kind, z, y):
         raise ConfigError(f"loss kind {kind!r} has no derivative")
     z = np.asarray(z, dtype=float)
     y = np.asarray(y)
-    _check_labels(y)
+    check_labels(y)
     # -y * sigmoid(-y z), computed without overflow for large |z|
     m = y * z
     t = np.exp(-np.abs(m))

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sconf.datagen import (GaussianSetup, LabeledData, SconfDataset, add_confidence_noise,
-                           make_pairs, parse_setup, posterior_plus, preset,
+from conftest import traced_peak
+from sconf.datagen import (POSTERIOR_BLOCK, GaussianSetup, LabeledData, SconfDataset,
+                           add_confidence_noise, make_pairs, parse_setup, posterior_plus, preset,
                            sample_labeled, sample_train_test, similarity_confidence)
+from sconf.experiments import SWEEP_TEST_SEED, bayes_accuracy, sweep_test_set
 from sconf.rng import make_rng
 from sconf.errors import ConfigError
 
@@ -96,6 +98,90 @@ class TestPosterior:
         assert np.all((r >= 0) & (r <= 1))
         # at the last point both densities underflow: the posterior is the prior
         assert r[2] == setup.pi_plus
+
+
+def stacked_sample(setup, n_plus, n_minus, seed):
+    """sample_labeled as whole-set expressions: each class drawn as
+    mu + Z @ L.T, the classes stacked and their labels concatenated."""
+    rng = make_rng(seed)
+    lp = np.linalg.cholesky(setup.sigma_plus)
+    lm = np.linalg.cholesky(setup.sigma_minus)
+    xp = setup.mu_plus + rng.standard_normal((n_plus, setup.dim)) @ lp.T
+    xm = setup.mu_minus + rng.standard_normal((n_minus, setup.dim)) @ lm.T
+    y = np.concatenate([np.ones(n_plus, dtype=int), -np.ones(n_minus, dtype=int)])
+    return np.vstack([xp, xm]), y
+
+
+def whole_set_log_density(X, mu, sigma):
+    L = np.linalg.cholesky(sigma)
+    diff = np.atleast_2d(X) - mu
+    u = np.linalg.solve(L, diff.T)
+    quad = np.sum(u * u, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return -0.5 * (quad + logdet + mu.shape[0] * math.log(2.0 * math.pi))
+
+
+def whole_set_posterior(X, setup):
+    """posterior_plus as one pass over all rows of X."""
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.log(setup.pi_plus) + whole_set_log_density(X, setup.mu_plus, setup.sigma_plus)
+        b = np.log(setup.pi_minus) + whole_set_log_density(X, setup.mu_minus, setup.sigma_minus)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = 1.0 / (1.0 + np.exp(-(a - b)))
+    return np.where(np.isnan(r), setup.pi_plus, r)
+
+
+class TestWholeSetBytes:
+    """The data layer works in blocks and in place, with the bytes of the
+    whole-set expressions."""
+
+    @pytest.mark.parametrize("name", "ABCD")
+    @pytest.mark.parametrize("n_plus, n_minus, seed", (
+        (500, 300, 7), (0, 5, 7), (5, 0, 7), (1, 1, 7), (125_000, 75_000, SWEEP_TEST_SEED)))
+    def test_sample_labeled(self, name, n_plus, n_minus, seed):
+        X, y = stacked_sample(preset(name), n_plus, n_minus, seed)
+        data = sample_labeled(preset(name), n_plus, n_minus, seed)
+        assert data.X.dtype == X.dtype and data.y.dtype == y.dtype
+        assert data.X.tobytes() == X.tobytes() and data.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("name", "ABCD")
+    @pytest.mark.parametrize("n", (1, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK, POSTERIOR_BLOCK + 1,
+                                   POSTERIOR_BLOCK + 7, 2 * POSTERIOR_BLOCK + 3, 200_000))
+    def test_posterior_plus(self, name, n):
+        setup = preset(name)
+        X = sweep_test_set(setup).X
+        X = X[np.random.default_rng(n).permutation(len(X))[:n]]  # both classes in every block
+        X[n // 2] = [1e300, -1e300]  # both densities underflow: the prior
+        r = posterior_plus(X, setup)
+        assert r[n // 2] == setup.pi_plus
+        assert r.tobytes() == whole_set_posterior(X, setup).tobytes()
+
+    def test_posterior_plus_has_no_one_row_block(self):
+        # LAPACK solves a single right-hand side in another order than
+        # several, so a one-row block can move a posterior: end a set of
+        # POSTERIOR_BLOCK + 1 rows with a row that it moves
+        setup = preset("C")
+        X = sweep_test_set(setup).X[:POSTERIOR_BLOCK + 1].copy()
+        alone = np.array([whole_set_posterior(x, setup)[0] for x in X[:1000]])
+        moved = np.nonzero(alone != whole_set_posterior(X[:1000], setup))[0]
+        assert len(moved)
+        X[-1] = X[moved[0]]
+        assert posterior_plus(X, setup).tobytes() == whole_set_posterior(X, setup).tobytes()
+
+
+def test_sweep_test_set_peak_memory():
+    # bound fixed before the first run: the set holds 4.8 MB (3.2 MB of rows,
+    # 1.6 MB of labels) and its posteriors 1.6 MB, which leaves 2.6 MB for
+    # the sampling draws and the posterior blocks' buffers; measured 7.93 MB,
+    # where the whole-set passes peaked at 17.6 MB
+    setup = preset("B")
+
+    def build_and_score():
+        return bayes_accuracy(sweep_test_set(setup), setup)
+
+    build_and_score()
+    _, peak = traced_peak(build_and_score)
+    assert peak <= 9.0e6
 
 
 class TestSimilarityConfidence:

@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from sconf import optim
 from sconf.errors import ConfigError, DataError
 from sconf.model import (SCORE_BLOCK, Architecture, Predictor, backward, forward, init,
@@ -188,12 +187,7 @@ class TestScore:
         n = 8 * block_rows(arch)
         p = init(arch, seed=7)
         X = np.random.default_rng(8).normal(size=(n, 4))
-        tracemalloc.start()
-        try:
-            z = score(p, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        z, peak = traced_peak(score, p, X)
         # one block's two hidden layers hold 8 * SCORE_BLOCK bytes; one
         # forward over all rows would hold 8 times that
         assert z.shape == (n,)

@@ -12,13 +12,13 @@ identity f for the supervised kind.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from sconf import datagen, experiments, model, trainer
 from sconf.dataset_io import posterior_model_confidences
 from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
@@ -234,12 +234,7 @@ def test_reproduce_table_peak_memory():
     # the pair normals are drawn block by block, never held as one
     # n (n - 1) / 2 buffer; the bound is the peak of weighting each setup alone
     experiments.reproduce_table(seeds=[1, 2, 3, 4, 5])
-    tracemalloc.start()
-    try:
-        experiments.reproduce_table(seeds=[1, 2, 3, 4, 5])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: experiments.reproduce_table(seeds=[1, 2, 3, 4, 5]))
     assert peak <= 4.36e6
 
 

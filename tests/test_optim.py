@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from sconf.errors import ConfigError
 from sconf.model import Architecture, backward, forward, init
 from sconf.optim import BLOCK, AdamState, effective_lr, step
@@ -152,11 +151,6 @@ class TestBlockedStep:
         step(state, p, epoch=0)
         p.grads[...] = 1e-3
         p.grads_ready = True
-        tracemalloc.start()
-        try:
-            step(state, p, epoch=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(step, state, p, 0)
         # the unblocked update built about ten 5.1 MB temporaries (25.7 MB peak)
         assert peak < 1_000_000

@@ -8,11 +8,10 @@ confidences and report rows. Keeping the codes must also keep the images at
 one byte a pixel through a whole IDX run.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from sconf import model, trainer
 from sconf.cli import _split_pairs
 from sconf.datagen import LabeledData
@@ -82,17 +81,30 @@ class TestScore:
         assert rows == 1337
         codes = random_codes((8 * rows, 784), 3)
         p = init(arch, seed=4)
-        tracemalloc.start()
-        try:
-            z = score(p, codes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        z, peak = traced_peak(score, p, codes)
         # one forward over all rows would convert 8 times the block
         assert peak - z.nbytes < 1.25 * 8 * SCORE_BLOCK
         for lo in range(0, len(codes), rows):
             assert z[lo:lo + rows].tobytes() == forward(p, codes[lo:lo + rows]).tobytes()
         assert z.tobytes() == score(p, codes / 255.0).tobytes()
+
+    def test_blocks_count_the_features_of_a_linear_model(self):
+        # a 784-pixel linear model is scored in blocks of SCORE_BLOCK // 784 =
+        # 1,337 rows too, so only one block's codes are float64 at a time
+        rows = SCORE_BLOCK // 784
+        codes = random_codes((8 * rows + 5, 784), 5)
+        p = fitted(MNIST_LINEAR, 6)
+        z, peak = traced_peak(score, p, codes)
+        # one forward over all rows would convert 8 times the block
+        assert peak - z.nbytes < 1.25 * 8 * SCORE_BLOCK
+        for lo in range(0, len(codes), rows):
+            assert z[lo:lo + rows].tobytes() == forward(p, codes[lo:lo + rows]).tobytes()
+        assert z.tobytes() == score(p, codes / 255.0).tobytes()
+        # the blocks may round apart from one forward over all rows (see
+        # TestScore in test_model): by at most 3.0e-16 of the largest |score|
+        # in the sets measured
+        whole = forward(p, codes)
+        assert np.max(np.abs(z - whole)) <= 1e-15 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("arch, trials", ((MNIST_LINEAR, None), (MNIST_LINEAR, 3),
@@ -156,8 +168,8 @@ def test_idx_run_keeps_the_images_below_their_float64_bytes(tmp_path):
     train_paths = write_idx_set(tmp_path, "train", n_train, 12)
     test_paths = write_idx_set(tmp_path, "test", n_test, 13)
     arch, rule = Architecture.mlp(784, 32, 32), corruption("mnist")
-    tracemalloc.start()
-    try:
+
+    def run():
         labeled, test = (corrupt_binary(*load_idx(*paths), rule)
                          for paths in (train_paths, test_paths))
         prior = float(np.mean(labeled.y == 1))
@@ -168,9 +180,8 @@ def test_idx_run_keeps_the_images_below_their_float64_bytes(tmp_path):
         del ds
         cfg = TrainConfig(risk=RiskSpec("nn", prior), arch=arch, epochs=2, seed=1,
                           batch_pairs=250, lr0=1e-3)
-        _, report = trainer.train(train_ds, val_ds, test, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return trainer.train(train_ds, val_ds, test, cfg)[1]
+
+    report, peak = traced_peak(run)
     assert len(report.rows) == 2
     assert peak < n_train * 784 * 8
