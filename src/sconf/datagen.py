@@ -9,25 +9,30 @@ Gaussian, clipped back into [0, 1]; its std must be finite and nonnegative
 (check_noise_std, the one rule for every noise level).
 
 An SconfDataset of n pairs is its (2n, d) row block, x over x', and its n
-confidences; subset and pair_up build their block with one take of the rows
-and the dataset keeps it as given. pair_up is the one pairing recipe: it
-pairs the points by pair_indices, which permutes them with the stream
-(seed, 1) and pairs consecutive entries, and each pair's confidence comes
-from the posteriors of its two points.
+confidences; subset and pair_up build their block with one gather, which
+takes the x rows into its top half and the x' rows into its bottom half with
+no whole-set index, and the dataset keeps it as given. pair_up is the one
+pairing recipe: it pairs the points by pair_indices, which permutes them with
+the stream (seed, 1) and pairs consecutive entries, and each pair's
+confidence comes from the posteriors of its two points.
 
 LabeledData and SconfDataset keep their rows as model.as_input does: a uint8
 block of IDX pixel codes as given, since the model reads a code c as c / 255
 only where it scores a batch, and anything else as float64.
 
-The 200,000-point sweep test set is built and scored without whole-set
-temporaries, and both rules keep the bytes of the whole-set expressions.
-sample_labeled draws each class straight into its rows of one (n, d) block,
-np.matmul(Z, L.T, out=rows) then rows += mu, the bytes of mu + Z @ L.T
-stacked class over class. posterior_plus works in row blocks of
+A sample is drawn block by block, and scored the same way, with the bytes of
+the whole-set expressions. sample_blocks is the one sampler: it yields the
+sample's rows edges[k]..edges[k+1] as the loop reaches them, each class's
+rows drawn straight into the block, np.matmul(Z, L.T, out=rows) then
+rows += mu. Its draws continue one stream, positives first, so the blocks
+concatenate to mu + Z @ L.T stacked class over class; sample_labeled is its
+one-block case. block_edges(n) is the one block rule: blocks of
 POSTERIOR_BLOCK rows, the last block taking the remainder, so no block is
-shorter than POSTERIOR_BLOCK unless the whole set is: LAPACK solves a single
-right-hand side in another order than several, so a one-row tail block could
-move a posterior in its last bit. Labels are checked by losses.check_labels.
+shorter than POSTERIOR_BLOCK unless the whole set is. posterior_plus works in
+those blocks, as does the sample-size sweep, which draws its 200,000-point
+test set in them: LAPACK solves a single right-hand side in another order
+than several, so a one-row tail block could move a posterior in its last
+bit. Labels are checked by losses.check_labels.
 
 All arithmetic is float64 and all sampling is deterministic given the seed.
 """
@@ -174,10 +179,24 @@ class SconfDataset:
         return len(self.s)
 
     def subset(self, idx):
-        """The pairs at idx (indices or a boolean mask); the rows are one take
-        of the block."""
+        """The pairs at idx (indices or a boolean mask); the rows are one
+        gather of the block."""
         idx = np.arange(len(self))[idx]
-        return SconfDataset(self.rows[np.concatenate([idx, idx + len(self)])], self.s[idx])
+        return SconfDataset(_gather_pairs(self.rows, idx, idx + len(self)), self.s[idx])
+
+
+def _gather_pairs(X, i1, i2, out=None):
+    """The (2m, d) block of the m pairs (X[i1], X[i2]), x over x', filled by
+    two np.take into out (a new block of X's dtype when None): the bytes of
+    X[np.concatenate([i1, i2])] without the concatenated index. The indices
+    must lie in range, as pair_indices and subset give them: np.take's wrap
+    mode writes straight into out, where its checking mode buffers a copy."""
+    m = len(i1)
+    if out is None:
+        out = np.empty((2 * m,) + X.shape[1:], dtype=X.dtype)
+    np.take(X, i1, axis=0, out=out[:m], mode="wrap")
+    np.take(X, i2, axis=0, out=out[m:], mode="wrap")
+    return out
 
 
 def _check_finite(**arrays):
@@ -189,28 +208,49 @@ def _check_finite(**arrays):
             raise ConfigError(f"{name} has a non-finite value in row {bad[0][0]}")
 
 
-def sample_labeled(setup, n_plus, n_minus, seed):
-    """Draw n_plus positives then n_minus negatives from the setup.
+def block_edges(n):
+    """Row offsets 0, POSTERIOR_BLOCK, 2 POSTERIOR_BLOCK, ..., n of the blocks
+    of n rows: the last block takes the remainder, so no block is shorter
+    than POSTERIOR_BLOCK unless the whole set is ([0, n] then)."""
+    return [k * POSTERIOR_BLOCK for k in range(max(n // POSTERIOR_BLOCK, 1))] + [n]
+
+
+def sample_blocks(setup, n_plus, n_minus, seed, edges):
+    """n_plus positives then n_minus negatives from the setup, one
+    LabeledData of rows edges[k]..edges[k+1] per block, drawn as the loop
+    reaches it; edges runs from 0 to n_plus + n_minus.
 
     Sampling goes through the lower Cholesky factor of each covariance, so the
     requested moments are exact in distribution and the draw is reproducible
-    from the seed. Each class is drawn straight into its rows of one (n, d)
-    block, np.matmul(Z, L.T, out=rows) then rows += mu, and its labels are one
-    slice of an np.full block: the bytes, int labels included, of
+    from the seed. Each class is drawn straight into its rows of the block,
+    np.matmul(Z, L.T, out=rows) then rows += mu, and its labels are one slice
+    of an np.full block. The draws continue one stream, positives first, so
+    the blocks concatenate to the bytes, int labels included, of
     vstack([mu+ + Z+ @ L+.T, mu- + Z- @ L-.T]) over concatenated ones and
     minus ones, without the per-class and stacked copies.
     """
     if n_plus < 0 or n_minus < 0:
         raise ConfigError("sample counts must be nonnegative")
+    if edges[0] != 0 or edges[-1] != n_plus + n_minus:
+        raise ConfigError(f"block edges must run from 0 to {n_plus + n_minus}")
     rng = make_rng(seed)
-    X = np.empty((n_plus + n_minus, setup.dim))
-    for rows, mu, sigma in ((X[:n_plus], setup.mu_plus, setup.sigma_plus),
-                            (X[n_plus:], setup.mu_minus, setup.sigma_minus)):
-        np.matmul(rng.standard_normal(rows.shape), np.linalg.cholesky(sigma).T, out=rows)
-        rows += mu
-    y = np.full(n_plus + n_minus, -1, dtype=int)
-    y[:n_plus] = 1
-    return LabeledData(X, y)
+    factors = [np.linalg.cholesky(sigma).T for sigma in (setup.sigma_plus, setup.sigma_minus)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        X = np.empty((hi - lo, setup.dim))
+        cut = min(max(n_plus - lo, 0), hi - lo)  # the block's positives are its first cut rows
+        for rows, mu, lt in ((X[:cut], setup.mu_plus, factors[0]),
+                             (X[cut:], setup.mu_minus, factors[1])):
+            np.matmul(rng.standard_normal(rows.shape), lt, out=rows)
+            rows += mu
+        y = np.full(hi - lo, -1, dtype=int)
+        y[:cut] = 1
+        yield LabeledData(X, y)
+
+
+def sample_labeled(setup, n_plus, n_minus, seed):
+    """Draw n_plus positives then n_minus negatives from the setup: the one
+    block of sample_blocks."""
+    return next(sample_blocks(setup, n_plus, n_minus, seed, [0, n_plus + n_minus]))
 
 
 def sample_train_test(setup, n_plus, n_minus, seed):
@@ -241,17 +281,15 @@ def posterior_plus(X, setup):
     unrepresentable for some point (possible only in the extreme tails), the
     posterior falls back to the prior pi+ for that point.
 
-    The rows are taken in blocks of POSTERIOR_BLOCK, the last block taking the
-    remainder, so only the output is as long as the set. Each row's posterior
-    is the bytes of the whole-set expression, since no block has a single row
-    unless the whole set has.
+    The rows are taken in the blocks of block_edges, so only the output is as
+    long as the set. Each row's posterior is the bytes of the whole-set
+    expression, since no block has a single row unless the whole set has.
     """
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
     r = np.empty(len(X))
-    blocks = max(len(X) // POSTERIOR_BLOCK, 1)
-    edges = [k * POSTERIOR_BLOCK for k in range(blocks)] + [len(X)]
+    edges = block_edges(len(X))
     for lo, hi in zip(edges[:-1], edges[1:]):
         x = X[lo:hi]
         with np.errstate(divide="ignore", over="ignore"):  # an underflowed density is -inf
@@ -286,15 +324,20 @@ def pair_indices(n, seed):
     return perm[0::2], perm[1::2]
 
 
-def pair_up(X, r, pairs):
+def pair_up(X, r, pairs, out=None):
     """Pair the rows of X by the index arrays (i1, i2) of pair_indices, with
-    confidences from their positive-class posteriors r."""
+    confidences from their positive-class posteriors r. The pair block is
+    gathered into out, a (2m, d) block of X's dtype, or a new one when None.
+    The confidences come first, so their gathered posteriors and temporaries
+    are gone before the block is filled."""
     i1, i2 = pairs
-    return SconfDataset(X[np.concatenate([i1, i2])], similarity_confidence(r[i1], r[i2]))
+    s = similarity_confidence(r[i1], r[i2])
+    return SconfDataset(_gather_pairs(X, i1, i2, out), s)
 
 
-def make_pairs(points, setup, seed):
-    """Pair up an even batch of marginal draws and attach exact confidences.
+def make_pairs(points, setup, seed, out=None):
+    """Pair up an even batch of marginal draws and attach exact confidences,
+    the pair block gathered into out as pair_up does.
 
     Random pairing keeps the pairs i.i.d. when the points are. |pairs| = n/2.
     """
@@ -302,7 +345,7 @@ def make_pairs(points, setup, seed):
     n = points.shape[0]
     if n % 2 != 0:
         raise ConfigError(f"need an even number of points to pair, got {n}; drop one point")
-    return pair_up(points, posterior_plus(points, setup), pair_indices(n, seed))
+    return pair_up(points, posterior_plus(points, setup), pair_indices(n, seed), out)
 
 
 def check_noise_std(std):

@@ -20,9 +20,11 @@ as a trial stack (see trainer.train_weighted_points, also importable from
 here): one full-batch Adam run over a (T, d + 1) parameter block. table_runs
 fits every (seed, method, noise level) trial of a setup at once, which
 serves reproduce_table and sweep_noise; sweep_n fits the trials of each n at
-once, every trial being the unbiased disjoint-pair risk in point form. Each
-trial is scored on its test set alone, after the last epoch. Stacks are full
-batch and linear only; collapse_demo's minibatch arm trains one predictor.
+once, every trial being the unbiased disjoint-pair risk in point form. A
+table trial is scored on its seed's test set after the last epoch; the sweep
+fits every n first, then scores the Bayes rule and every trial in one pass
+over its fixed test set, drawn block by block. Stacks are full batch and
+linear only; collapse_demo's minibatch arm trains one predictor.
 
 Sampling conventions for the built-in setups: the datagen preset counts of
 500 positive / 300 negative training points (class prior 0.625) and the test
@@ -36,10 +38,11 @@ import numpy as np
 
 from . import model, trainer
 from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSetup,
-                      add_confidence_noise, check_noise_std, make_pairs, pair_indices, pair_up,
-                      posterior_plus, preset, sample_labeled, sample_test, sample_train_test)
+                      add_confidence_noise, block_edges, check_noise_std, make_pairs,
+                      pair_indices, pair_up, posterior_plus, preset, sample_blocks,
+                      sample_labeled, sample_test, sample_train_test)
 from .errors import ConfigError
-from .losses import accuracy
+from .losses import accuracy, correct_signs
 from .prior import estimate_prior
 from .rng import make_rng
 from .risk import RiskSpec, pair_risk, pair_weights
@@ -58,9 +61,15 @@ COLLAPSE_SETUP = GaussianSetup([-4.0, 0.0], [2.0, 2.0],
                                [[3.0, 0.0], [0.0, 3.0]], PRESET_PI_PLUS)
 
 
+def bayes_correct(test, setup):
+    """Correct signs of the analytic Bayes classifier sign(r(x) - 1/2), ties
+    positive, on a labeled set."""
+    return correct_signs(posterior_plus(test.X, setup), test.y, threshold=0.5)
+
+
 def bayes_accuracy(test, setup):
-    """Test accuracy of the analytic Bayes classifier sign(r(x) - 1/2), ties positive."""
-    return accuracy(posterior_plus(test.X, setup), test.y, threshold=0.5)
+    """Test accuracy of the Bayes classifier: bayes_correct over the set's size."""
+    return bayes_correct(test, setup) / len(test)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +369,21 @@ SWEEP_TEST_N = 200_000
 SWEEP_TEST_SEED = 424242
 
 
-def sweep_test_set(setup):
-    """The sweep's fixed test set: SWEEP_TEST_N points at the setup's prior."""
+def _sweep_test_blocks(setup, edges):
+    """The sweep's fixed test set, SWEEP_TEST_N points at the setup's prior,
+    one LabeledData per block of edges."""
     n_plus = round(SWEEP_TEST_N * setup.pi_plus)
-    return sample_labeled(setup, n_plus, SWEEP_TEST_N - n_plus, SWEEP_TEST_SEED)
+    return sample_blocks(setup, n_plus, SWEEP_TEST_N - n_plus, SWEEP_TEST_SEED, edges)
 
 
-def sweep_n_excess(setup, n_pairs, seeds, test, bayes_risk):
-    """0-1 excess over Bayes of one fit per seed on n disjoint exact-confidence
-    pairs, the trials fit as one stack.
+def sweep_test_set(setup):
+    """The sweep's fixed test set as one block."""
+    return next(_sweep_test_blocks(setup, [0, SWEEP_TEST_N]))
+
+
+def _sweep_fit(setup, n_pairs, seeds):
+    """The stacked fit of one trial per seed on n disjoint exact-confidence
+    pairs.
 
     The sweep protocol is a fixed 40-epoch full-batch budget (lr 0.1, divided
     by 10 every 15 epochs) at every n, so the curve reflects sample size, not
@@ -380,29 +395,38 @@ def sweep_n_excess(setup, n_pairs, seeds, test, bayes_risk):
     Each trial is the unbiased pair risk in point form: the pair block
     ds.rows with pair_weights(ds.s) on both halves. Its correction f is the
     identity, so the gradient is trainer.train's expression up to rounding.
-    The final-epoch model is scored once: there is no independent validation
-    set here, so the best-epoch snapshot would just echo the training minimum.
+    make_pairs gathers trial t's pair block straight into rows[t] of the
+    (T, 2n, d) stack, and its weights fill both halves of a[t] and b[t].
+    The final-epoch model is scored: there is no independent validation set
+    here, so the best-epoch snapshot would just echo the training minimum.
     """
     n_points = 2 * n_pairs
     n_plus = round(n_points * setup.pi_plus)
     spec = RiskSpec("unbiased", setup.pi_plus)
-    rows, a, b = [], [], []
-    for seed in seeds:
-        ds = make_pairs(sample_labeled(setup, n_plus, n_points - n_plus, seed).X, setup, seed)
+    rows = np.empty((len(seeds), n_points, setup.dim))
+    a, b = np.empty((2, len(seeds), n_points))
+    for t, seed in enumerate(seeds):
+        ds = make_pairs(sample_labeled(setup, n_plus, n_points - n_plus, seed).X, setup, seed,
+                        out=rows[t])
         a_t, b_t = pair_weights(ds.s, spec)
-        rows.append(ds.rows)
-        a.append(np.tile(a_t, 2))
-        b.append(np.tile(b_t, 2))
-    p = train_weighted_points(np.stack(rows), np.stack(a), np.stack(b),
-                              model.Architecture.linear(setup.dim), epochs=SWEEP_EPOCHS,
-                              lr0=SWEEP_LR0, drop_every=SWEEP_DROP)
-    # one trial at a time: a (200k, T) score block would raise peak memory T-fold
-    return [trainer.evaluate(p.trial(t), test)[1] - bayes_risk for t in range(len(seeds))]
+        a[t].reshape(2, n_pairs)[:] = a_t  # the x and x' halves share their pair's weights
+        b[t].reshape(2, n_pairs)[:] = b_t
+    return train_weighted_points(rows, a, b, model.Architecture.linear(setup.dim),
+                                 epochs=SWEEP_EPOCHS, lr0=SWEEP_LR0, drop_every=SWEEP_DROP)
 
 
 def sweep_n(setup_name, n_grid, trials, base_seed=1):
-    """Mean 0-1 excess risk per n and the fitted log-log slope (None if the
-    grid is degenerate)."""
+    """Mean 0-1 excess risk over Bayes per n and the fitted log-log slope
+    (None if the grid is degenerate).
+
+    Every n's trial stack is fit first (_sweep_fit). Then one pass over the
+    fixed test set, drawn block by block in posterior_plus's blocks
+    (block_edges), counts on each block the correct signs of the Bayes rule
+    and of every trial, one model.score per trial. A trial's excess is its
+    0-1 risk minus the Bayes risk, each one minus its count over
+    SWEEP_TEST_N: the bytes of scoring each trial on the whole set, without
+    holding the set or passing over it once per trial.
+    """
     if list(n_grid) != sorted(n_grid):
         raise ConfigError("n grid must be ascending")
     if any(n < 1 for n in n_grid):
@@ -411,12 +435,18 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
         raise ConfigError(f"seeds must be nonnegative, got base seed {base_seed}")
     seeds = trial_seeds(trials)
     setup = preset(setup_name)
-    test = sweep_test_set(setup)
-    bayes_risk = 1.0 - bayes_accuracy(test, setup)
+    fits = [_sweep_fit(setup, n_pairs, [base_seed * 100_000 + 7 * n_pairs + t for t in seeds])
+            for n_pairs in n_grid]
+    bayes, correct = 0, [[0] * len(seeds) for _ in fits]
+    for test in _sweep_test_blocks(setup, block_edges(SWEEP_TEST_N)):
+        bayes += bayes_correct(test, setup)
+        for p, counts in zip(fits, correct):
+            for t in range(len(seeds)):
+                counts[t] += correct_signs(model.score(p.trial(t), test.X), test.y)
+    bayes_risk = 1.0 - bayes / SWEEP_TEST_N
     rows = []
-    for n_pairs in n_grid:
-        excesses = sweep_n_excess(setup, n_pairs, [base_seed * 100_000 + 7 * n_pairs + t
-                                                   for t in seeds], test, bayes_risk)
+    for n_pairs, counts in zip(n_grid, correct):
+        excesses = [(1.0 - c / SWEEP_TEST_N) - bayes_risk for c in counts]
         rows.append((n_pairs, float(np.mean(excesses)), float(np.std(excesses))))
     slope = None
     if len(rows) >= 2:

@@ -5,7 +5,9 @@ zero_one: 1 on misclassification, with sign(0) = +1 so ties are deterministic.
 Only the logistic loss has a derivative; zero_one is evaluation-only.
 weighted_derivative() is the derivative of a_i l(z_i, +1) + b_i l(z_i, -1),
 the point objective's per-row gradient, fused into one sigmoid.
-accuracy() is one minus the mean zero-one loss, with the same sign rule.
+correct_signs() counts the scores whose sign matches the label, with the same
+sign rule; accuracy() divides that count by the number of labels, one minus
+the mean zero-one loss.
 sigmoid() is the posterior of a score, 1 / (1 + exp(-x)).
 check_labels() is the one label rule, (y == 1) | (y == -1), for the losses
 here and for datagen.LabeledData.
@@ -40,13 +42,20 @@ def loss_value(kind, z, y):
     return float(out) if out.ndim == 0 else out
 
 
-def accuracy(z, y, threshold=0.0):
-    """Share of the scores z whose side of threshold matches the label y in
+def correct_signs(z, y, threshold=0.0):
+    """Number of the scores z whose side of threshold matches the label y in
     {-1, +1}: z >= threshold predicts +1, so ties are positive and a NaN
     score predicts -1. The correct signs are counted, not materialized as
-    predictions; the count is exact and the one division correctly rounded,
-    so this is bit for bit np.mean(np.where(z >= threshold, 1, -1) == y)."""
-    return float(np.count_nonzero((z >= threshold) == (y == 1)) / len(y))
+    predictions, so counts of a set's blocks add up to the set's count."""
+    return int(np.count_nonzero((z >= threshold) == (y == 1)))
+
+
+def accuracy(z, y, threshold=0.0):
+    """Share of the scores z whose side of threshold matches the label y:
+    correct_signs over len(y). The count is exact and the one division
+    correctly rounded, so this is bit for bit
+    np.mean(np.where(z >= threshold, 1, -1) == y)."""
+    return correct_signs(z, y, threshold) / len(y)
 
 
 def sigmoid(x):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import traced_peak
 from sconf.datagen import (POSTERIOR_BLOCK, GaussianSetup, LabeledData, SconfDataset,
-                           add_confidence_noise, make_pairs, parse_setup, posterior_plus, preset,
-                           sample_labeled, sample_train_test, similarity_confidence)
+                           add_confidence_noise, block_edges, make_pairs, parse_setup,
+                           posterior_plus, preset, sample_blocks, sample_labeled,
+                           sample_train_test, similarity_confidence)
 from sconf.experiments import SWEEP_TEST_SEED, bayes_accuracy, sweep_test_set
 from sconf.rng import make_rng
 from sconf.errors import ConfigError
@@ -143,6 +144,34 @@ class TestWholeSetBytes:
         data = sample_labeled(preset(name), n_plus, n_minus, seed)
         assert data.X.dtype == X.dtype and data.y.dtype == y.dtype
         assert data.X.tobytes() == X.tobytes() and data.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("name", "AC")
+    @pytest.mark.parametrize("n_plus, n_minus, edges", (
+        (1000, 600, [0, 700, 1300, 1600]),  # the class boundary inside a block
+        (1000, 600, [0, 500, 1000, 1600]),  # the class boundary on a block edge
+        (0, 1600, [0, 800, 1600]),  # an empty class
+        (1600, 0, [0, 800, 1600]),
+        (20_000, 2 * POSTERIOR_BLOCK + 3 - 20_000, block_edges(2 * POSTERIOR_BLOCK + 3)),
+    ))
+    def test_sample_blocks_concatenate_to_the_sample(self, name, n_plus, n_minus, edges):
+        X, y = stacked_sample(preset(name), n_plus, n_minus, 7)
+        blocks = list(sample_blocks(preset(name), n_plus, n_minus, 7, edges))
+        assert [len(block) for block in blocks] == np.diff(edges).tolist()
+        assert np.concatenate([block.X for block in blocks]).tobytes() == X.tobytes()
+        assert np.concatenate([block.y for block in blocks]).tobytes() == y.tobytes()
+
+    def test_block_edges(self):
+        # the last block takes the remainder, here 3 rows past 2 blocks
+        b = POSTERIOR_BLOCK
+        assert block_edges(2 * b + 3) == [0, b, 2 * b + 3]
+        assert block_edges(2 * b) == [0, b, 2 * b]
+        assert block_edges(b - 1) == [0, b - 1]
+        assert block_edges(0) == [0, 0]
+
+    @pytest.mark.parametrize("edges", ([0, 10], [1, 16], [0, 8, 17]))
+    def test_sample_blocks_need_edges_over_the_whole_sample(self, edges):
+        with pytest.raises(ConfigError, match="from 0 to 16"):
+            list(sample_blocks(preset("A"), 10, 6, 1, edges))
 
     @pytest.mark.parametrize("name", "ABCD")
     @pytest.mark.parametrize("n", (1, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK, POSTERIOR_BLOCK + 1,
@@ -306,6 +335,15 @@ class TestPairBlock:
         rows[4, 0] = np.nan
         with pytest.raises(ConfigError, match="x_prime has a non-finite value in row 1"):
             SconfDataset(rows, [0.1, 0.5, 0.9])
+
+    def test_make_pairs_gathers_into_the_block_given(self):
+        setup = preset("C")
+        pts = sample_labeled(setup, 40, 24, 5).X
+        out = np.empty((64, 2))
+        ds = make_pairs(pts, setup, 5, out=out)
+        want = make_pairs(pts, setup, 5)
+        assert ds.rows is out
+        assert out.tobytes() == want.rows.tobytes() and ds.s.tobytes() == want.s.tobytes()
 
     def test_subset_of_noisy_pairs_keeps_rows_and_s(self):
         setup = preset("B")

@@ -8,7 +8,8 @@ the dataset risk it reports, for every risk kind, a trial stack must fit
 each of its trials as the one-trial fit does, in pair or in point form, and
 every risk kind must equal its weighted-row form: f(sum a l(u, +1)) +
 f(sum b l(u, -1)) over the scored rows u, with one_hot(y) weights and the
-identity f for the supervised kind.
+identity f for the supervised kind, and the sample-size sweep's streamed pass
+must give the rows of scoring each trial on the whole test set.
 """
 
 import dataclasses
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from sconf import datagen, experiments, model, trainer
 from sconf.dataset_io import posterior_model_confidences
-from sconf.datagen import LabeledData, SconfDataset, posterior_plus, preset, sample_labeled
+from sconf.datagen import (POSTERIOR_BLOCK, LabeledData, SconfDataset, posterior_plus, preset,
+                           sample_labeled)
 from sconf.errors import ConfigError
 from sconf.experiments import all_pairs_point_weights, pair_normals, train_weighted_points
 from sconf.losses import LOSS_KINDS, loss_value
@@ -236,6 +238,76 @@ def test_reproduce_table_peak_memory():
     experiments.reproduce_table(seeds=[1, 2, 3, 4, 5])
     _, peak = traced_peak(lambda: experiments.reproduce_table(seeds=[1, 2, 3, 4, 5]))
     assert peak <= 4.36e6
+
+
+def test_prior_experiment_peak_memory():
+    # bound fixed before the first run, from what the design holds at the
+    # 200,000 points of 100,000 pairs: the points (3.2 MB) and their labels
+    # (1.6 MB), the posteriors (1.6 MB) and the permutation (1.6 MB), then
+    # either the confidence step's two gathered posteriors and three
+    # temporaries (4.0 MB) or, after it, the pair block (3.2 MB) and the
+    # confidences (0.8 MB): 12.0 MB, plus 1 MB for small buffers. With the
+    # concatenated take index and the posteriors gathered next to the pair
+    # block it peaked at 15.2 MB
+    experiments.prior_experiment(preset("A"), 100_000, 1)
+    _, peak = traced_peak(lambda: experiments.prior_experiment(preset("A"), 100_000, 1))
+    assert peak <= 13.0e6
+
+
+def materialized_sweep_n(setup_name, n_grid, trials, base_seed):
+    """experiments.sweep_n as it was before its streamed pass: per-trial pair
+    blocks and np.tile weights stacked per n, the fixed test set held whole,
+    its Bayes accuracy, and one trainer.evaluate of each trial on the whole
+    set. The oracle of the sweep's rows and slope."""
+    setup = preset(setup_name)
+    test = experiments.sweep_test_set(setup)
+    bayes_risk = 1.0 - experiments.bayes_accuracy(test, setup)
+    spec = RiskSpec("unbiased", setup.pi_plus)
+    out = []
+    for n_pairs in n_grid:
+        n_points = 2 * n_pairs
+        n_plus = round(n_points * setup.pi_plus)
+        rows, a, b = [], [], []
+        for t in range(1, trials + 1):
+            seed = base_seed * 100_000 + 7 * n_pairs + t
+            ds = make_pairs(sample_labeled(setup, n_plus, n_points - n_plus, seed).X, setup, seed)
+            a_t, b_t = pair_weights(ds.s, spec)
+            rows.append(ds.rows)
+            a.append(np.tile(a_t, 2))
+            b.append(np.tile(b_t, 2))
+        p = train_weighted_points(np.stack(rows), np.stack(a), np.stack(b),
+                                  model.Architecture.linear(setup.dim),
+                                  epochs=experiments.SWEEP_EPOCHS, lr0=experiments.SWEEP_LR0,
+                                  drop_every=experiments.SWEEP_DROP)
+        excesses = [trainer.evaluate(p.trial(t), test)[1] - bayes_risk for t in range(trials)]
+        out.append((n_pairs, float(np.mean(excesses)), float(np.std(excesses))))
+    ln = np.log([r[0] for r in out])
+    le = np.log([max(r[1], 1e-6) for r in out])
+    return out, float(np.polyfit(ln, le, 1)[0])
+
+
+SWEEP_GRID = (50, 100, 200, 400, 800, 1600)
+
+
+@pytest.mark.parametrize("n_grid, trials, base_seed", (
+    ((25, 50, 100), 3, 1), ((25, 50, 100), 3, 2), (SWEEP_GRID, 10, 1)))
+def test_streamed_sweep_equals_materialized_sweep(n_grid, trials, base_seed):
+    assert (experiments.sweep_n("B", n_grid, trials, base_seed)
+            == materialized_sweep_n("B", n_grid, trials, base_seed))
+
+
+def test_sweep_n_peak_memory():
+    # bound fixed before the first run, from what the design holds: the
+    # n = 1600 stack, 10 trials of 3200 rows of 2 features and 2 weights
+    # (1.02 MB), plus one 2^14-row block of the test set at 16 float64
+    # values a row (2.10 MB: its rows, labels, posteriors and density work
+    # buffers, which also covers the 19,776-row last block's 13 values a row).
+    # Holding the whole test set and evaluating each trial on it peaked at
+    # 8.08 MB
+    trials, n_points, d = 10, 2 * SWEEP_GRID[-1], 2
+    experiments.sweep_n("B", SWEEP_GRID, trials)
+    _, peak = traced_peak(lambda: experiments.sweep_n("B", SWEEP_GRID, trials))
+    assert peak <= trials * n_points * (d + 2) * 8 + POSTERIOR_BLOCK * 16 * 8
 
 
 def _full_block_noise_deltas(r, normals, stds):
