@@ -249,6 +249,10 @@ def _train_from_config(given, write):
                                       f"{len(labeled)} training images")
                 idx = make_rng(seed, 7).permutation(len(labeled))[:subsample]
                 labeled = type(labeled)(labeled.X[idx], labeled.y[idx])
+            classes = np.unique(labeled.y).tolist()
+            if len(classes) < 2:  # every estimator, and the confidence model, needs both
+                raise DataError(f"{files[1]}: training needs both classes, but after corruption "
+                                f"and subsampling its labels hold only {classes}")
             prior = float(np.mean(labeled.y == 1))
             net = _parse_arch(arch, test.X.shape[1])
             if pairs:

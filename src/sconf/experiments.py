@@ -76,13 +76,6 @@ def bayes_accuracy(test, setup):
 # all-pairs confidence weights
 
 
-def pair_normals(seed, n):
-    """The standard normals behind the noisy all-pairs confidences of n points:
-    one per unordered pair (i < j, row-major), the whole stream (seed, 2) that
-    _noise_deltas draws block by block when it is given make_rng(seed, 2)."""
-    return make_rng(seed, 2).standard_normal(n * (n - 1) // 2)
-
-
 def all_pairs_point_weights(X, setup, noise_stds=(0.0,), normals=None):
     """Per-point loss weights of the unbiased risk over all unordered pairs,
     one (a, b, sigma_n) per noise level of noise_stds, in its order.
@@ -91,9 +84,9 @@ def all_pairs_point_weights(X, setup, noise_stds=(0.0,), normals=None):
     coefficient aggregates (s_ij - pi-) resp. (pi+ - s_ij) over its n-1
     partners, normalized by the ordered pair count and 2 (pi+ - pi-) exactly
     as in the pair risk. The exact confidences aggregate in closed form, O(n).
-    At a level std, confidence noise is std times normals, one standard normal
-    per unordered pair from make_rng(seed, 2) (a nonzero level needs it, as
-    that generator or as its whole draw pair_normals(seed, n)), clipped to
+    At a level std, confidence noise is std times one standard normal per
+    unordered pair (i < j, row-major) drawn from the Generator normals, which
+    a nonzero level needs (the protocols pass make_rng(seed, 2)), clipped to
     [0, 1]; each point adds the change it makes to its pair confidences to the
     closed form (_noise_deltas), without materializing the pair matrix. The
     levels of one call share the posterior, the closed form and the O(n^2)
@@ -111,9 +104,8 @@ def all_pairs_point_weights(X, setup, noise_stds=(0.0,), normals=None):
     for std in noise_stds:
         check_noise_std(std)
     noisy = [std for std in noise_stds if std != 0.0]
-    if noisy and (normals is None or not isinstance(normals, np.random.Generator)
-                  and len(normals) != n * (n - 1) // 2):
-        raise ConfigError(f"noise std {noisy[0]} needs the pair normals of {n} points")
+    if noisy and not isinstance(normals, np.random.Generator):
+        raise ConfigError(f"noise std {noisy[0]} needs a Generator of pair normals")
     setups = setup if X.ndim == 3 else [setup]
     r = np.stack([posterior_plus(x, s) for x, s in zip(X.reshape(-1, n, X.shape[-1]), setups,
                                                        strict=True)])
@@ -141,8 +133,8 @@ def _noise_deltas(r, normals, stds):
     0, 1) - s_ij over its partners, and sum |delta_ij| over i < j, shaped
     (len(stds),) + r.shape resp. (len(stds),) + r.shape[:-1].
 
-    normals, the pairs i < j in row-major order, is drawn or a Generator to
-    draw. A block of rows lo..hi takes its hi (2n - hi - 1) / 2 - lo (2n - lo
+    normals is the Generator of the pair normals, the pairs i < j in row-major
+    order. A block of rows lo..hi draws its hi (2n - hi - 1) / 2 - lo (2n - lo
     - 1) / 2 normals as the loop reaches it (a generator's next draws continue
     its one-call draw) and scatters them right of the diagonal (columns
     lo+1..n-1) once. Each posterior builds the block's s_ij; each level scales
@@ -156,7 +148,6 @@ def _noise_deltas(r, normals, stds):
     rows = r.reshape(-1, n)
     sums = np.zeros((len(stds), len(rows), n))
     sigma_n = np.zeros((len(stds), len(rows)))
-    draw = normals.standard_normal if isinstance(normals, np.random.Generator) else None
     block = max(1, 2**15 // n)  # rows per block: ~2^15 pairs keep the buffers in cache
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -164,7 +155,7 @@ def _noise_deltas(r, normals, stds):
         start, stop = lo * (2 * n - lo - 1) // 2, hi * (2 * n - hi - 1) // 2
         upper = np.arange(lo, hi)[:, None] < np.arange(lo + 1, n)
         z, S, delta = np.zeros(upper.shape), np.empty(upper.shape), np.empty(upper.shape)
-        z[upper] = normals[start:stop] if draw is None else draw(stop - start)
+        z[upper] = normals.standard_normal(stop - start)
         full = np.zeros((hi - lo, n))
         for j, (p, q) in enumerate(zip(rows, 1.0 - rows)):
             S[:] = p[lo + 1:]
@@ -427,8 +418,8 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
     SWEEP_TEST_N: the bytes of scoring each trial on the whole set, without
     holding the set or passing over it once per trial.
     """
-    if list(n_grid) != sorted(n_grid):
-        raise ConfigError("n grid must be ascending")
+    if list(n_grid) != sorted(set(n_grid)):  # a repeated n would rerun its trial seeds
+        raise ConfigError(f"n grid must be strictly ascending, got {list(n_grid)}")
     if any(n < 1 for n in n_grid):
         raise ConfigError(f"n grid values must be at least 1 pair, got {min(n_grid)}")
     if base_seed < 0:  # a trial seed of a large n could still come out nonnegative

@@ -1,10 +1,10 @@
 """Differentiable scoring functions with exact backpropagation.
 
 Two architectures: a linear-in-input model w.x + b, and a 3-layer ReLU
-multilayer perceptron d-h1-h2-1. Parameters live in one flat float64 vector;
-gradients accumulate into a same-shape buffer. forward() caches the
-activations of its batch; backward() consumes the cache and invalidates it,
-so memory stays bounded at one batch.
+multilayer perceptron d-h1-h2-1. A Predictor is its architecture and its
+parameters, one flat float64 vector. forward() caches the activations of its
+batch; backward() consumes the cache and invalidates it, so memory stays
+bounded at one batch.
 
 Input rows come in two forms, and features() is the one rule that reads them.
 A uint8 array holds pixel codes c, read as the feature c / 255; any other
@@ -16,18 +16,13 @@ of codes.astype(float) / 255.0, element by element.
 
 The MLP's forward() adds each bias and applies the ReLU in place on the
 matmul output, and backward() applies the ReLU mask by multiplying with the
-boolean mask a > 0. Both give bit for bit the results of the plain
-expressions max(X W + b, 0) and da[a <= 0] = 0: the multiply can turn an
-intermediate zero into -0, but the matmuls and sums only add such zeros to
-other terms, and the gradient accumulates onto +0, so no output bit changes.
+boolean mask a > 0. The scores are bit for bit those of the plain
+expression max(X W + b, 0), and the gradient those of da[a <= 0] = 0 added
+onto zeros, up to the sign of a zero gradient.
 
-backward() adds into the gradient buffer, except for the first call after
-init() or optim.step(): that call finds the buffer all zeros (grads_ready is
-False) and writes the two big weight-matrix products straight into it with
-np.matmul(out=), skipping a temporary and a pass over the buffer. Only the
-sign of a zero gradient can differ from adding them to zeros, and Adam's
-first moment update adds it to +0, so no parameter bit changes. A second
-backward() before a step still accumulates.
+The gradient belongs to the caller: backward() writes it, whole, into a
+buffer of the parameters' shape that it is given (optim.AdamState.grads when
+training), and nothing of an earlier batch remains in it.
 
 The linear model also comes as a stack of T independent trials
 (init(arch, seed, trials=T)): parameters and gradients are a (T, d + 1)
@@ -125,16 +120,11 @@ class Architecture:
 class Predictor:
     arch: Architecture
     params: np.ndarray
-    grads: np.ndarray
-    grads_ready: bool = False
     _cache: dict | None = field(default=None, repr=False)
 
     def views(self):
         """Per-layer views into the flat parameter vector (shared memory)."""
         return _views(self.arch, self.params)
-
-    def grad_views(self):
-        return _views(self.arch, self.grads)
 
     def discard_cache(self):
         self._cache = None
@@ -147,7 +137,7 @@ class Predictor:
         """Trial t of a stack as a one-trial predictor (a view of its parameters)."""
         if not self.stacked:
             raise ConfigError("trial() needs a stacked predictor")
-        return Predictor(self.arch, self.params[t], np.zeros_like(self.params[t]))
+        return Predictor(self.arch, self.params[t])
 
 
 def _views(arch, buf):
@@ -178,7 +168,7 @@ def init(arch, seed=0, trials=None):
         v["W1"][...] = rng.normal(0.0, np.sqrt(2.0 / arch.d), v["W1"].shape)
         v["W2"][...] = rng.normal(0.0, np.sqrt(2.0 / arch.h1), v["W2"].shape)
         v["w3"][...] = rng.normal(0.0, np.sqrt(2.0 / arch.h2), v["w3"].shape)
-    return Predictor(arch, params, np.zeros_like(params))
+    return Predictor(arch, params)
 
 
 def as_input(X):
@@ -244,8 +234,9 @@ def score(p, X):
     return z
 
 
-def backward(p, upstream):
-    """Accumulate d(sum_i upstream_i * score_i)/d params into p.grads.
+def backward(p, upstream, grads):
+    """Write d(sum_i upstream_i * score_i)/d params into grads, an array of
+    p.params' shape, overwriting all of it.
 
     Consumes the activation cache of the last forward(). The ReLU subgradient
     at exactly 0 is taken as 0. A stack's trial t computes the single model's bytes.
@@ -257,34 +248,25 @@ def backward(p, upstream):
     X = cache["X"]
     if u.shape != X.shape[:-1]:
         raise ConfigError("upstream must have one entry per batch row")
-    # a gradient buffer is all zeros until the first backward after init()
-    # or optim.step()
-    clean, p.grads_ready = not p.grads_ready, True
-    g = p.grad_views()
+    if grads.shape != p.params.shape:
+        raise ConfigError(f"gradient buffer {grads.shape} does not fit parameters {p.params.shape}")
+    g = _views(p.arch, grads)
     if p.arch.kind == "linear":
-        g["w"] += (X.swapaxes(-1, -2) @ u[..., None])[..., 0]
-        g["b"] += u.sum(axis=-1, keepdims=True)
+        g["w"][...] = (X.swapaxes(-1, -2) @ u[..., None])[..., 0]
+        g["b"][...] = u.sum(axis=-1, keepdims=True)
         return
     v = p.views()
     a1, a2 = cache["a1"], cache["a2"]
-    g["w3"] += a2.T @ u
-    g["b3"] += u.sum()
+    np.matmul(a2.T, u, out=g["w3"])
+    g["b3"][...] = u.sum()
     da2 = np.outer(u, v["w3"])
     da2 *= a2 > 0.0
-    _add_matmul(a1.T, da2, g["W2"], clean)
-    g["b2"] += da2.sum(axis=0)
+    np.matmul(a1.T, da2, out=g["W2"])
+    g["b2"][...] = da2.sum(axis=0)
     da1 = da2 @ v["W2"].T
     da1 *= a1 > 0.0
-    _add_matmul(X.T, da1, g["W1"], clean)
-    g["b1"] += da1.sum(axis=0)
-
-
-def _add_matmul(a, b, out, clean):
-    """out += a @ b; a clean (all-zero) out takes the product in place."""
-    if clean:
-        np.matmul(a, b, out=out)
-    else:
-        out += a @ b
+    np.matmul(X.T, da1, out=g["W1"])
+    g["b1"][...] = da1.sum(axis=0)
 
 
 def save_checkpoint(p, path):
@@ -316,4 +298,4 @@ def load_checkpoint(path):
     if len(body) != expected:
         raise DataError(f"{path}: expected {expected} parameter bytes, found {len(body)}")
     params = np.frombuffer(body, dtype="<f8").astype(float)
-    return Predictor(arch, params, np.zeros(arch.param_count))
+    return Predictor(arch, params)

@@ -9,13 +9,14 @@ lr(epoch) = lr0 / 10 ** floor(epoch / drop_every).
 Every update is elementwise, so a stack of T trials, whose parameters and
 moments are (T, d + 1) blocks, takes T independent Adam steps in one.
 
+AdamState owns the gradient: for_predictor allocates it beside the moments,
+model.backward() writes each batch's gradient into it, and step() reads it.
 step() walks the parameter, gradient and moment arrays in blocks of about
 BLOCK elements along their first axis, through two block-sized work buffers
-that AdamState.for_predictor allocates once, and zeroes each gradient block
-while it is still in cache. A step therefore allocates nothing of the
-parameter vector's size (643,501 elements for the 784-500-500 MLP). Each
-block runs the textbook update with the same float operations in the same
-order as the unblocked expressions
+that for_predictor also allocates once. A step therefore allocates nothing
+of the parameter vector's size (643,501 elements for the 784-500-500 MLP).
+Each block runs the textbook update with the same float operations in the
+same order as the unblocked expressions
 
     g = grads + wd * params
     m = BETA1 * m + (1 - BETA1) * g
@@ -48,6 +49,7 @@ class AdamState:
     step_count: int = 0
     m: np.ndarray = field(default=None, repr=False)
     v: np.ndarray = field(default=None, repr=False)
+    grads: np.ndarray = field(default=None, repr=False)  # model.backward()'s output
     work: np.ndarray = field(default=None, repr=False)  # step()'s two block buffers
 
     def __post_init__(self):
@@ -63,7 +65,7 @@ class AdamState:
     def for_predictor(p, lr0, weight_decay=0.0, drop_every=None):
         return AdamState(lr0=lr0, weight_decay=weight_decay, drop_every=drop_every,
                          m=np.zeros_like(p.params), v=np.zeros_like(p.params),
-                         work=_work_buffers(p.params))
+                         grads=np.zeros_like(p.params), work=_work_buffers(p.params))
 
 
 def _work_buffers(params):
@@ -79,20 +81,17 @@ def effective_lr(state, epoch):
 
 
 def step(state, p, epoch):
-    """One Adam update of p.params from p.grads; zeroes the gradients."""
-    if not getattr(p, "grads_ready", False):
-        raise ConfigError("no gradients accumulated since the last step")
+    """One Adam update of p.params from state.grads."""
     lr = effective_lr(state, epoch)
     state.step_count += 1
     c1, c2 = 1.0 - BETA1**state.step_count, 1.0 - BETA2**state.step_count
     rows = state.work.shape[1]
     for lo in range(0, len(p.params), rows):
         block = slice(lo, lo + rows)
-        x, grad, m, v = p.params[block], p.grads[block], state.m[block], state.v[block]
+        x, grad, m, v = p.params[block], state.grads[block], state.m[block], state.v[block]
         g, h = state.work[:, :len(x)]
         np.multiply(state.weight_decay, x, out=g)
         g += grad
-        grad[...] = 0.0
         m *= BETA1
         np.multiply(1.0 - BETA1, g, out=h)
         m += h
@@ -107,4 +106,3 @@ def step(state, p, epoch):
         h += EPS
         g /= h
         x -= g
-    p.grads_ready = False

@@ -132,7 +132,7 @@ def minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
             order = make_rng(seed, 4, epoch).permutation(n)
             batches = (order[lo:lo + size] for lo in range(0, n, size))
         for idx in batches:
-            model.backward(p, score_grad(idx))
+            model.backward(p, score_grad(idx), state.grads)
             optim.step(state, p, epoch)
         yield epoch
 
@@ -249,5 +249,4 @@ def train(train_ds, val_ds, test, cfg):
             best = (val_risk, p.params.copy(), epoch)
 
     report.best_epoch = best[2]
-    chosen = model.Predictor(cfg.arch, best[1], np.zeros_like(p.params))
-    return chosen, report
+    return model.Predictor(cfg.arch, best[1]), report

@@ -436,6 +436,39 @@ class TestInputValidation:
         assert "subsample is 1000, more than the 120 training images" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ("subsample=1", "one-class labels"))
+    @pytest.mark.parametrize("setting", ("", "estimator=supervised", "pi_plus=0.3"))
+    def test_one_class_training_labels_exit_3_before_the_confidence_fit(
+            self, tmp_path, monkeypatch, capsys, setting, source):
+        def never(*args, **kwargs):
+            raise AssertionError("the confidence model was fit")
+
+        monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
+        text = random_idx_source(tmp_path)
+        labels = tmp_path / "train-labels.idx"
+        if source == "subsample=1":
+            text += "\nsubsample=1"
+        else:  # digits 3-9 are all negative under the mnist rule
+            dataset_io.write_idx_labels(labels, np.arange(120, dtype=np.uint8) % 7 + 3)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{text}\nepochs=1\n{setting}\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{labels}: training needs both classes" in err
+        assert re.search(r"hold only \[(-1|1)\]$", err.strip())
+        if source == "one-class labels":
+            assert err.strip().endswith("hold only [-1]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ("100,50", "50,50", "50,100,100"))
+    def test_sweep_n_grid_must_strictly_ascend(self, tmp_path, capsys, grid):
+        # a repeated n would rerun its trial seeds and repeat its row
+        assert run_cli(["sweep-n", "--n-grid", grid, "--trials", "1",
+                        "--out", str(tmp_path)]) == 2
+        assert "n grid must be strictly ascending" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_train_and_test_image_widths_must_match(self, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("the confidence model was fit")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,36 @@ def mlp_forward_oracle(p, X):
                        for j in range(v["W2"].shape[1])])
         out.append(float(a2 @ v["w3"] + v["b3"][0]))
     return np.array(out)
+
+
+def test_a_predictor_is_its_parameters(tmp_path):
+    # the gradient is the optimizer's (optim.AdamState.grads), not the predictor's
+    assert [f.name for f in fields(Predictor) if not f.name.startswith("_")] == ["arch", "params"]
+    save_checkpoint(init(Architecture.mlp(3, 4, 2), seed=1), tmp_path / "m.ckpt")
+    for p in (init(Architecture.linear(2)), init(Architecture.linear(2), trials=3).trial(1),
+              load_checkpoint(tmp_path / "m.ckpt")):
+        assert not hasattr(p, "grads")
+
+
+def textbook_mlp_gradient(p, X, u):
+    """d(sum_i u_i * score_i)/d params by the plain expressions: max(., 0) for
+    the ReLU, da[a <= 0] = 0 for its mask, each block added onto zeros."""
+    v = p.views()
+    a1 = np.maximum(X @ v["W1"] + v["b1"], 0.0)
+    a2 = np.maximum(a1 @ v["W2"] + v["b2"], 0.0)
+    g = np.zeros_like(p.params)
+    gv = Predictor(p.arch, g).views()
+    gv["w3"] += a2.T @ u
+    gv["b3"] += u.sum()
+    da2 = np.outer(u, v["w3"])
+    da2[a2 <= 0.0] = 0.0
+    gv["W2"] += a1.T @ da2
+    gv["b2"] += da2.sum(axis=0)
+    da1 = da2 @ v["W2"].T
+    da1[a1 <= 0.0] = 0.0
+    gv["W1"] += X.T @ da1
+    gv["b1"] += da1.sum(axis=0)
+    return g
 
 
 class TestArchitecture:
@@ -76,16 +108,17 @@ class TestTrialStack:
     def test_forward_backward_equal_each_trial(self):
         rng = np.random.default_rng(6)
         p = init(Architecture.linear(3), trials=4)
-        assert p.params.shape == p.grads.shape == (4, 4)
+        assert p.params.shape == (4, 4)
         p.params[:] = rng.normal(size=(4, 4))
         X, u = rng.normal(size=(4, 9, 3)), rng.normal(size=(4, 9))
         z = forward(p, X)
-        backward(p, u)
+        grads, one_grads = np.empty((4, 4)), np.empty(4)
+        backward(p, u, grads)
         for t in range(4):
             one = p.trial(t)
             assert forward(one, X[t]).tobytes() == z[t].tobytes()
-            backward(one, u[t])
-            assert one.grads.tobytes() == p.grads[t].tobytes()
+            backward(one, u[t], one_grads)
+            assert one_grads.tobytes() == grads[t].tobytes()
 
     @pytest.mark.parametrize("d", (1, 2, 3, 16, 784))
     @pytest.mark.parametrize("n", (1, 9, 800))
@@ -101,12 +134,13 @@ class TestTrialStack:
         X = rng.normal(size=(trials, n, d)) * 10.0 ** rng.integers(-3, 4)
         u = rng.normal(size=(trials, n))
         z = forward(p, X)
-        backward(p, u)
+        grads, one_grads = np.empty_like(p.params), np.empty(d + 1)
+        backward(p, u, grads)
         for t in range(trials):
             one = p.trial(t)
             assert forward(one, X[t]).tobytes() == z[t].tobytes()
-            backward(one, u[t])
-            assert one.grads.tobytes() == p.grads[t].tobytes()
+            backward(one, u[t], one_grads)
+            assert one_grads.tobytes() == grads[t].tobytes()
 
     def test_shape_mismatch(self):
         p = init(Architecture.linear(2), trials=3)
@@ -117,7 +151,11 @@ class TestTrialStack:
             forward(init(Architecture.linear(2)), np.zeros((3, 5, 2)))
         forward(p, np.zeros((3, 5, 2)))
         with pytest.raises(ConfigError, match="one entry per batch row"):
-            backward(p, np.zeros(5))
+            backward(p, np.zeros(5), np.empty((3, 3)))
+        for bad in (np.empty(3), np.empty((3, 4)), np.empty((4, 3))):
+            forward(p, np.zeros((3, 5, 2)))
+            with pytest.raises(ConfigError, match="gradient buffer"):
+                backward(p, np.zeros((3, 5)), bad)
 
     def test_only_linear_stacks(self):
         with pytest.raises(ConfigError):
@@ -199,35 +237,47 @@ class TestBackward:
         p = init(Architecture.linear(2))
         X = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
         forward(p, X)
-        backward(p, np.ones(3))
-        v = p.grad_views()
+        grads = np.empty(3)
+        backward(p, np.ones(3), grads)
+        v = Predictor(p.arch, grads).views()
         assert np.allclose(v["w"], X.sum(axis=0))
         assert v["b"][0] == pytest.approx(3.0)
 
     def test_zero_upstream_leaves_grads(self):
+        # zero, whatever the buffer held before
         p = init(Architecture.mlp(4, 6, 5), seed=1)
         X = np.random.default_rng(2).normal(size=(3, 4))
         forward(p, X)
-        backward(p, np.zeros(3))
-        assert np.array_equal(p.grads, np.zeros_like(p.grads))
+        grads = np.full_like(p.params, 7.0)
+        backward(p, np.zeros(3), grads)
+        assert np.array_equal(grads, np.zeros_like(grads))
 
-    def test_accumulates(self):
-        p = init(Architecture.linear(2))
-        X = np.array([[1.0, 1.0]])
-        forward(p, X)
-        backward(p, np.ones(1))
-        forward(p, X)
-        backward(p, np.ones(1))
-        assert np.allclose(p.grad_views()["w"], [2.0, 2.0])
+    @pytest.mark.parametrize("arch, trials", [(Architecture.linear(3), None),
+                                              (Architecture.linear(3), 4),
+                                              (Architecture.mlp(3, 7, 6), None)])
+    def test_second_backward_leaves_only_the_second_batchs_gradient(self, arch, trials):
+        rng = np.random.default_rng(12)
+        p = init(arch, seed=1, trials=trials)
+        p.params[...] = rng.normal(size=p.params.shape)
+        batches = [(rng.normal(size=p.params.shape[:-1] + (9, 3)),
+                    rng.normal(size=p.params.shape[:-1] + (9,))) for _ in range(2)]
+        grads, want = np.empty_like(p.params), np.zeros_like(p.params)
+        for X, u in batches:
+            forward(p, X)
+            backward(p, u, grads)
+        forward(p, batches[1][0])
+        backward(p, batches[1][1], want)
+        assert grads.tobytes() == want.tobytes()
 
     def test_requires_forward(self):
         p = init(Architecture.linear(2))
+        grads = np.empty(3)
         with pytest.raises(ConfigError):
-            backward(p, np.ones(1))
+            backward(p, np.ones(1), grads)
         forward(p, np.zeros((1, 2)))
-        backward(p, np.ones(1))
+        backward(p, np.ones(1), grads)
         with pytest.raises(ConfigError):  # cache consumed
-            backward(p, np.ones(1))
+            backward(p, np.ones(1), grads)
 
     def test_mlp_equals_boolean_index_reference(self):
         # the in-place ReLU of forward and the multiply-by-mask of backward
@@ -242,47 +292,39 @@ class TestBackward:
         a1 = np.maximum(X @ v["W1"] + v["b1"], 0.0)
         a2 = np.maximum(a1 @ v["W2"] + v["b2"], 0.0)
         assert (a1 == 0).any(axis=0).all() and (a2 == 0).any()
-        g = {name: np.zeros_like(w) for name, w in v.items()}
-        g["w3"] += a2.T @ u
-        g["b3"] += u.sum()
-        da2 = np.outer(u, v["w3"])
-        da2[a2 <= 0.0] = 0.0
-        g["W2"] += a1.T @ da2
-        g["b2"] += da2.sum(axis=0)
-        da1 = da2 @ v["W2"].T
-        da1[a1 <= 0.0] = 0.0
-        g["W1"] += X.T @ da1
-        g["b1"] += da1.sum(axis=0)
+        g = Predictor(p.arch, textbook_mlp_gradient(p, X, u)).views()
         assert np.array_equal(forward(p, X), a2 @ v["w3"] + v["b3"][0])
-        backward(p, u)
-        for name, grad in p.grad_views().items():
+        grads = np.empty_like(p.params)
+        backward(p, u, grads)
+        for name, grad in Predictor(p.arch, grads).views().items():
             assert np.array_equal(grad, g[name]), name
 
-    def test_clean_buffer_gives_the_bits_of_accumulating_onto_zeros(self):
-        # the first backward after init() or a step writes the big weight
-        # gradients straight into the zero buffer, later ones add to it; only
-        # a zero's sign can differ from adding every batch onto zeros
+    def test_written_gradient_gives_the_bits_of_accumulating_onto_zeros(self):
+        # backward() writes each gradient block (np.matmul(out=), a sum
+        # assigned in place) where the textbook adds it onto a zero buffer, so
+        # only the sign of a zero gradient can differ: x + 0.0 clears it. Nor
+        # does that sign reach a parameter: Adam adds the gradient, times
+        # 1 - BETA1, onto its first moment, which starts at +0 and is nonzero
+        # or +0 after every update, and v takes it squared. The steps below
+        # take every zero of the written gradient as -0, the textbook's as +0.
         rng = np.random.default_rng(9)
         p = init(Architecture.mlp(30, 40, 20), seed=4)
         p.views()["b1"][:10] = -50.0  # dead units make exact zeros
-
-        def onto_zeros(X, u):
-            q = Predictor(p.arch, p.params, np.zeros_like(p.grads), grads_ready=True)
-            forward(q, X)
-            backward(q, u)
-            return q.grads
-
-        batches = [(rng.normal(size=(64, 30)), rng.normal(size=64)) for _ in range(3)]
-        want = np.zeros_like(p.grads)
-        for X, u in batches[:2]:
+        q = Predictor(p.arch, p.params.copy())
+        state, ref = optim.AdamState.for_predictor(p, 0.01), optim.AdamState.for_predictor(q, 0.01)
+        for _ in range(3):
+            X, u = rng.normal(size=(64, 30)), rng.normal(size=64)
             forward(p, X)
-            backward(p, u)
-            want += onto_zeros(X, u)
-            assert (p.grads + 0.0).tobytes() == want.tobytes()
-        optim.step(optim.AdamState.for_predictor(p, 0.01), p, 0)
-        forward(p, batches[2][0])
-        backward(p, batches[2][1])
-        assert (p.grads + 0.0).tobytes() == (onto_zeros(*batches[2]) + 0.0).tobytes()
+            backward(p, u, state.grads)
+            ref.grads[...] = textbook_mlp_gradient(p, X, u)
+            assert (state.grads + 0.0).tobytes() == ref.grads.tobytes()
+            zero = state.grads == 0.0
+            assert zero.any()
+            state.grads[zero] = -0.0
+            optim.step(state, p, 0)
+            optim.step(ref, q, 0)
+            for got, want in ((p.params, q.params), (state.m, ref.m), (state.v, ref.v)):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("arch", [Architecture.linear(4), Architecture.mlp(4, 8, 6)])
     def test_finite_difference_gradients(self, arch):
@@ -295,8 +337,8 @@ class TestBackward:
             X = rng.normal(size=(6, arch.d))
             u = rng.normal(size=6)
             forward(p, X)
-            backward(p, u)
-            analytic = p.grads.copy()
+            analytic = np.empty_like(p.params)
+            backward(p, u, analytic)
             idx = rng.choice(arch.param_count, size=min(25, arch.param_count), replace=False)
             for j in idx:
                 orig = p.params[j]

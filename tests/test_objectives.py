@@ -12,6 +12,7 @@ identity f for the supervised kind, and the sample-size sweep's streamed pass
 must give the rows of scoring each trial on the whole test set.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -25,7 +26,7 @@ from sconf.dataset_io import posterior_model_confidences
 from sconf.datagen import (POSTERIOR_BLOCK, LabeledData, SconfDataset, posterior_plus, preset,
                            sample_labeled)
 from sconf.errors import ConfigError
-from sconf.experiments import all_pairs_point_weights, pair_normals, train_weighted_points
+from sconf.experiments import all_pairs_point_weights, train_weighted_points
 from sconf.losses import LOSS_KINDS, loss_value
 from sconf.datagen import make_pairs
 from sconf.risk import (PAIR_KINDS, RISK_KINDS, RiskSpec, correction, pair_risk, pair_weights,
@@ -53,8 +54,7 @@ def test_point_weights_equal_materialized_pair_risk(noise_std):
     setup, seed = preset("B"), 7
     X = sample_labeled(setup, 25, 15, seed).X
     z = X @ np.array([-0.8, 0.3]) + 0.5
-    (a, b, _), = all_pairs_point_weights(X, setup, (noise_std,),
-                                         normals=pair_normals(seed, len(X)))
+    (a, b, _), = all_pairs_point_weights(X, setup, (noise_std,), normals=make_rng(seed, 2))
     point_form = np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1))
 
     ds = all_pairs_dataset(X, setup, noise_std=noise_std, seed=seed)
@@ -74,7 +74,7 @@ def test_noisy_point_weights_equal_materialized_pair_risk(n, noise_std, seed, se
     X = sample_labeled(setup, n_plus, n - n_plus, seed).X
     z = X @ rng.normal(size=2) + rng.normal()
     (a, b, sigma_n), = all_pairs_point_weights(X, setup, (noise_std,),
-                                               normals=pair_normals(seed, n))
+                                               normals=make_rng(seed, 2))
     point_form = np.sum(a * loss_value("logistic", z, 1) + b * loss_value("logistic", z, -1))
 
     noisy = all_pairs_dataset(X, setup, noise_std=noise_std, seed=seed)
@@ -99,28 +99,23 @@ def test_noise_level_scales_one_standard_normal_draw(seed):
 def test_shared_pair_normals_give_the_same_weights(monkeypatch):
     setup, seed = preset("C"), 4
     X = sample_labeled(setup, 30, 20, seed).X
-    normals = pair_normals(seed, len(X))
-    for std in (0.1, 0.2, 0.3):
-        # one buffer serves every level: a call leaves the normals as drawn
-        fresh, = all_pairs_point_weights(X, setup, (std,), normals=pair_normals(seed, len(X)))
-        shared, = all_pairs_point_weights(X, setup, (std,), normals=normals)
-        assert all(np.array_equal(x, y) for x, y in zip(fresh, shared))
-    # one call for several levels gives each level's lone weights, byte for
-    # byte, and leaves the normals as drawn
+    normals = make_rng(seed, 2)
+    # one call for several levels shares one draw of the pair normals and
+    # gives each level's weights from a call of its own, byte for byte
     levels = (0.0, 0.1, 0.2, 0.3, 0.2)
     for name in "ABCD":
         X_s = sample_labeled(preset(name), 30, 20, seed).X
-        buffer = pair_normals(seed, len(X_s))
-        together = all_pairs_point_weights(X_s, preset(name), levels, normals=buffer)
-        assert np.array_equal(buffer, pair_normals(seed, len(X_s)))
+        together = all_pairs_point_weights(X_s, preset(name), levels, normals=make_rng(seed, 2))
         assert len(together) == len(levels)
         for std, got in zip(levels, together):
-            alone, = all_pairs_point_weights(X_s, preset(name), (std,), normals=buffer)
+            alone, = all_pairs_point_weights(X_s, preset(name), (std,),
+                                             normals=make_rng(seed, 2))
             assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in alone]
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="noise std"):
             all_pairs_point_weights(X, setup, (bad,), normals=normals)
-    for missing in (None, normals[:-1]):
+    # the normals come only from their stream: a drawn array is refused
+    for missing in (None, make_rng(seed, 2).standard_normal(len(X) * (len(X) - 1) // 2)):
         with pytest.raises(ConfigError, match="pair normals"):
             all_pairs_point_weights(X, setup, (0.1,), normals=missing)
     # an empty level list, or one bad level among good ones, fails before
@@ -351,8 +346,9 @@ def test_right_of_diagonal_noise_deltas_equal_the_full_blocks(n):
         rng = np.random.default_rng(seed)
         r = rng.uniform(size=n)
         r[:2] = (0.0, 1.0)[:n]  # s_ij of exactly 0 and 1 sit on the clip bounds
+        stream = copy.deepcopy(rng)  # draws the same normals, block by block
         normals = rng.standard_normal(n * (n - 1) // 2)
-        sums, sigma_n = experiments._noise_deltas(r, normals, levels)
+        sums, sigma_n = experiments._noise_deltas(r, stream, levels)
         want_sums, want_sigma_n = _full_block_noise_deltas(r, normals, levels)
         assert sums.tobytes() == want_sums.tobytes()
         assert [v.hex() for v in sigma_n] == [v.hex() for v in want_sigma_n]
@@ -369,9 +365,10 @@ def test_streamed_pair_normals_equal_the_drawn_ones(n):
     stream = make_rng(seed, 2)
     got_sums, got_sigma_n = experiments._noise_deltas(r, stream, levels)
     # the stream ends where the pairs end: its next draw continues a longer draw
-    assert stream.standard_normal() == make_rng(seed, 2).standard_normal(n * (n - 1) // 2 + 1)[-1]
+    drawn = make_rng(seed, 2).standard_normal(n * (n - 1) // 2 + 1)
+    assert stream.standard_normal() == drawn[-1]
     for k, p in enumerate(r):
-        sums, sigma_n = experiments._noise_deltas(p, pair_normals(seed, n), levels)
+        sums, sigma_n = _full_block_noise_deltas(p, drawn[:-1], levels)
         # a (4, n) stack gives each posterior's lone sums, byte for byte
         assert got_sums[:, k].tobytes() == sums.tobytes()
         assert [v.hex() for v in got_sigma_n[:, k]] == [v.hex() for v in sigma_n]
@@ -454,9 +451,8 @@ def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_m
     score_grad = trainer._risk_grad(p, ds, spec)
     analytic = []
     for idx in (np.arange(n), trainer.ALL_ROWS):
-        p.grads[...] = 0.0  # backward accumulates
-        model.backward(p, score_grad(idx))
-        analytic.append(p.grads.copy())
+        analytic.append(np.empty_like(p.params))
+        model.backward(p, score_grad(idx), analytic[-1])
 
     h = 1e-6
     for j in range(d + 1):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from sconf.errors import ConfigError
 from sconf.model import Architecture, backward, forward, init
 from sconf.optim import BLOCK, AdamState, effective_lr, step
 
@@ -29,12 +28,11 @@ def scalar_predictor():
     return p
 
 
-def push_grad(p, g):
+def push_grad(p, state, g):
     # load an arbitrary gradient through the public surface
     forward(p, np.array([[1.0]]))
-    backward(p, np.array([0.0]))
-    p.grads[:] = g
-    return p
+    backward(p, np.array([0.0]), state.grads)
+    state.grads[:] = g
 
 
 class TestStep:
@@ -42,25 +40,18 @@ class TestStep:
         p = scalar_predictor()
         state = AdamState.for_predictor(p, lr0=0.1)
         forward(p, np.array([[1.0]]))
-        backward(p, np.zeros(1))
+        backward(p, np.zeros(1), state.grads)
         step(state, p, epoch=0)
         assert np.array_equal(p.params, np.zeros(2))
 
     def test_first_step_magnitude(self):
         p = scalar_predictor()
         state = AdamState.for_predictor(p, lr0=0.05)
-        push_grad(p, np.array([1.0, 0.0]))
+        push_grad(p, state, np.array([1.0, 0.0]))
         step(state, p, epoch=0)
         assert p.params[0] == pytest.approx(-0.05 / (1 + 1e-8))
-        assert p.grads_ready is False
-        assert np.array_equal(p.grads, np.zeros(2))
+        assert np.array_equal(state.grads, [1.0, 0.0])  # read, not consumed
         assert state.step_count == 1
-
-    def test_requires_gradients(self):
-        p = scalar_predictor()
-        state = AdamState.for_predictor(p, lr0=0.1)
-        with pytest.raises(ConfigError):
-            step(state, p, epoch=0)
 
     def test_quadratic_trajectory_matches_reference(self):
         # minimize (x - 3)^2 / 2, gradient x - 3, ten steps
@@ -68,7 +59,7 @@ class TestStep:
         state = AdamState.for_predictor(p, lr0=0.2)
         xs = []
         for _ in range(10):
-            push_grad(p, np.array([p.params[0] - 3.0, 0.0]))
+            push_grad(p, state, np.array([p.params[0] - 3.0, 0.0]))
             step(state, p, epoch=0)
             xs.append(p.params[0])
         ref = []
@@ -85,7 +76,7 @@ class TestStep:
         p = scalar_predictor()
         p.params[0] = 2.0
         state = AdamState.for_predictor(p, lr0=0.1, weight_decay=0.5)
-        push_grad(p, np.array([1.0, 0.0]))
+        push_grad(p, state, np.array([1.0, 0.0]))
         step(state, p, epoch=0)
         ref = reference_adam([1.0], 0.1, wd=0.5, x0=2.0)
         assert p.params[0] == pytest.approx(ref[0], abs=1e-14)
@@ -138,19 +129,15 @@ class TestBlockedStep:
         state = AdamState.for_predictor(p, lr0=0.01, weight_decay=0.003, drop_every=5)
         for g, epoch, ref in zip(grads, epochs,
                                  self.textbook(x0, grads, epochs, 0.01, 0.003, 5)):
-            p.grads[...] = g
-            p.grads_ready = True
+            state.grads[...] = g
             step(state, p, epoch)
             assert np.array_equal(p.params, ref)
-            assert not p.grads.any() and p.grads_ready is False
 
     def test_step_allocates_no_parameter_sized_array(self):
         p = init(Architecture.mlp(784, 500, 500), seed=1)
         state = AdamState.for_predictor(p, lr0=1e-3, weight_decay=1e-4)
-        p.grads_ready = True
         step(state, p, epoch=0)
-        p.grads[...] = 1e-3
-        p.grads_ready = True
+        state.grads[...] = 1e-3
         _, peak = traced_peak(step, state, p, 0)
         # the unblocked update built about ten 5.1 MB temporaries (25.7 MB peak)
         assert peak < 1_000_000

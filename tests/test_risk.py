@@ -387,3 +387,59 @@ class TestNoisyConfidenceBound:
         n, zs = len(X), np.sort(z)
         reach = max(abs(zs[-1] + zs[-2]), abs(zs[0] + zs[1]))  # max |z_i + z_j|, i != j
         assert abs(change) <= self.bound(loss, reach, sigma_n, n * (n - 1), setup)
+
+
+class TestCorrectedConsistency:
+    """Lu et al.'s consistency of the corrected estimators, by Monte Carlo.
+
+    Draw by draw, the nn and abs totals are at least the unbiased total, and
+    exceed it only when an empirical partial risk is negative. When both
+    population partials are bounded away from 0, that happens with a
+    probability, and so a mean excess, that decays exponentially in n:
+    faster than any power law c n^-alpha, which stays positive however
+    large n grows. Everything here was fixed before the first run: g, the
+    population sample that checks its partials, the grid, the seeds of the
+    400 draws per n, and the assertions.
+    """
+
+    # g(x) = 0.05 (2 - x_1) on setup B: a weak scorer whose partials stay large
+    W, B = np.array([-0.05, 0.0]), 0.1
+    GRID = (10, 30, 100, 300, 1000)  # pairs per draw
+    DRAWS = 400
+    POPULATION_SEED = 7_777_777  # no draw seed (1000 n + t) reaches it
+
+    def test_population_partials_are_bounded_away_from_zero(self):
+        setup = preset("B")
+        n_plus = 625_000  # pi+ = 0.625 of 10^6 points
+        pop = sample_labeled(setup, n_plus, 10**6 - n_plus, self.POPULATION_SEED)
+        z = pop.X @ self.W + self.B
+        r_plus = loss_value("logistic", z[:n_plus], 1).sum() / len(z)
+        r_minus = loss_value("logistic", z[n_plus:], -1).sum() / len(z)
+        assert min(r_plus, r_minus) >= 0.1
+
+    def test_mean_excess_decays_faster_than_a_power_law(self):
+        setup = preset("B")
+        kinds = {kind: RiskSpec(kind, setup.pi_plus) for kind in ("unbiased", "nn", "abs")}
+        excess = {"nn": [], "abs": []}
+        for n in self.GRID:
+            n_plus = round(2 * n * setup.pi_plus)
+            sums = dict.fromkeys(excess, 0.0)
+            for t in range(self.DRAWS):
+                seed = 1000 * n + t
+                ds = make_pairs(sample_labeled(setup, n_plus, 2 * n - n_plus, seed).X, setup,
+                                seed)
+                z = ds.rows @ self.W + self.B
+                pr = partial_risks(z[:n], z[n:], ds.s, kinds["unbiased"])
+                unbiased = total_risk(pr, kinds["unbiased"])
+                for kind in excess:
+                    gap = total_risk(pr, kinds[kind]) - unbiased
+                    assert gap >= 0.0
+                    assert (gap > 0.0) == (min(pr.r_plus, pr.r_minus) < 0.0)
+                    sums[kind] += gap
+            for kind in excess:
+                excess[kind].append(sums[kind] / self.DRAWS)
+        for kind, means in excess.items():
+            assert means[0] > 0.0, kind
+            assert means[-1] == 0.0, kind  # in every draw at the largest n
+            for big, small in zip(means, means[1:]):  # shrinks while it lasts
+                assert small < big or big == small == 0.0, (kind, means)

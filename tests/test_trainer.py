@@ -5,7 +5,7 @@ from sconf import model, optim, trainer
 from sconf.datagen import LabeledData, SconfDataset, make_pairs, preset, sample_labeled
 from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
 from sconf.losses import weighted_derivative
-from sconf.experiments import all_pairs_point_weights, pair_normals
+from sconf.experiments import all_pairs_point_weights
 from sconf.model import Architecture
 from sconf.risk import RiskSpec, pair_risk
 from sconf.rng import make_rng
@@ -282,7 +282,8 @@ class TestFullBatchOrder:
 
     def _shuffled_full_batch(self, p, state, n, score_grad, after_epoch=lambda: None):
         for epoch in range(self.EPOCHS):
-            model.backward(p, score_grad(make_rng(self.SEED, 4, epoch).permutation(n)))
+            model.backward(p, score_grad(make_rng(self.SEED, 4, epoch).permutation(n)),
+                           state.grads)
             optim.step(state, p, epoch)
             after_epoch()
 
@@ -293,7 +294,7 @@ class TestFullBatchOrder:
     def test_weighted_points(self):
         setup = preset("B")
         X = sample_labeled(setup, 50, 30, 1).X
-        (a, b, _), = all_pairs_point_weights(X, setup, (0.2,), normals=pair_normals(1, len(X)))
+        (a, b, _), = all_pairs_point_weights(X, setup, (0.2,), normals=make_rng(1, 2))
         got = train_weighted_points(X, a, b, Architecture.linear(2), self.EPOCHS, 0.1,
                                     seed=self.SEED, drop_every=self.DROP)
 
@@ -347,7 +348,7 @@ class TestTrialStack:
         for seed in range(1, trials + 1):
             pts = sample_labeled(setup, n * 5 // 8, n - n * 5 // 8, seed).X
             (a_t, b_t, _), = all_pairs_point_weights(pts, setup, (0.1,),
-                                                     normals=pair_normals(seed, len(pts)))
+                                                     normals=make_rng(seed, 2))
             X.append(pts)
             a.append(a_t)
             b.append(b_t)
