@@ -3,12 +3,12 @@
 The library covers: synthetic Gaussian data generation with exact pairwise
 similarity confidence (datagen), the unbiased pair risk and its corrected and
 one-sided variants (risk), hand-rolled linear/MLP models with exact
-backpropagation (model), Adam with a step schedule (optim), the one
-minibatch loop and an ERM trainer with risk-based model selection (trainer),
-class-prior estimation from the confidence mean (prior), IDX dataset loading
-and binary corruption (dataset_io), the synthetic experiment protocols
-(experiments), and atomic writes, the CSV writer and key=value parsing
-(fileio). The command-line harness lives in sconf.cli.
+backpropagation (model), Adam with a step schedule (optim), the one epoch
+stream that every fit consumes and an ERM trainer with risk-based model
+selection (trainer), class-prior estimation from the confidence mean (prior),
+IDX dataset loading and binary corruption (dataset_io), the synthetic
+experiment protocols (experiments), and atomic writes, the CSV writer and
+key=value parsing (fileio). The command-line harness lives in sconf.cli.
 """
 
 from .datagen import (GaussianSetup, LabeledData, SconfDataset, SynthSpec,

@@ -165,7 +165,8 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
     Returns (dataset, posteriors), the posteriors aligned with the input
     order. An odd point is dropped from the pairing but keeps its posterior.
     Raises NonFiniteRiskError, naming the confidence model and the first
-    row, if the fitted model scores a row NaN or infinite.
+    row, if the fitted model scores a row NaN or infinite, or if it saturates
+    every posterior to exactly 0 or 1 and one contradicts its training label.
     """
     if len(labeled) == 0:
         raise ConfigError("need labeled data to fit a confidence model")
@@ -178,4 +179,9 @@ def posterior_model_confidences(labeled, arch, seed, epochs=10, batch=3000, lr0=
         raise NonFiniteRiskError(epochs - 1, "confidence model", float(scores[bad[0]]),
                                  row=int(bad[0]))
     posteriors = sigmoid(scores)
+    # where every posterior is 0 or 1, these are the rows it gets wrong
+    wrong = np.flatnonzero((posteriors == 1.0) != (labeled.y == 1))
+    if len(wrong) and np.isin(posteriors, (0.0, 1.0)).all():
+        raise NonFiniteRiskError(epochs - 1, "saturated confidence model",
+                                 float(scores[wrong[0]]), row=int(wrong[0]))
     return pair_up(labeled.X, posteriors, pair_indices(len(labeled), seed)), posteriors

@@ -28,7 +28,8 @@ class NonFiniteRiskError(SconfError, ArithmeticError):
     """Training diverged: the train or validation risk of an epoch, a
     parameter of one trial of a weighted-point fit, or the score a fitted
     model gives one row, is NaN or infinite (too large a learning rate, for
-    instance)."""
+    instance); or a confidence model saturates every posterior to 0 or 1 and
+    gets a training label wrong."""
 
     def __init__(self, epoch, role, value, trial=None, row=None):
         if row is not None:

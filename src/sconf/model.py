@@ -3,52 +3,29 @@
 Two architectures: a linear-in-input model w.x + b, and a 3-layer ReLU
 multilayer perceptron d-h1-h2-1. A Predictor is its architecture and its
 parameters, one flat float64 vector. forward() caches the activations of its
-batch; backward() consumes the cache and invalidates it, so memory stays
-bounded at one batch.
+batch for one backward(), which consumes the cache, so memory stays bounded
+at one batch.
 
-Input rows come in two forms, and features() is the one rule that reads them.
-A uint8 array holds pixel codes c, read as the feature c / 255; any other
-array is read as float64, as it is. Datasets keep a uint8 block as given
-(as_input()), so IDX images stay one byte a pixel until forward() converts a
-batch, or score() a block. The conversion is one np.divide of the codes, whose
-float64 loop casts each code exactly and rounds its quotient once: the bytes
-of codes.astype(float) / 255.0, element by element.
-
-The MLP's forward() adds each bias and applies the ReLU in place on the
-matmul output, and backward() applies the ReLU mask by multiplying with the
-boolean mask a > 0. The scores are bit for bit those of the plain
-expression max(X W + b, 0), and the gradient those of da[a <= 0] = 0 added
-onto zeros, up to the sign of a zero gradient.
+features() is the one rule that reads input rows: a uint8 array holds pixel
+codes c, read as the feature c / 255 (the bytes of codes.astype(float) /
+255.0); any other array is read as float64. Datasets keep a uint8 block as
+given (as_input()), so IDX images stay one byte a pixel until forward()
+converts a batch, or score() a block.
 
 The gradient belongs to the caller: backward() writes it, whole, into a
-buffer of the parameters' shape that it is given (optim.AdamState.grads when
-training), and nothing of an earlier batch remains in it.
+buffer of the parameters' shape (optim.AdamState.grads when training).
 
 The linear model also comes as a stack of T independent trials
-(init(arch, seed, trials=T)): parameters and gradients are a (T, d + 1)
-block and a batch a (T, n, d) block, scored into (T, n). forward() and
-backward() broadcast the single model's matmul over the trial axis, and
-numpy computes each trial's product as the 2-D one, so trial t of a stack
-computes the single model's bytes. The MLP is never stacked. trial(t) is
-trial t as an ordinary one-trial predictor that shares the stack's parameters.
+(init(arch, seed, trials=T)): a (T, d + 1) parameter block scores a
+(T, n, d) batch into (T, n), and trial t computes the single model's bytes.
+The MLP is never stacked.
 
-score() is the one scoring-only pass (no backward follows): it returns the
-scores and leaves no activation cache. A single model is scored in blocks of
-SCORE_BLOCK // d rows for the linear model and SCORE_BLOCK // max(d, h1 + h2)
-for the MLP, one forward() per block, so neither the block's features,
-converted from pixel codes, nor the MLP's two hidden layers hold more than
-about SCORE_BLOCK float64 values (8 MB) whatever the number of rows: 1,048
-rows for 784-500-500 and 1,337 for 784-32-32 or a 784-pixel linear model,
-against 8 KB a row for one forward() over the whole set. A stack is scored
-in one forward(). A block's scores are the bytes of forward() on that block,
-and a set of at most one block (524,288 rows for a 2-feature linear model)
-is scored bit for bit as forward() scores it.
-A longer set can differ from one forward() in the last bits, since OpenBLAS
-blocks its GEMM by the row count and so sums in an order that depends on it.
-The stated tolerance is 1e-15 of the largest |score| of the set; random
-784-500-500 sets of 4,000 and 9,000 rows differed by at most 4.1e-16 of it,
-and sets of 10,696 to 60,000 random pixel-code rows through a 784-pixel
-linear model by at most 3.0e-16.
+score() is the one scoring-only pass: it keeps no activation cache, and
+scores a stack in one forward() and a single model in blocks of
+SCORE_BLOCK // d rows (linear) or SCORE_BLOCK // max(d, h1 + h2) rows (MLP),
+so no block holds more than about SCORE_BLOCK float64 values. A block's
+scores are the bytes of forward() on it; a longer set may differ from one
+forward() in the last bits, within 1e-15 of the largest |score| of the set.
 """
 
 from dataclasses import dataclass, field

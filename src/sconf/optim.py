@@ -75,6 +75,8 @@ def _work_buffers(params):
 
 
 def effective_lr(state, epoch):
+    """lr(epoch) under the schedule of state's lr0 and drop_every; state may be
+    an AdamState or a trainer.TrainConfig."""
     if not state.drop_every:
         return state.lr0
     return state.lr0 / DROP_FACTOR ** (epoch // state.drop_every)

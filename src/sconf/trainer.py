@@ -1,34 +1,26 @@
-"""The package's only minibatch loop, the two trainers that run it, and ERM
-with risk-based model selection.
+"""The package's one training loop, the two trainers that consume it, and
+ERM with risk-based model selection.
 
-minibatch_epochs() shuffles the rows with a stream keyed by (seed, epoch),
-walks them in minibatches (a final partial batch is kept), backpropagates the
-caller's gradient with respect to the batch scores, and takes one Adam step
-per batch. A full batch is not shuffled, since the order of its rows cannot
-change its gradient: each epoch scores every row in stored order (ALL_ROWS).
-train() feeds it the gradient of the spec's pair risk, self-normalized by the
-batch size; train_weighted_points() feeds it point_grad(), the one point
-gradient, of sum_i a_i l(z_i, +1) + b_i l(z_i, -1). Supervised training is its
-one_hot(y) case, a = [y = +1]/n, b = [y = -1]/n.
+Every fit is one epoch stream (epochs() returns train()'s): it builds the
+predictor (model.init) and its optim.AdamState, then each epoch walks the
+rows in minibatches of the permutation drawn from make_rng(seed, 4, epoch),
+a final partial batch kept, or, full batch, every row in stored order
+(ALL_ROWS, no draw), with one backward and one Adam step per batch. After
+the epoch's last step it yields (epoch, p): p is the live predictor, the
+same object every epoch, so a consumer copies p.params to keep an epoch.
 
-train_weighted_points() also fits T independent same-shape trials at once: X
-of shape (T, n, d) and a, b of shape (T, n) train a stacked linear predictor
-(model.init(arch, seed, trials=T)) through the same loop, point gradient and
-Adam step. A stack trains full batch only, and only the linear model stacks.
-It checks the parameter block once per epoch and stops with
-NonFiniteRiskError naming the epoch and the trial.
+train() streams the gradient of the spec's pair risk, self-normalized by the
+batch size. train_weighted_points() streams point_grad(), the gradient of
+sum_i a_i l(z_i, +1) + b_i l(z_i, -1), whose one_hot(y) case is supervised
+training; it also fits T same-shape linear trials as one stack, full batch
+only (X (T, n, d), a and b (T, n)), and after each epoch names the epoch
+and trial of a non-finite parameter.
 
-Every epoch of train() is one report row: the full-train risk and the
-full-validation risk (same estimator kind), the test accuracy and zero-one
-risk, and the learning rate, so row e is rows[e]. train() stops with
-NonFiniteRiskError if a train or validation risk is not finite. The returned
-predictor is the parameter snapshot at the epoch of minimum validation risk;
-test labels are touched only inside evaluate(). evaluate() counts the scores
-whose sign matches the label (losses.accuracy) rather than building an array
-of +-1 predictions and averaging it; the result is the same float.
-evaluate() and the per-epoch risks score through model.score(), which keeps
-no activations and scores an MLP in fixed row blocks; only the training
-steps call model.forward() directly, since backward() needs its cache.
+Each epoch of train() is one report row (REPORT_COLUMNS), so row e is
+rows[e], and a non-finite train or validation risk stops it. It returns the
+parameter snapshot at the epoch of minimum validation risk; test labels are
+touched only inside evaluate(). Scoring outside the training steps goes
+through model.score(), which keeps no activations.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model, optim
-from .datagen import LabeledData, SconfDataset
+from .datagen import LabeledData, SconfDataset, _gather_pairs
 from .errors import ConfigError, NonFiniteRiskError
 from .fileio import write_csv
 from .losses import accuracy, loss_derivative, weighted_derivative
@@ -94,7 +86,7 @@ def evaluate(p, test):
 def _pair_scores(p, ds, idx):
     """forward() scores of the x and x' members of the pairs in batch idx; a
     minibatch gathers its rows, a full batch (ALL_ROWS) scores the block."""
-    rows = ds.rows if idx is ALL_ROWS else ds.rows[np.concatenate([idx, idx + len(ds)])]
+    rows = ds.rows if idx is ALL_ROWS else _gather_pairs(ds.rows, idx, idx + len(ds))
     z = model.forward(p, rows)
     half = len(z) // 2
     return z[:half], z[half:]
@@ -115,15 +107,14 @@ def _check_dataset(ds, spec, role):
         raise ConfigError(f"{role} dataset is empty")
 
 
-def minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
-    """The package's only minibatch loop; yields each epoch after its last step.
-
-    score_grad(idx) scores the rows of batch idx with model.forward(p, ...)
-    and returns the objective's gradient with respect to those scores. A
-    minibatch's idx is a slice of the permutation drawn from the stream
-    (seed, 4, epoch). A full batch (batch None or >= n) is not shuffled:
-    idx is ALL_ROWS, every row in stored order, and no stream is drawn.
-    """
+def _stream(gradient, n, arch, epochs, lr0, seed, drop_every, weight_decay, batch,
+            trials=None):
+    """The epoch stream of the module docstring; gradient(p) returns
+    score_grad(idx), the objective's gradient with respect to the
+    model.forward(p, ...) scores of the rows of batch idx."""
+    p = model.init(arch, seed, trials)
+    state = optim.AdamState.for_predictor(p, lr0, weight_decay, drop_every)
+    score_grad = gradient(p)
     size = n if batch is None else min(batch, n)
     for epoch in range(epochs):
         if size == n:
@@ -134,7 +125,7 @@ def minibatch_epochs(p, state, n, batch, seed, epochs, score_grad):
         for idx in batches:
             model.backward(p, score_grad(idx), state.grads)
             optim.step(state, p, epoch)
-        yield epoch
+        yield epoch, p
 
 
 def one_hot(y):
@@ -176,10 +167,8 @@ def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
     trials, n = (len(X) if X.ndim == 3 else None), X.shape[-2]
     if trials is not None and batch is not None and batch < n:
         raise ConfigError(f"a stack of {trials} trials trains full batch only, got batch {batch}")
-    p = model.init(arch, seed, trials)
-    state = optim.AdamState.for_predictor(p, lr0, weight_decay=weight_decay,
-                                          drop_every=drop_every)
-    for epoch in minibatch_epochs(p, state, n, batch, seed, epochs, point_grad(p, X, a, b)):
+    for epoch, p in _stream(lambda p: point_grad(p, X, a, b), n, arch, epochs, lr0, seed,
+                            drop_every, weight_decay, batch, trials):
         _check_finite_params(p, epoch)
     return p
 
@@ -212,6 +201,15 @@ def _risk_grad(p, ds, spec):
     return score_grad
 
 
+def epochs(train_ds, cfg):
+    """The epoch stream of (epoch, p) that train() runs. train_ds is checked
+    at once; the predictor is built when the stream is first advanced."""
+    _check_dataset(train_ds, cfg.risk, "training")
+    return _stream(lambda p: _risk_grad(p, train_ds, cfg.risk), len(train_ds), cfg.arch,
+                   cfg.epochs, cfg.lr0, cfg.seed, cfg.drop_every, cfg.weight_decay,
+                   cfg.batch_pairs)
+
+
 def train(train_ds, val_ds, test, cfg):
     """Run ERM and return (predictor at the best-validation epoch, report).
 
@@ -223,28 +221,23 @@ def train(train_ds, val_ds, test, cfg):
     the train or validation risk of an epoch is NaN or infinite.
     """
     spec = cfg.risk
-    _check_dataset(train_ds, spec, "training")
+    stream = epochs(train_ds, cfg)
     if val_ds is None:
         val_ds = train_ds
     else:
         _check_dataset(val_ds, spec, "validation")
 
-    p = model.init(cfg.arch, cfg.seed)
-    state = optim.AdamState.for_predictor(p, cfg.lr0, weight_decay=cfg.weight_decay,
-                                          drop_every=cfg.drop_every)
     report = TrainReport()
-
     best = (np.inf, None, 0)
-    for epoch in minibatch_epochs(p, state, len(train_ds), cfg.batch_pairs, cfg.seed,
-                                  cfg.epochs, _risk_grad(p, train_ds, spec)):
+    for epoch, p in stream:
         train_risk = _dataset_risk(p, train_ds, spec)
         val_risk = _dataset_risk(p, val_ds, spec)
         for role, value in (("train", train_risk), ("validation", val_risk)):
             if not np.isfinite(value):
                 raise NonFiniteRiskError(epoch, role, value)
         test_acc, test_01 = evaluate(p, test)
-        lr = optim.effective_lr(state, epoch)
-        report.rows.append((epoch, train_risk, val_risk, test_acc, test_01, lr))
+        report.rows.append((epoch, train_risk, val_risk, test_acc, test_01,
+                            optim.effective_lr(cfg, epoch)))
         if val_risk < best[0]:
             best = (val_risk, p.params.copy(), epoch)
 

@@ -164,6 +164,38 @@ class TestTrain:
                          capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr0", ("1e3", "1e50", "1e200", "1e300"))
+    def test_saturated_wrong_confidence_model_exit_code(self, tmp_path, capsys, lr0):
+        # at these rates the confidence fit scores every row far past the
+        # sigmoid's range: every posterior is exactly 0 or 1, and 36 of the
+        # 120 contradict their labels, so the confidences carry no similarity
+        cfg = self.write_cfg(tmp_path, f"""
+            {random_idx_source(tmp_path)}
+            epochs=2
+            seed=1
+            confidence_epochs=3
+            confidence_batch=120
+            confidence_lr0={lr0}
+        """)
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 5
+        assert re.search(r"epoch 2: saturated confidence model score of row \d+ is -?\d",
+                         capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unsaturated_confidence_model_trains(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, f"""
+            {random_idx_source(tmp_path)}
+            epochs=2
+            seed=1
+            confidence_epochs=3
+            confidence_batch=120
+            confidence_lr0=1e-2
+        """)
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["curves.svg", "model.ckpt", "report.csv"]
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["train", str(tmp_path / "absent.cfg"),
                         "--out", str(tmp_path / "o")]) == 2

@@ -39,7 +39,9 @@ class TestIdxRoundTrip:
 
     def test_scaling_gives_the_bytes_of_dividing_a_float_copy(self, tmp_path):
         # the model reads a code c as c / 255: the bytes of dividing a float
-        # copy of the codes, for the loaded codes and for every code value
+        # copy of the codes, for the loaded codes and for every code value,
+        # since np.divide's float64 loop casts each code exactly and rounds
+        # its quotient once
         images = np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5) * 4
         images[0, 0, :] = (0, 1, 127, 254, 255)
         ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"

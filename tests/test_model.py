@@ -178,6 +178,8 @@ class TestScore:
     @pytest.mark.parametrize("trials", (None, 3))
     @pytest.mark.parametrize("n", (1, MNIST_BLOCK + 1, 200_000))
     def test_linear_gives_the_bytes_of_forward(self, trials, n):
+        # a 2-feature linear block is SCORE_BLOCK // 2 = 524,288 rows, so every
+        # n here is one block, and a stack is always one forward()
         rng = np.random.default_rng(n)
         p = init(Architecture.linear(2), trials=trials)
         p.params[:] = rng.normal(size=p.params.shape)
@@ -209,7 +211,7 @@ class TestScore:
             assert got[lo:lo + rows].tobytes() == forward(p, X[lo:lo + rows]).tobytes()
         # OpenBLAS sums a GEMM in an order that depends on the row count, so
         # the blocks may round apart from one pass over all rows: by at most
-        # 4.1e-16 of the largest |score| in the sets measured
+        # 4.1e-16 of the largest |score| in random sets of 4,000 and 9,000 rows
         whole = forward(p, X)
         assert np.max(np.abs(got - whole)) <= 1e-15 * np.max(np.abs(whole))
 
@@ -226,8 +228,9 @@ class TestScore:
         p = init(arch, seed=7)
         X = np.random.default_rng(8).normal(size=(n, 4))
         z, peak = traced_peak(score, p, X)
-        # one block's two hidden layers hold 8 * SCORE_BLOCK bytes; one
-        # forward over all rows would hold 8 times that
+        # one block's two hidden layers hold 8 * SCORE_BLOCK bytes (8 MB); one
+        # forward over all rows would hold 8 times that, and 8 KB a row for
+        # 784-500-500
         assert z.shape == (n,)
         assert peak - z.nbytes < 1.25 * 8 * SCORE_BLOCK
 
@@ -281,7 +284,9 @@ class TestBackward:
 
     def test_mlp_equals_boolean_index_reference(self):
         # the in-place ReLU of forward and the multiply-by-mask of backward
-        # against the plain expressions, with dead units in both layers
+        # against the plain expressions, with dead units in both layers: bit
+        # for bit, up to the sign of a zero gradient, which np.array_equal
+        # does not see
         rng = np.random.default_rng(8)
         p = init(Architecture.mlp(30, 40, 20), seed=3)
         v = p.views()

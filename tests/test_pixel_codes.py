@@ -102,7 +102,7 @@ class TestScore:
         assert z.tobytes() == score(p, codes / 255.0).tobytes()
         # the blocks may round apart from one forward over all rows (see
         # TestScore in test_model): by at most 3.0e-16 of the largest |score|
-        # in the sets measured
+        # in sets of 10,696 to 60,000 random pixel-code rows
         whole = forward(p, codes)
         assert np.max(np.abs(z - whole)) <= 1e-15 * np.max(np.abs(whole))
 

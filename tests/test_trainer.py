@@ -7,7 +7,7 @@ from sconf.errors import ConfigError, NonFiniteRiskError, SconfError
 from sconf.losses import weighted_derivative
 from sconf.experiments import all_pairs_point_weights
 from sconf.model import Architecture
-from sconf.risk import RiskSpec, pair_risk
+from sconf.risk import RiskSpec, pair_risk, partial_risks, total_risk
 from sconf.rng import make_rng
 from sconf.trainer import (TrainConfig, TrainReport, _pair_scores, evaluate, point_grad, train,
                            train_weighted_points)
@@ -406,3 +406,87 @@ class TestTrialStack:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteRiskError) as info:
             train_weighted_points(X[0], a[0], b[0], Architecture.linear(2), 5, 1e308)
         assert info.value.trial == 0
+
+
+class TestEpochStream:
+    """trainer.epochs(train_ds, cfg) is the fit train() runs, one (epoch, p)
+    per epoch; these probes read it as any caller would."""
+
+    @staticmethod
+    def _pair_risk_of(p, ds, spec):
+        z = model.score(p, ds.rows)
+        return pair_risk(z[:len(ds)], z[len(ds):], ds.s, spec)
+
+    @pytest.mark.parametrize("kind,arch,batch", [
+        ("unbiased", Architecture.linear(2), None),
+        ("nn", Architecture.linear(2), 32),
+        ("nn", Architecture.mlp(2, 16, 16), 32),
+    ])
+    def test_probed_risks_are_the_report_risks(self, kind, arch, batch):
+        setup, ds = small_pair_data(seed=7)
+        val_ds = make_pairs(sample_labeled(setup, 50, 30, 731).X, setup, 731)
+        spec = RiskSpec(kind, setup.pi_plus)
+        cfg = linear_cfg(spec, arch=arch, epochs=6, batch_pairs=batch, lr0=0.05, drop_every=4)
+        probed = [(epoch, self._pair_risk_of(p, ds, spec), self._pair_risk_of(p, val_ds, spec))
+                  for epoch, p in trainer.epochs(ds, cfg)]
+        _, report = train(ds, val_ds, small_test(setup), cfg)
+        assert [(e, tr.hex(), va.hex()) for e, tr, va in probed] == \
+            [(row[0], row[1].hex(), row[2].hex()) for row in report.rows]
+
+    def test_raw_partial_risks_per_epoch(self):
+        setup, ds = small_pair_data(seed=7)
+        spec = RiskSpec("nn", setup.pi_plus)
+        cfg = linear_cfg(spec, arch=Architecture.mlp(2, 16, 16), epochs=5, batch_pairs=32)
+        raw = []
+        for _, p in trainer.epochs(ds, cfg):
+            z = model.score(p, ds.rows)
+            raw.append(partial_risks(z[:len(ds)], z[len(ds):], ds.s, spec))
+        _, report = train(ds, None, small_test(setup), cfg)
+        assert len(raw) == len(report.rows) == 5
+        assert [total_risk(pr, spec) for pr in raw] == [row[1] for row in report.rows]
+
+    def test_last_epoch_is_the_weighted_point_fit(self):
+        setup = preset("B")
+        data = sample_labeled(setup, 50, 30, 2)
+        cfg = linear_cfg(RiskSpec("supervised", setup.pi_plus), epochs=4, batch_pairs=24,
+                         drop_every=3, weight_decay=0.01)
+        *_, (epoch, p) = trainer.epochs(data, cfg)
+        fit = train_weighted_points(data.X, *trainer.one_hot(data.y), cfg.arch, cfg.epochs,
+                                    cfg.lr0, seed=cfg.seed, drop_every=cfg.drop_every,
+                                    weight_decay=cfg.weight_decay, batch=cfg.batch_pairs)
+        assert epoch == cfg.epochs - 1
+        assert p.params.tobytes() == fit.params.tobytes()
+
+    def test_last_epoch_of_each_trial_is_the_stacked_fit(self):
+        setup = preset("B")
+        trials = [sample_labeled(setup, 50, 30, seed) for seed in (1, 2, 3)]
+        weights = [trainer.one_hot(data.y) for data in trials]
+        cfg = linear_cfg(RiskSpec("supervised", setup.pi_plus), epochs=4, drop_every=3)
+        stack = train_weighted_points(np.stack([data.X for data in trials]),
+                                      np.stack([a for a, _ in weights]),
+                                      np.stack([b for _, b in weights]), cfg.arch, cfg.epochs,
+                                      cfg.lr0, seed=cfg.seed, drop_every=cfg.drop_every)
+        for t, data in enumerate(trials):
+            *_, (_, p) = trainer.epochs(data, cfg)
+            assert p.params.tobytes() == stack.trial(t).params.tobytes()
+
+    def test_yields_one_live_predictor(self):
+        setup, ds = small_pair_data()
+        cfg = linear_cfg(RiskSpec("unbiased", setup.pi_plus), epochs=4, batch_pairs=32)
+        seen = [(epoch, p, p.params.copy()) for epoch, p in trainer.epochs(ds, cfg)]
+        assert [epoch for epoch, _, _ in seen] == list(range(4))
+        assert all(p is seen[0][1] for _, p, _ in seen)
+        assert seen[0][1].params.tobytes() == seen[-1][2].tobytes()
+        assert len({params.tobytes() for _, _, params in seen}) == 4
+
+    def test_dataset_checks_run_in_order_before_the_stream_starts(self):
+        setup, ds = small_pair_data()
+        test = small_test(setup)
+        cfg = linear_cfg(RiskSpec("unbiased", setup.pi_plus))
+        # epochs() checks when it is called, not when the stream is first advanced
+        with pytest.raises(ConfigError, match="^training data"):
+            trainer.epochs(test, cfg)
+        with pytest.raises(ConfigError, match="^training data"):
+            train(test, test, test, cfg)
+        with pytest.raises(ConfigError, match="^validation data"):
+            train(ds, test, test, cfg)
