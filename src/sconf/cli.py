@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from . import dataset_io, experiments, model, optim, svgplot, trainer
+from . import dataset_io, experiments, model, svgplot, trainer
 from .datagen import (PRESET_PI_PLUS, add_confidence_noise, check_noise_std, load_setup_file,
                       make_pairs, preset_synth, sample_train_test)
 from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
@@ -193,23 +193,21 @@ def _train_from_config(given, write):
         return value
 
     # every setting is checked here, before any data is loaded: the estimator,
-    # seed, architecture, a given class prior, the Adam and loop schedule, and
-    # the source's own settings; only the input width waits for the data
+    # architecture, a given class prior, the seed, the Adam and loop schedule,
+    # and the source's own settings; only the input width waits for the data
     risk = dict(kind=get("estimator"), k=opt("k"))
     check_estimator(**risk)
     pairs = risk["kind"] != "supervised"
     seed, arch = num("seed", int), get("arch")
-    make_rng(seed)
     _parse_arch(arch, 1)
     pi_plus = opt("pi_plus") if pairs else None  # the supervised risk has no prior
     if pi_plus is not None:
         RiskSpec(pi_plus=pi_plus, **risk)
-    adam = dict(lr0=num("lr0"), weight_decay=num("weight_decay"),
-                drop_every=opt("drop_every", int))
-    optim.AdamState(**adam)
     schedule = dict(epochs=count("epochs"), seed=seed,
                     batch_pairs=None if get("batch_pairs") == "full" else count("batch_pairs"),
-                    **adam)
+                    lr0=num("lr0"), weight_decay=num("weight_decay"),
+                    drop_every=opt("drop_every", int))
+    trainer.check_fit(**schedule)
     if get("setup"):
         synth = preset_synth(get("setup"))
         noise_std = num("noise_std") if pairs else 0.0

@@ -41,6 +41,17 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 DROP_FACTOR = 10.0
 
 
+def check_adam(lr0, weight_decay, drop_every):
+    """Raise ConfigError unless lr0 and weight_decay are finite and nonnegative
+    and drop_every is None or at least 1."""
+    if not 0.0 <= weight_decay < np.inf:
+        raise ConfigError(f"weight_decay must be finite and nonnegative, got {weight_decay}")
+    if not (np.isfinite(lr0) and lr0 >= 0.0):
+        raise ConfigError(f"learning rate lr0 must be finite and nonnegative, got {lr0}")
+    if drop_every is not None and drop_every < 1:
+        raise ConfigError(f"drop_every must be at least 1 when set, got {drop_every}")
+
+
 @dataclass
 class AdamState:
     lr0: float
@@ -53,13 +64,7 @@ class AdamState:
     work: np.ndarray = field(default=None, repr=False)  # step()'s two block buffers
 
     def __post_init__(self):
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ConfigError("weight_decay must be finite and nonnegative, "
-                              f"got {self.weight_decay}")
-        if not (np.isfinite(self.lr0) and self.lr0 >= 0.0):
-            raise ConfigError(f"learning rate lr0 must be finite and nonnegative, got {self.lr0}")
-        if self.drop_every is not None and self.drop_every < 1:
-            raise ConfigError(f"drop_every must be at least 1 when set, got {self.drop_every}")
+        check_adam(self.lr0, self.weight_decay, self.drop_every)
 
     @staticmethod
     def for_predictor(p, lr0, weight_decay=0.0, drop_every=None):

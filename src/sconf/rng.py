@@ -12,11 +12,16 @@ import numpy as np
 from .errors import ConfigError
 
 
-def make_rng(seed, *stream):
-    """Return a fresh numpy Generator for the given (seed, *stream) key; a
-    negative seed is a ConfigError."""
+def check_seed(seed):
+    """int(seed); a negative seed is a ConfigError."""
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seeds must be nonnegative, got {seed}")
-    key = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(t) for t in stream))
+    return seed
+
+
+def make_rng(seed, *stream):
+    """Return a fresh numpy Generator for the given (seed, *stream) key; a
+    negative seed is a ConfigError."""
+    key = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(t) for t in stream))
     return np.random.Generator(np.random.Philox(key))

@@ -5,16 +5,19 @@ Every fit is one epoch stream (epochs() returns train()'s): it builds the
 predictor (model.init) and its optim.AdamState, then each epoch walks the
 rows in minibatches of the permutation drawn from make_rng(seed, 4, epoch),
 a final partial batch kept, or, full batch, every row in stored order
-(ALL_ROWS, no draw), with one backward and one Adam step per batch. After
-the epoch's last step it yields (epoch, p): p is the live predictor, the
-same object every epoch, so a consumer copies p.params to keep an epoch.
+(ALL_ROWS, no draw). Each batch idx takes one backward of grad(p, idx), the
+gradient with respect to the model.forward(p, ...) scores of its rows, and
+one Adam step. After the epoch's last step it yields (epoch, p): p is the
+live predictor, the same object every epoch, so a consumer copies p.params
+to keep an epoch.
 
-train() streams the gradient of the spec's pair risk, self-normalized by the
-batch size. train_weighted_points() streams point_grad(), the gradient of
-sum_i a_i l(z_i, +1) + b_i l(z_i, -1), whose one_hot(y) case is supervised
-training; it also fits T same-shape linear trials as one stack, full batch
-only (X (T, n, d), a and b (T, n)), and after each epoch names the epoch
-and trial of a non-finite parameter.
+_objective(ds, spec, role), the one place that tells pair sets from labeled
+sets, checks ds for the kind and returns (risk(p), grad(p, idx)): the pair
+risk with pair_grad(), self-normalized by the batch size, or the supervised
+risk with point_grad() on one_hot(y). train_weighted_points() streams
+point_grad() of sum_i a_i l(z_i, +1) + b_i l(z_i, -1), and fits T linear
+trials as one stack, full batch only (X (T, n, d), a and b (T, n)); after
+each epoch it names the epoch and trial of a non-finite parameter.
 
 Each epoch of train() is one report row (REPORT_COLUMNS), so row e is
 rows[e], and a non-finite train or validation risk stops it. It returns the
@@ -32,7 +35,7 @@ from .datagen import LabeledData, SconfDataset, _gather_pairs
 from .errors import ConfigError, NonFiniteRiskError
 from .fileio import write_csv
 from .losses import accuracy, loss_derivative, weighted_derivative
-from .rng import make_rng
+from .rng import check_seed, make_rng
 from .risk import (IDENTITY_KINDS, RiskSpec, pair_risk, partial_risks, risk_gradient_weights,
                    supervised_risk)
 
@@ -42,16 +45,22 @@ REPORT_COLUMNS = ("epoch", "train_risk", "val_risk", "test_acc", "test_01_risk",
 ALL_ROWS = slice(None)
 
 
-def _check_fit_size(epochs, batch):
-    # TrainConfig's and train_weighted_points' one check; batch None is full batch
+def check_fit(epochs, seed, batch_pairs, lr0, weight_decay, drop_every):
+    """Raise ConfigError unless epochs >= 1, batch_pairs is None (full batch)
+    or >= 1, seed >= 0, and lr0, weight_decay and drop_every pass optim.check_adam."""
     if epochs < 1:
         raise ConfigError("need at least one epoch")
-    if batch is not None and batch < 1:
+    if batch_pairs is not None and batch_pairs < 1:
         raise ConfigError("batch size must be positive")
+    check_seed(seed)
+    optim.check_adam(lr0, weight_decay, drop_every)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One train() fit; construction runs check_fit() on its epochs, seed,
+    batch_pairs, lr0, weight_decay and drop_every."""
+
     risk: RiskSpec
     arch: model.Architecture
     epochs: int
@@ -62,7 +71,8 @@ class TrainConfig:
     drop_every: int | None = None
 
     def __post_init__(self):
-        _check_fit_size(self.epochs, self.batch_pairs)
+        check_fit(self.epochs, self.seed, self.batch_pairs, self.lr0, self.weight_decay,
+                  self.drop_every)
 
 
 @dataclass
@@ -83,38 +93,10 @@ def evaluate(p, test):
     return acc, 1.0 - acc
 
 
-def _pair_scores(p, ds, idx):
-    """forward() scores of the x and x' members of the pairs in batch idx; a
-    minibatch gathers its rows, a full batch (ALL_ROWS) scores the block."""
-    rows = ds.rows if idx is ALL_ROWS else _gather_pairs(ds.rows, idx, idx + len(ds))
-    z = model.forward(p, rows)
-    half = len(z) // 2
-    return z[:half], z[half:]
-
-
-def _dataset_risk(p, ds, spec):
-    if spec.kind == "supervised":
-        return supervised_risk(model.score(p, ds.X), ds.y, spec.loss)
-    z = model.score(p, ds.rows)
-    return pair_risk(z[:len(ds)], z[len(ds):], ds.s, spec)
-
-
-def _check_dataset(ds, spec, role):
-    want = LabeledData if spec.kind == "supervised" else SconfDataset
-    if not isinstance(ds, want):
-        raise ConfigError(f"{role} data for kind {spec.kind!r} must be {want.__name__}")
-    if len(ds) == 0:
-        raise ConfigError(f"{role} dataset is empty")
-
-
-def _stream(gradient, n, arch, epochs, lr0, seed, drop_every, weight_decay, batch,
-            trials=None):
-    """The epoch stream of the module docstring; gradient(p) returns
-    score_grad(idx), the objective's gradient with respect to the
-    model.forward(p, ...) scores of the rows of batch idx."""
+def _stream(grad, n, arch, epochs, lr0, seed, drop_every, weight_decay, batch, trials=None):
+    """The epoch stream of the module docstring."""
     p = model.init(arch, seed, trials)
     state = optim.AdamState.for_predictor(p, lr0, weight_decay, drop_every)
-    score_grad = gradient(p)
     size = n if batch is None else min(batch, n)
     for epoch in range(epochs):
         if size == n:
@@ -123,7 +105,7 @@ def _stream(gradient, n, arch, epochs, lr0, seed, drop_every, weight_decay, batc
             order = make_rng(seed, 4, epoch).permutation(n)
             batches = (order[lo:lo + size] for lo in range(0, n, size))
         for idx in batches:
-            model.backward(p, score_grad(idx), state.grads)
+            model.backward(p, grad(p, idx), state.grads)
             optim.step(state, p, epoch)
         yield epoch, p
 
@@ -134,20 +116,29 @@ def one_hot(y):
     return (y == 1) / len(y), (y == -1) / len(y)
 
 
-def point_grad(p, X, a, b, loss="logistic"):
-    """score_grad of sum_i a_i l(z_i, +1) + b_i l(z_i, -1) over the rows of X;
-    a minibatch's gradient is rescaled by n/|batch|, a full batch's is not.
+def point_grad(p, idx, X, a, b, loss="logistic"):
+    """grad(p, idx) of sum_i a_i l(z_i, +1) + b_i l(z_i, -1) over the rows of
+    X: a minibatch's gradient is rescaled by n/|batch|, a full batch's is not.
     For a stack, X is (T, n, d), a and b are (T, n), and idx is ALL_ROWS."""
-    n = X.shape[-2]
+    z = model.forward(p, X[idx])
+    g = weighted_derivative(loss, z, a[idx], b[idx])
+    if z.shape[-1] < X.shape[-2]:  # a full batch's factor n / n = 1.0 would change no bit
+        g *= X.shape[-2] / z.shape[-1]
+    return g
 
-    def score_grad(idx):
-        z = model.forward(p, X[idx])
-        g = weighted_derivative(loss, z, a[idx], b[idx])
-        if z.shape[-1] < n:  # a full batch's factor n / n = 1.0 would change no bit
-            g *= n / z.shape[-1]
-        return g
 
-    return score_grad
+def pair_grad(p, idx, ds, spec):
+    """grad(p, idx) of spec's pair risk on batch idx, x members first; a
+    minibatch gathers its rows, a full batch (ALL_ROWS) scores the block."""
+    rows = ds.rows if idx is ALL_ROWS else _gather_pairs(ds.rows, idx, idx + len(ds))
+    z, zp = np.split(model.forward(p, rows), 2)
+    s = ds.s[idx]
+    pr = None if spec.kind in IDENTITY_KINDS else partial_risks(z, zp, s, spec)
+    w_plus, w_minus = risk_gradient_weights(s, pr, spec)
+    return np.concatenate([
+        w_plus * loss_derivative(spec.loss, z, 1) + w_minus * loss_derivative(spec.loss, z, -1),
+        w_plus * loss_derivative(spec.loss, zp, 1) + w_minus * loss_derivative(spec.loss, zp, -1),
+    ])
 
 
 def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
@@ -159,16 +150,18 @@ def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
     stack, full batch only; trial t of the result is p.trial(t). uint8 pixel
     codes stay codes: a minibatch gathers code rows and forward() converts them. Raises
     NonFiniteRiskError, naming the epoch and the trial (0 for a single fit),
-    if a parameter is not finite after an epoch, and ConfigError, as
-    TrainConfig does, for fewer than one epoch or a batch below 1.
+    if a parameter is not finite after an epoch. Before any predictor exists,
+    check_fit() raises ConfigError, as TrainConfig does, unless epochs >= 1,
+    batch is None or >= 1, seed >= 0, lr0 and weight_decay are finite and
+    >= 0, and drop_every is None or >= 1.
     """
-    _check_fit_size(epochs, batch)
+    check_fit(epochs, seed, batch, lr0, weight_decay, drop_every)
     X = model.as_input(X)
     trials, n = (len(X) if X.ndim == 3 else None), X.shape[-2]
     if trials is not None and batch is not None and batch < n:
         raise ConfigError(f"a stack of {trials} trials trains full batch only, got batch {batch}")
-    for epoch, p in _stream(lambda p: point_grad(p, X, a, b), n, arch, epochs, lr0, seed,
-                            drop_every, weight_decay, batch, trials):
+    for epoch, p in _stream(lambda p, idx: point_grad(p, idx, X, a, b), n, arch, epochs, lr0,
+                            seed, drop_every, weight_decay, batch, trials):
         _check_finite_params(p, epoch)
     return p
 
@@ -184,30 +177,32 @@ def _check_finite_params(p, epoch):
     raise NonFiniteRiskError(epoch, "train", float(block[trial, j]), trial=int(trial))
 
 
-def _risk_grad(p, ds, spec):
-    if spec.kind == "supervised":
-        return point_grad(p, ds.X, *one_hot(ds.y), spec.loss)
+def _objective(ds, spec, role):
+    """(risk(p), grad(p, idx)) of spec's risk on ds, a non-empty set of its kind."""
+    want = LabeledData if spec.kind == "supervised" else SconfDataset
+    if not isinstance(ds, want):
+        raise ConfigError(f"{role} data for kind {spec.kind!r} must be {want.__name__}")
+    if len(ds) == 0:
+        raise ConfigError(f"{role} dataset is empty")
+    if want is LabeledData:
+        a, b = one_hot(ds.y)
+        return (lambda p: supervised_risk(model.score(p, ds.X), ds.y, spec.loss),
+                lambda p, idx: point_grad(p, idx, ds.X, a, b, spec.loss))
+    return (lambda p: pair_risk(*np.split(model.score(p, ds.rows), 2), ds.s, spec),
+            lambda p, idx: pair_grad(p, idx, ds, spec))
 
-    def score_grad(idx):
-        z, zp = _pair_scores(p, ds, idx)
-        s = ds.s[idx]
-        pr = None if spec.kind in IDENTITY_KINDS else partial_risks(z, zp, s, spec)
-        w_plus, w_minus = risk_gradient_weights(s, pr, spec)
-        return np.concatenate([
-            w_plus * loss_derivative(spec.loss, z, 1) + w_minus * loss_derivative(spec.loss, z, -1),
-            w_plus * loss_derivative(spec.loss, zp, 1) + w_minus * loss_derivative(spec.loss, zp, -1),
-        ])
 
-    return score_grad
+def _fit(train_ds, cfg):
+    # the training objective's risk and the epoch stream of its gradient
+    risk, grad = _objective(train_ds, cfg.risk, "training")
+    return risk, _stream(grad, len(train_ds), cfg.arch, cfg.epochs, cfg.lr0, cfg.seed,
+                         cfg.drop_every, cfg.weight_decay, cfg.batch_pairs)
 
 
 def epochs(train_ds, cfg):
     """The epoch stream of (epoch, p) that train() runs. train_ds is checked
     at once; the predictor is built when the stream is first advanced."""
-    _check_dataset(train_ds, cfg.risk, "training")
-    return _stream(lambda p: _risk_grad(p, train_ds, cfg.risk), len(train_ds), cfg.arch,
-                   cfg.epochs, cfg.lr0, cfg.seed, cfg.drop_every, cfg.weight_decay,
-                   cfg.batch_pairs)
+    return _fit(train_ds, cfg)[1]
 
 
 def train(train_ds, val_ds, test, cfg):
@@ -220,18 +215,13 @@ def train(train_ds, val_ds, test, cfg):
     the report, so report.rows[e] is epoch e. Raises NonFiniteRiskError if
     the train or validation risk of an epoch is NaN or infinite.
     """
-    spec = cfg.risk
-    stream = epochs(train_ds, cfg)
-    if val_ds is None:
-        val_ds = train_ds
-    else:
-        _check_dataset(val_ds, spec, "validation")
+    risk, stream = _fit(train_ds, cfg)
+    val = risk if val_ds is None else _objective(val_ds, cfg.risk, "validation")[0]
 
     report = TrainReport()
     best = (np.inf, None, 0)
     for epoch, p in stream:
-        train_risk = _dataset_risk(p, train_ds, spec)
-        val_risk = _dataset_risk(p, val_ds, spec)
+        train_risk, val_risk = risk(p), val(p)
         for role, value in (("train", train_risk), ("validation", val_risk)):
             if not np.isfinite(value):
                 raise NonFiniteRiskError(epoch, role, value)

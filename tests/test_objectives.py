@@ -446,21 +446,24 @@ def test_trainer_gradient_matches_finite_differences(kind, seed, pi_plus, n, s_m
         pr = partial_risks(model.forward(p, ds.x), model.forward(p, ds.x_prime), ds.s, spec)
         assume(min(abs(pr.r_plus), abs(pr.r_minus)) > 1e-3)
 
-    # the trainer's own full-batch step: score gradient, then backward; both
-    # as a batch of every index and as the loop's shuffle-free ALL_ROWS
-    score_grad = trainer._risk_grad(p, ds, spec)
+    # the trainer's own objective and full-batch step: score gradient, then
+    # backward; both as a batch of every index and as the loop's shuffle-free
+    # ALL_ROWS. Its risk is checked against the independent one it differences.
+    risk, grad = trainer._objective(ds, spec, "training")
     analytic = []
     for idx in (np.arange(n), trainer.ALL_ROWS):
         analytic.append(np.empty_like(p.params))
-        model.backward(p, score_grad(idx), analytic[-1])
+        model.backward(p, grad(p, idx), analytic[-1])
 
     h = 1e-6
     for j in range(d + 1):
         orig = p.params[j]
         p.params[j] = orig + h
-        hi = _dataset_risk_of(p, ds, spec)
+        hi = risk(p)
+        assert hi == pytest.approx(_dataset_risk_of(p, ds, spec), rel=1e-12, abs=1e-15)
         p.params[j] = orig - h
-        lo = _dataset_risk_of(p, ds, spec)
+        lo = risk(p)
+        assert lo == pytest.approx(_dataset_risk_of(p, ds, spec), rel=1e-12, abs=1e-15)
         p.params[j] = orig
         for grads in analytic:
             assert grads[j] == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-8)

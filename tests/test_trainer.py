@@ -9,7 +9,7 @@ from sconf.experiments import all_pairs_point_weights
 from sconf.model import Architecture
 from sconf.risk import RiskSpec, pair_risk, partial_risks, total_risk
 from sconf.rng import make_rng
-from sconf.trainer import (TrainConfig, TrainReport, _pair_scores, evaluate, point_grad, train,
+from sconf.trainer import (TrainConfig, TrainReport, evaluate, point_grad, train,
                            train_weighted_points)
 
 
@@ -21,6 +21,23 @@ def small_pair_data(seed=1, n_points=160, setup_name="B"):
 
 def small_test(setup, seed=99, n=400):
     return sample_labeled(setup, (n * 5) // 8, (n * 3) // 8, seed)
+
+
+# bad fit settings, each with the message that names it; bad_fit_id names a
+# case by the settings' values and the message
+BAD_FIT_SETTINGS = [
+    (dict(epochs=0, batch=None), "at least one epoch"),
+    (dict(epochs=-1, batch=40), "at least one epoch"),
+    (dict(epochs=2, batch=0), "batch size must be positive"),
+    (dict(epochs=2, batch=-3), "batch size must be positive"),
+    (dict(lr0=np.nan), "learning rate lr0"), (dict(weight_decay=-1.0), "weight_decay"),
+    (dict(weight_decay=np.inf), "weight_decay"), (dict(drop_every=0), "drop_every"),
+    (dict(seed=-1), "seeds must be nonnegative"),
+]
+
+
+def bad_fit_id(value):
+    return "-".join(map(str, value.values())) if isinstance(value, dict) else None
 
 
 def linear_cfg(spec, **kw):
@@ -81,12 +98,11 @@ class TestEvaluate:
         X, a, b = rng.normal(size=(50, 2)), rng.random(50), rng.random(50)
         p = model.init(Architecture.linear(2))
         p.params[:] = rng.normal(size=3)
-        score_grad = point_grad(p, X, a, b)
         z = X @ p.params[:2] + p.params[2]
         full = weighted_derivative("logistic", z, a, b)
-        assert score_grad(trainer.ALL_ROWS).tobytes() == (50 / 50 * full).tobytes()
+        assert point_grad(p, trainer.ALL_ROWS, X, a, b).tobytes() == (50 / 50 * full).tobytes()
         idx = np.arange(0, 50, 5)
-        assert np.array_equal(score_grad(idx), 50 / 10 * full[idx])
+        assert np.array_equal(point_grad(p, idx, X, a, b), 50 / 10 * full[idx])
 
 
 class TestTrainBasics:
@@ -114,6 +130,13 @@ class TestTrainBasics:
                                                       batch_pairs=32))
         assert calls["step"] == 3 * 3  # 80 pairs in batches of 32, 32, 16
         assert calls["partial_risks"] == per_step * calls["step"]
+
+    @pytest.mark.parametrize("settings,match", BAD_FIT_SETTINGS, ids=bad_fit_id)
+    def test_bad_fit_settings_raise_at_construction(self, settings, match):
+        fit = dict(epochs=2, seed=3)
+        fit.update((("batch_pairs" if key == "batch" else key), v) for key, v in settings.items())
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig(RiskSpec("unbiased", 0.625), Architecture.linear(2), **fit)
 
     def test_zero_lr_keeps_init(self):
         setup, ds = small_pair_data()
@@ -263,15 +286,21 @@ class TestReportCsv:
 
 
 @pytest.mark.parametrize("arch", (Architecture.linear(2), Architecture.mlp(2, 8, 6)))
-def test_pair_scores_equal_stacked_members(arch):
+def test_pair_scores_equal_stacked_members(monkeypatch, arch):
+    # pair_grad scores a minibatch's gathered rows, which score like its
+    # stacked members, and a full batch's ds.rows
     _, ds = small_pair_data(n_points=80)
     p = model.init(arch, seed=4)
     idx = make_rng(5).permutation(len(ds))[:17]
-    z, zp = _pair_scores(p, ds, idx)
+    forward, scored = model.forward, []
+    monkeypatch.setattr(model, "forward", lambda p, X: scored.append(X) or forward(p, X))
+    for batch in (idx, trainer.ALL_ROWS):
+        trainer.pair_grad(p, batch, ds, RiskSpec("unbiased", 0.625))
+    monkeypatch.undo()
+    gathered, full = scored
     stacked = model.forward(p, np.vstack([ds.x[idx], ds.x_prime[idx]]))
-    assert np.array_equal(np.concatenate([z, zp]), stacked)
-    z, zp = _pair_scores(p, ds, trainer.ALL_ROWS)
-    assert np.array_equal(np.concatenate([z, zp]), model.forward(p, ds.rows))
+    assert np.array_equal(model.forward(p, gathered), stacked)
+    assert full is ds.rows
 
 
 class TestFullBatchOrder:
@@ -280,10 +309,9 @@ class TestFullBatchOrder:
 
     SEED, EPOCHS, DROP = 3, 30, 10
 
-    def _shuffled_full_batch(self, p, state, n, score_grad, after_epoch=lambda: None):
+    def _shuffled_full_batch(self, p, state, n, grad, after_epoch=lambda: None):
         for epoch in range(self.EPOCHS):
-            model.backward(p, score_grad(make_rng(self.SEED, 4, epoch).permutation(n)),
-                           state.grads)
+            model.backward(p, grad(p, make_rng(self.SEED, 4, epoch).permutation(n)), state.grads)
             optim.step(state, p, epoch)
             after_epoch()
 
@@ -300,7 +328,7 @@ class TestFullBatchOrder:
 
         p = model.init(Architecture.linear(2), self.SEED)
         state = optim.AdamState.for_predictor(p, 0.1, drop_every=self.DROP)
-        self._shuffled_full_batch(p, state, len(X), point_grad(p, X, a, b))
+        self._shuffled_full_batch(p, state, len(X), lambda p, idx: point_grad(p, idx, X, a, b))
         assert not np.array_equal(got.params, model.init(Architecture.linear(2), self.SEED).params)
         self._assert_close(got.params, p.params)
 
@@ -312,13 +340,14 @@ class TestFullBatchOrder:
 
         p = model.init(cfg.arch, self.SEED)
         state = optim.AdamState.for_predictor(p, cfg.lr0, drop_every=self.DROP)
+        risk, grad = trainer._objective(ds, spec, "training")
         risks, snapshots = [], []
 
         def record():
-            risks.append(trainer._dataset_risk(p, ds, spec))
+            risks.append(risk(p))
             snapshots.append(p.params.copy())
 
-        self._shuffled_full_batch(p, state, len(ds), trainer._risk_grad(p, ds, spec), record)
+        self._shuffled_full_batch(p, state, len(ds), grad, record)
         self._assert_close(np.array([row[1] for row in report.rows]), np.array(risks))
         self._assert_close(chosen.params, snapshots[report.best_epoch])
 
@@ -367,17 +396,18 @@ class TestTrialStack:
         # a batch that covers every row is a full batch
         train_weighted_points(X, a, b, Architecture.linear(2), 2, 0.1, batch=80)
 
-    @pytest.mark.parametrize("epochs,batch,match", [(0, None, "at least one epoch"),
-                                                     (-1, 40, "at least one epoch"),
-                                                     (2, 0, "batch size must be positive"),
-                                                     (2, -3, "batch size must be positive")])
-    def test_bad_epochs_or_batch_fail_before_init(self, monkeypatch, epochs, batch, match):
+    @pytest.mark.parametrize("settings,match", BAD_FIT_SETTINGS, ids=bad_fit_id)
+    def test_bad_epochs_or_batch_fail_before_init(self, monkeypatch, settings, match):
+        # the stack and the single fit, full batch and (unless the case sets
+        # the batch) a minibatch of 40 of the 80 points
         X, a, b = self._stack(trials=1)
         inits = []
         monkeypatch.setattr(model, "init", lambda *args: inits.append(args))
         for stack in ((X, a, b), (X[0], a[0], b[0])):
-            with pytest.raises(ConfigError, match=match):
-                train_weighted_points(*stack, Architecture.linear(2), epochs, 0.1, batch=batch)
+            for batch in (None, 40):
+                fit = dict(epochs=2, lr0=0.1, batch=batch) | settings
+                with pytest.raises(ConfigError, match=match):
+                    train_weighted_points(*stack, Architecture.linear(2), **fit)
         assert inits == []
 
     def test_mlp_does_not_stack(self):
