@@ -168,9 +168,10 @@ IDX_FILE_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels
 
 
 def _train_from_config(given, write):
-    """One trainer run from the config values given ({key: text}); a key not
-    given takes its TRAIN_KEYS default. Every key is read before any data is
-    sampled or loaded, and a given key the run never reads is a ConfigError."""
+    """One trainer run from the config values given ({key: text}), straight
+    down: read and check every key (a key not given takes its TRAIN_KEYS
+    default; a given key the run never reads is a ConfigError), then load,
+    pair, split, fit and write."""
     read = set()
 
     def get(key):
@@ -208,17 +209,10 @@ def _train_from_config(given, write):
                     lr0=num("lr0"), weight_decay=num("weight_decay"),
                     drop_every=opt("drop_every", int))
     trainer.check_fit(**schedule)
-    if get("setup"):
-        synth = preset_synth(get("setup"))
+    synth = preset_synth(get("setup")) if get("setup") else None
+    if synth:
         noise_std = num("noise_std") if pairs else 0.0
         check_noise_std(noise_std)
-
-        def load():
-            points, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
-            ds = make_pairs(points.X, synth.setup, seed) if pairs else points
-            if noise_std > 0:
-                ds = add_confidence_noise(ds, noise_std, seed)
-            return ds, test, synth.setup.pi_plus, _parse_arch(arch, synth.setup.dim)
     elif get("idx_images"):
         files = [get(key) for key in IDX_FILE_KEYS]
         for key, path in zip(IDX_FILE_KEYS, files):
@@ -234,29 +228,6 @@ def _train_from_config(given, write):
             if not 0.0 <= confidence["lr0"] < np.inf:
                 raise ConfigError("config key confidence_lr0 must be finite and nonnegative, "
                                   f"got {confidence['lr0']}")
-
-        def load():
-            labeled, test = (dataset_io.corrupt_binary(*dataset_io.load_idx(*pair), rule)
-                             for pair in (files[:2], files[2:]))
-            if labeled.X.shape[1] != test.X.shape[1]:
-                raise DataError(f"{files[0]} has images of {labeled.X.shape[1]} pixels but "
-                                f"{files[2]} has images of {test.X.shape[1]}")
-            if subsample is not None:
-                if subsample > len(labeled):
-                    raise ConfigError(f"config key subsample is {subsample}, more than the "
-                                      f"{len(labeled)} training images")
-                idx = make_rng(seed, 7).permutation(len(labeled))[:subsample]
-                labeled = type(labeled)(labeled.X[idx], labeled.y[idx])
-            classes = np.unique(labeled.y).tolist()
-            if len(classes) < 2:  # every estimator, and the confidence model, needs both
-                raise DataError(f"{files[1]}: training needs both classes, but after corruption "
-                                f"and subsampling its labels hold only {classes}")
-            prior = float(np.mean(labeled.y == 1))
-            net = _parse_arch(arch, test.X.shape[1])
-            if pairs:
-                labeled, _ = dataset_io.posterior_model_confidences(labeled, net, seed,
-                                                                    **confidence)
-            return labeled, test, prior, net
     else:
         raise ConfigError("config must name either a synthetic setup or IDX paths")
     val_fraction = num("val_fraction") if pairs else 0.0
@@ -266,9 +237,33 @@ def _train_from_config(given, write):
     if unread:
         raise ConfigError(f"config keys this run never reads: {', '.join(unread)}")
 
-    train_set, test, prior, net = load()
-    train_ds, val_ds = _split_pairs(train_set, val_fraction, seed)
-    del train_set  # a split copies the rows; the unsplit block is not needed in training
+    if synth:
+        ds, test = sample_train_test(synth.setup, synth.n_plus, synth.n_minus, seed)
+        prior = synth.setup.pi_plus
+    else:
+        ds, test = (dataset_io.corrupt_binary(*dataset_io.load_idx(*pair), rule)
+                    for pair in (files[:2], files[2:]))
+        if ds.X.shape[1] != test.X.shape[1]:
+            raise DataError(f"{files[0]} has images of {ds.X.shape[1]} pixels but "
+                            f"{files[2]} has images of {test.X.shape[1]}")
+        if subsample is not None:
+            if subsample > len(ds):
+                raise ConfigError(f"config key subsample is {subsample}, more than the "
+                                  f"{len(ds)} training images")
+            idx = make_rng(seed, 7).permutation(len(ds))[:subsample]
+            ds = type(ds)(ds.X[idx], ds.y[idx])
+        classes = np.unique(ds.y).tolist()
+        if len(classes) < 2:  # every estimator, and the confidence model, needs both
+            raise DataError(f"{files[1]}: training needs both classes, but after corruption "
+                            f"and subsampling its labels hold only {classes}")
+        prior = float(np.mean(ds.y == 1))
+    net = _parse_arch(arch, test.X.shape[1])
+    if pairs and synth:
+        ds = add_confidence_noise(make_pairs(ds.X, synth.setup, seed), noise_std, seed)
+    elif pairs:
+        ds, _ = dataset_io.posterior_model_confidences(ds, net, seed, **confidence)
+    train_ds, val_ds = _split_pairs(ds, val_fraction, seed)
+    del ds  # a split copies the rows; the unsplit block is not needed in training
     spec = RiskSpec(pi_plus=prior if pi_plus is None else pi_plus, **risk)
     predictor, report = trainer.train(train_ds, val_ds, test,
                                       TrainConfig(risk=spec, arch=net, **schedule))

@@ -77,8 +77,11 @@ def read_idx_labels(path):
 
 def load_idx(images_path, labels_path):
     """Flattened images as their (n, rows * cols) uint8 pixel codes, plus
-    their original integer labels. The model reads a code c as c / 255."""
+    their original integer labels. The model reads a code c as c / 255. A
+    file of zero images is a DataError naming it."""
     images = read_idx_images(images_path)
+    if len(images) == 0:
+        raise DataError(f"{images_path} holds no images")
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise DataError(f"{images_path} has {images.shape[0]} images but "

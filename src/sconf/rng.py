@@ -13,11 +13,13 @@ from .errors import ConfigError
 
 
 def check_seed(seed):
-    """int(seed); a negative seed is a ConfigError."""
-    seed = int(seed)
+    """int(seed) of an int or numpy integer seed; any other seed, or a
+    negative one, is a ConfigError."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seeds must be nonnegative, got {seed}")
-    return seed
+    return int(seed)
 
 
 def make_rng(seed, *stream):

@@ -46,8 +46,14 @@ ALL_ROWS = slice(None)
 
 
 def check_fit(epochs, seed, batch_pairs, lr0, weight_decay, drop_every):
-    """Raise ConfigError unless epochs >= 1, batch_pairs is None (full batch)
-    or >= 1, seed >= 0, and lr0, weight_decay and drop_every pass optim.check_adam."""
+    """Raise ConfigError unless epochs, batch_pairs (None: full batch), seed and
+    drop_every (None: no drop) are ints or numpy integers, epochs >= 1,
+    batch_pairs >= 1, seed >= 0, and lr0, weight_decay and drop_every pass
+    optim.check_adam."""
+    if not isinstance(epochs, (int, np.integer)):
+        raise ConfigError(f"epochs must be an integer, got {epochs!r}")
+    if batch_pairs is not None and not isinstance(batch_pairs, (int, np.integer)):
+        raise ConfigError(f"batch size must be an integer, got {batch_pairs!r}")
     if epochs < 1:
         raise ConfigError("need at least one epoch")
     if batch_pairs is not None and batch_pairs < 1:
@@ -59,7 +65,8 @@ def check_fit(epochs, seed, batch_pairs, lr0, weight_decay, drop_every):
 @dataclass(frozen=True)
 class TrainConfig:
     """One train() fit; construction runs check_fit() on its epochs, seed,
-    batch_pairs, lr0, weight_decay and drop_every."""
+    batch_pairs, lr0, weight_decay and drop_every, so a size, seed or
+    drop_every that is not an int or numpy integer is a ConfigError."""
 
     risk: RiskSpec
     arch: model.Architecture
@@ -151,9 +158,10 @@ def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
     codes stay codes: a minibatch gathers code rows and forward() converts them. Raises
     NonFiniteRiskError, naming the epoch and the trial (0 for a single fit),
     if a parameter is not finite after an epoch. Before any predictor exists,
-    check_fit() raises ConfigError, as TrainConfig does, unless epochs >= 1,
-    batch is None or >= 1, seed >= 0, lr0 and weight_decay are finite and
-    >= 0, and drop_every is None or >= 1.
+    check_fit() raises ConfigError, as TrainConfig does, unless epochs, seed,
+    batch (or None) and drop_every (or None) are ints or numpy integers,
+    epochs >= 1, batch >= 1, seed >= 0, lr0 and weight_decay are finite and
+    >= 0, and drop_every >= 1.
     """
     check_fit(epochs, seed, batch, lr0, weight_decay, drop_every)
     X = model.as_input(X)

@@ -119,6 +119,21 @@ class TestTrain:
         assert f"{cfg}:4: duplicate key 'epochs'" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_zero_noise_std_keeps_the_noiseless_bytes(self, tmp_path, monkeypatch):
+        # an explicit noise_std=0.0, the default, and a run whose noise step is
+        # skipped altogether write the same files
+        base = "setup=B\nestimator=nn\nepochs=3\nbatch_pairs=64\nseed=2\n"
+        runs = {"explicit": base + "noise_std=0.0\n", "default": base, "skipped": base}
+        files = {}
+        for name, text in runs.items():
+            if name == "skipped":
+                monkeypatch.setattr(cli, "add_confidence_noise", lambda ds, std, seed: ds)
+            out = tmp_path / name
+            assert run_cli(["train", str(self.write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+            files[name] = {f: (out / f).read_bytes()
+                           for f in ("report.csv", "model.ckpt", "curves.svg")}
+        assert files["explicit"] == files["default"] == files["skipped"]
+
     def test_diverged_training_exit_code_no_partial_files(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "setup=B\nepochs=3\nseed=1\nlr0=1e308\n")
         out = tmp_path / "out"
@@ -491,6 +506,25 @@ class TestInputValidation:
         assert re.search(r"hold only \[(-1|1)\]$", err.strip())
         if source == "one-class labels":
             assert err.strip().endswith("hold only [-1]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stem", ("train", "test"))
+    def test_empty_idx_images_exit_3_before_the_confidence_fit(self, tmp_path, monkeypatch,
+                                                               capsys, stem):
+        def never(*args, **kwargs):
+            raise AssertionError("the confidence model was fit")
+
+        monkeypatch.setattr(dataset_io, "posterior_model_confidences", never)
+        text = random_idx_source(tmp_path)
+        empty = tmp_path / f"{stem}.idx"
+        dataset_io.write_idx_images(empty, np.zeros((0, 4, 4), np.uint8))
+        dataset_io.write_idx_labels(tmp_path / f"{stem}-labels.idx", np.zeros(0, np.uint8))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\nepochs=1\n")
+        out = tmp_path / "out"
+        assert run_cli(["train", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{empty} holds no images" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ("100,50", "50,50", "50,100,100"))

@@ -33,6 +33,12 @@ BAD_FIT_SETTINGS = [
     (dict(lr0=np.nan), "learning rate lr0"), (dict(weight_decay=-1.0), "weight_decay"),
     (dict(weight_decay=np.inf), "weight_decay"), (dict(drop_every=0), "drop_every"),
     (dict(seed=-1), "seeds must be nonnegative"),
+    # a size, seed or drop_every that is not an int or numpy integer; two
+    # cases share the value 1.5, so these four carry their own ids
+    pytest.param(dict(epochs=2.5), "epochs must be an integer", id="epochs-2.5"),
+    pytest.param(dict(batch=16.5), "batch size must be an integer", id="batch-16.5"),
+    pytest.param(dict(seed=1.5), "seed must be an integer", id="seed-1.5"),
+    pytest.param(dict(drop_every=1.5), "drop_every must be an integer", id="drop_every-1.5"),
 ]
 
 
