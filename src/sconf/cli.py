@@ -16,7 +16,10 @@ Config files are key=value text; a key given twice is an error. Each train
 a repeated --set key is an error too, not last-wins. Every key a train config
 gives must be read by the run (noise_std or pi_plus with estimator=supervised
 exits 2), and every setting is checked before any data is sampled or loaded.
-Seeds must be nonnegative, and a confidence noise std finite and nonnegative.
+Integer keys (seed, epochs, batch_pairs, drop_every, subsample and the
+confidence model's epochs and batch) must be written as integers: seed=1.5
+is an error, not seed 1. Seeds must be nonnegative, and a confidence noise
+std finite and nonnegative.
 --out or SCONF_OUT_DIR names the output directory (default: the working
 directory). A command that fails, by any exception, leaves none of its
 outputs: main removes every file the command wrote, then the directory if
@@ -35,7 +38,7 @@ import numpy as np
 from . import dataset_io, experiments, model, svgplot, trainer
 from .datagen import (PRESET_PI_PLUS, add_confidence_noise, check_noise_std, load_setup_file,
                       make_pairs, preset_synth, sample_train_test)
-from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError
+from .errors import BalancedPriorError, ConfigError, DataError, NonFiniteRiskError, check_int
 from .fileio import parse_key_values, parse_list, write_csv
 from .risk import RiskSpec, check_estimator
 from .rng import make_rng
@@ -182,16 +185,14 @@ def _train_from_config(given, write):
         try:
             return cast(get(key))
         except ValueError:
-            raise ConfigError(f"config key {key} is not numeric: {get(key)!r}") from None
+            what = "an integer" if cast is int else "a number"
+            raise ConfigError(f"config key {key} must be {what}, got {get(key)!r}") from None
 
     def opt(key, cast=float):
         return num(key, cast) if get(key) else None
 
     def count(key):
-        value = num(key, int)
-        if value < 1:
-            raise ConfigError(f"config key {key} must be at least 1, got {value}")
-        return value
+        return check_int(num(key, int), f"config key {key}", 1)
 
     # every setting is checked here, before any data is loaded: the estimator,
     # architecture, a given class prior, the seed, the Adam and loop schedule,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .fileio import parse_key_values, parse_list
 from .losses import check_labels, sigmoid
 from .model import as_input
@@ -218,7 +218,8 @@ def block_edges(n):
 def sample_blocks(setup, n_plus, n_minus, seed, edges):
     """n_plus positives then n_minus negatives from the setup, one
     LabeledData of rows edges[k]..edges[k+1] per block, drawn as the loop
-    reaches it; edges runs from 0 to n_plus + n_minus.
+    reaches it; edges runs from 0 to n_plus + n_minus. Both counts pass
+    errors.check_int with a minimum of 0 before anything is drawn.
 
     Sampling goes through the lower Cholesky factor of each covariance, so the
     requested moments are exact in distribution and the draw is reproducible
@@ -229,8 +230,8 @@ def sample_blocks(setup, n_plus, n_minus, seed, edges):
     vstack([mu+ + Z+ @ L+.T, mu- + Z- @ L-.T]) over concatenated ones and
     minus ones, without the per-class and stacked copies.
     """
-    if n_plus < 0 or n_minus < 0:
-        raise ConfigError("sample counts must be nonnegative")
+    check_int(n_plus, "n_plus", 0)
+    check_int(n_minus, "n_minus", 0)
     if edges[0] != 0 or edges[-1] != n_plus + n_minus:
         raise ConfigError(f"block edges must run from 0 to {n_plus + n_minus}")
     rng = make_rng(seed)
@@ -279,15 +280,14 @@ def posterior_plus(X, setup):
 
     Evaluated in log-density space. If both weighted log densities are
     unrepresentable for some point (possible only in the extreme tails), the
-    posterior falls back to the prior pi+ for that point.
+    posterior falls back to the prior pi+ for that point. The result is
+    always an ndarray of one posterior per row; a single point is one row.
 
     The rows are taken in the blocks of block_edges, so only the output is as
     long as the set. Each row's posterior is the bytes of the whole-set
     expression, since no block has a single row unless the whole set has.
     """
-    X = np.asarray(X, dtype=float)
-    scalar = X.ndim == 1
-    X = np.atleast_2d(X)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     r = np.empty(len(X))
     edges = block_edges(len(X))
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -298,7 +298,7 @@ def posterior_plus(X, setup):
         with np.errstate(invalid="ignore"):  # both underflowed: -inf - -inf is nan, r the prior
             r_block = sigmoid(a - b)  # one underflowed: a - b is +-inf, so r is 1.0 or 0.0
         r[lo:hi] = np.where(np.isnan(r_block), setup.pi_plus, r_block)
-    return float(r[0]) if scalar else r
+    return r
 
 
 def similarity_confidence(r_x, r_xp):
@@ -306,15 +306,14 @@ def similarity_confidence(r_x, r_xp):
 
     s = r r' + (1 - r)(1 - r'). Symmetric in its arguments and equal to the
     density-ratio expression of the confidence when the inputs are exact
-    posteriors.
+    posteriors. Always an ndarray, 0-d for scalar posteriors.
     """
     r_x = np.asarray(r_x, dtype=float)
     r_xp = np.asarray(r_xp, dtype=float)
     for name, r in (("r_x", r_x), ("r_xp", r_xp)):
         if np.any(r < 0.0) or np.any(r > 1.0):
             raise ConfigError(f"{name} must lie in [0, 1]")
-    s = r_x * r_xp + (1.0 - r_x) * (1.0 - r_xp)
-    return float(s) if s.ndim == 0 else s
+    return np.asarray(r_x * r_xp + (1.0 - r_x) * (1.0 - r_xp))
 
 
 def pair_indices(n, seed):
@@ -413,7 +412,7 @@ def parse_setup(text, source="<string>"):
         try:
             return int(val)
         except ValueError:
-            raise ConfigError(f"{source}:{lineno}: {key} must be an integer") from None
+            raise ConfigError(f"{source}:{lineno}: {key} must be an integer, got {val!r}") from None
 
     setup = GaussianSetup(
         mu_plus=floats("mu_plus", 2),

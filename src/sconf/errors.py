@@ -1,8 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer rule.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 OSError -> 3, BalancedPriorError -> 4, NonFiniteRiskError -> 5.
+
+check_int(value, name, minimum) is the one rule for every size, count and
+seed: value must be an int or a numpy integer of at least minimum, or it is a
+ConfigError that names it ("{name} must be an integer, got ..." or "{name}
+must be at least {minimum}, got ..."). A float is refused even when whole.
 """
+
+import numpy as np
 
 
 class SconfError(Exception):
@@ -40,3 +47,12 @@ class NonFiniteRiskError(SconfError, ArithmeticError):
             what = f"{role} risk"
         super().__init__(f"epoch {epoch}: {what} is {value!r}; training diverged")
         self.epoch, self.role, self.value, self.trial, self.row = epoch, role, value, trial, row
+
+
+def check_int(value, name, minimum):
+    """value, if it is an int or numpy integer >= minimum; else a ConfigError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value

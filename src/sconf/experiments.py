@@ -41,7 +41,7 @@ from .datagen import (PRESET_N_MINUS, PRESET_N_PLUS, PRESET_PI_PLUS, GaussianSet
                       add_confidence_noise, block_edges, check_noise_std, make_pairs,
                       pair_indices, pair_up, posterior_plus, preset, sample_blocks,
                       sample_labeled, sample_test, sample_train_test)
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .losses import accuracy, correct_signs
 from .prior import estimate_prior
 from .rng import make_rng
@@ -233,10 +233,10 @@ def table_runs(setup_names, trials):
 
 
 def trial_seeds(trials, seeds=None):
-    """The given seeds, or 1..trials; at least one is required."""
-    seeds = list(seeds) if seeds is not None else list(range(1, trials + 1))
-    if not seeds:
-        raise ConfigError("need at least one trial")
+    """The given seeds, or 1..trials; trials, or the number of given seeds,
+    passes errors.check_int with a minimum of 1."""
+    seeds = list(range(1, check_int(trials, "trials", 1) + 1) if seeds is None else seeds)
+    check_int(len(seeds), "trial seeds", 1)
     return seeds
 
 
@@ -417,13 +417,15 @@ def sweep_n(setup_name, n_grid, trials, base_seed=1):
     0-1 risk minus the Bayes risk, each one minus its count over
     SWEEP_TEST_N: the bytes of scoring each trial on the whole set, without
     holding the set or passing over it once per trial.
+
+    Each n (in pairs, at least 1), trials (at least 1) and base_seed (at
+    least 0) pass errors.check_int before anything is drawn.
     """
+    for n in n_grid:
+        check_int(n, "n grid value", 1)
     if list(n_grid) != sorted(set(n_grid)):  # a repeated n would rerun its trial seeds
         raise ConfigError(f"n grid must be strictly ascending, got {list(n_grid)}")
-    if any(n < 1 for n in n_grid):
-        raise ConfigError(f"n grid values must be at least 1 pair, got {min(n_grid)}")
-    if base_seed < 0:  # a trial seed of a large n could still come out nonnegative
-        raise ConfigError(f"seeds must be nonnegative, got base seed {base_seed}")
+    check_int(base_seed, "base seed", 0)  # a large n's trial seed could still be nonnegative
     seeds = trial_seeds(trials)
     setup = preset(setup_name)
     fits = [_sweep_fit(setup, n_pairs, [base_seed * 100_000 + 7 * n_pairs + t for t in seeds])
@@ -467,8 +469,9 @@ def sweep_noise(setup_name, stds, trials):
 
 
 def prior_experiment(setup, n_pairs, seed, noise_std=0.0):
-    """Estimate pi+ from n exact (or noisy) confidence pairs of the setup."""
-    n_points = 2 * n_pairs
+    """Estimate pi+ from n exact (or noisy) confidence pairs of the setup;
+    n_pairs passes errors.check_int with a minimum of 1."""
+    n_points = 2 * check_int(n_pairs, "n_pairs", 1)
     n_plus = round(n_points * setup.pi_plus)
     points = sample_labeled(setup, n_plus, n_points - n_plus, seed)
     return estimate_prior(add_confidence_noise(make_pairs(points.X, setup, seed), noise_std, seed))

@@ -28,7 +28,8 @@ def check_labels(y):
 
 
 def loss_value(kind, z, y):
-    """Loss of score z against label y; elementwise over arrays."""
+    """Loss of score z against label y, elementwise; always an ndarray (0-d
+    for scalar inputs)."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y)
     check_labels(y)
@@ -39,7 +40,7 @@ def loss_value(kind, z, y):
         out = ((z >= 0.0) != (y == 1)).astype(float)
     else:
         raise ConfigError(f"unknown loss kind {kind!r}")
-    return float(out) if out.ndim == 0 else out
+    return np.asarray(out)  # numpy makes a 0-d result a scalar
 
 
 def correct_signs(z, y, threshold=0.0):
@@ -65,7 +66,8 @@ def sigmoid(x):
 
 
 def loss_derivative(kind, z, y):
-    """d loss / d z. Defined for the logistic loss only; bounded in (-1, 1)."""
+    """d loss / d z, elementwise; always an ndarray (0-d for scalar inputs).
+    Defined for the logistic loss only; bounded in (-1, 1)."""
     if kind != "logistic":
         raise ConfigError(f"loss kind {kind!r} has no derivative")
     z = np.asarray(z, dtype=float)
@@ -74,8 +76,7 @@ def loss_derivative(kind, z, y):
     # -y * sigmoid(-y z), computed without overflow for large |z|
     m = y * z
     t = np.exp(-np.abs(m))
-    out = np.where(m >= 0, -y * t / (1.0 + t), -y / (1.0 + t))
-    return float(out) if out.ndim == 0 else out
+    return np.where(m >= 0, -y * t / (1.0 + t), -y / (1.0 + t))
 
 
 def weighted_derivative(kind, z, a, b):

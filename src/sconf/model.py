@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 from .fileio import write_atomic
 from .rng import make_rng
 
@@ -44,6 +44,9 @@ SCORE_BLOCK = 2**20
 
 @dataclass(frozen=True)
 class Architecture:
+    """A linear model, or a d-h1-h2-1 MLP; d, and an MLP's h1 and h2, pass
+    errors.check_int with a minimum of 1."""
+
     kind: str
     d: int
     h1: int = 500
@@ -52,11 +55,10 @@ class Architecture:
     def __post_init__(self):
         if self.kind not in ("linear", "mlp"):
             raise ConfigError(f"unknown architecture {self.kind!r}")
-        if self.d < 1:
-            raise ConfigError("input dimension must be positive")
-        if self.kind == "mlp" and min(self.h1, self.h2) < 1:
-            raise ConfigError("architecture hidden widths must be positive, "
-                              f"got {self.h1}, {self.h2}")
+        check_int(self.d, "architecture input dimension d", 1)
+        if self.kind == "mlp":
+            check_int(self.h1, "architecture hidden width h1", 1)
+            check_int(self.h2, "architecture hidden width h2", 1)
 
     @staticmethod
     def linear(d):
@@ -134,11 +136,13 @@ def _views(arch, buf):
 def init(arch, seed=0, trials=None):
     """Fresh predictor: zeros for linear, He-normal weights for the MLP.
 
-    trials=T gives a linear stack of T trials, a (T, d + 1) block of zeros.
+    trials=T gives a linear stack of T trials, a (T, d + 1) block of zeros;
+    T passes errors.check_int with a minimum of 1.
     """
-    if trials is not None and (arch.kind != "linear" or trials < 1):
+    if trials is not None and arch.kind != "linear":
         raise ConfigError(f"only the linear model stacks trials, got {arch.kind} x {trials}")
-    params = np.zeros(arch.param_count if trials is None else (trials, arch.param_count))
+    params = np.zeros(arch.param_count if trials is None
+                      else (check_int(trials, "trials", 1), arch.param_count))
     if arch.kind == "mlp":
         rng = make_rng(seed, 3)
         v = _views(arch, params)

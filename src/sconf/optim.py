@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 # elements per block of step(): ~2^15 keep a block's slices of the six arrays
 # it touches (1.5 MB in float64) in cache
@@ -43,15 +43,13 @@ DROP_FACTOR = 10.0
 
 def check_adam(lr0, weight_decay, drop_every):
     """Raise ConfigError unless lr0 and weight_decay are finite and nonnegative
-    and drop_every is None or an int or numpy integer of at least 1."""
+    and drop_every is None or passes errors.check_int with a minimum of 1."""
     if not 0.0 <= weight_decay < np.inf:
         raise ConfigError(f"weight_decay must be finite and nonnegative, got {weight_decay}")
     if not (np.isfinite(lr0) and lr0 >= 0.0):
         raise ConfigError(f"learning rate lr0 must be finite and nonnegative, got {lr0}")
-    if drop_every is not None and not isinstance(drop_every, (int, np.integer)):
-        raise ConfigError(f"drop_every must be an integer, got {drop_every!r}")
-    if drop_every is not None and drop_every < 1:
-        raise ConfigError(f"drop_every must be at least 1 when set, got {drop_every}")
+    if drop_every is not None:
+        check_int(drop_every, "drop_every", 1)
 
 
 @dataclass

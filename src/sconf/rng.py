@@ -9,21 +9,16 @@ parallel trials can share a seed without sharing state.
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_int
 
 
 def check_seed(seed):
-    """int(seed) of an int or numpy integer seed; any other seed, or a
-    negative one, is a ConfigError."""
-    if not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seeds must be nonnegative, got {seed}")
-    return int(seed)
+    """int(seed), under errors.check_int with a minimum of 0."""
+    return int(check_int(seed, "seed", 0))
 
 
 def make_rng(seed, *stream):
     """Return a fresh numpy Generator for the given (seed, *stream) key; a
-    negative seed is a ConfigError."""
+    seed that check_seed refuses is a ConfigError."""
     key = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(t) for t in stream))
     return np.random.Generator(np.random.Philox(key))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import model, optim
 from .datagen import LabeledData, SconfDataset, _gather_pairs
-from .errors import ConfigError, NonFiniteRiskError
+from .errors import ConfigError, NonFiniteRiskError, check_int
 from .fileio import write_csv
 from .losses import accuracy, loss_derivative, weighted_derivative
 from .rng import check_seed, make_rng
@@ -46,18 +46,12 @@ ALL_ROWS = slice(None)
 
 
 def check_fit(epochs, seed, batch_pairs, lr0, weight_decay, drop_every):
-    """Raise ConfigError unless epochs, batch_pairs (None: full batch), seed and
-    drop_every (None: no drop) are ints or numpy integers, epochs >= 1,
-    batch_pairs >= 1, seed >= 0, and lr0, weight_decay and drop_every pass
-    optim.check_adam."""
-    if not isinstance(epochs, (int, np.integer)):
-        raise ConfigError(f"epochs must be an integer, got {epochs!r}")
-    if batch_pairs is not None and not isinstance(batch_pairs, (int, np.integer)):
-        raise ConfigError(f"batch size must be an integer, got {batch_pairs!r}")
-    if epochs < 1:
-        raise ConfigError("need at least one epoch")
-    if batch_pairs is not None and batch_pairs < 1:
-        raise ConfigError("batch size must be positive")
+    """Raise ConfigError unless epochs and batch_pairs (None: full batch) pass
+    errors.check_int with a minimum of 1, seed passes rng.check_seed, and
+    lr0, weight_decay and drop_every pass optim.check_adam."""
+    check_int(epochs, "epochs", 1)
+    if batch_pairs is not None:
+        check_int(batch_pairs, "batch size", 1)
     check_seed(seed)
     optim.check_adam(lr0, weight_decay, drop_every)
 
@@ -65,8 +59,7 @@ def check_fit(epochs, seed, batch_pairs, lr0, weight_decay, drop_every):
 @dataclass(frozen=True)
 class TrainConfig:
     """One train() fit; construction runs check_fit() on its epochs, seed,
-    batch_pairs, lr0, weight_decay and drop_every, so a size, seed or
-    drop_every that is not an int or numpy integer is a ConfigError."""
+    batch_pairs, lr0, weight_decay and drop_every."""
 
     risk: RiskSpec
     arch: model.Architecture
@@ -158,13 +151,19 @@ def train_weighted_points(X, a, b, arch, epochs, lr0, seed=0, drop_every=None,
     codes stay codes: a minibatch gathers code rows and forward() converts them. Raises
     NonFiniteRiskError, naming the epoch and the trial (0 for a single fit),
     if a parameter is not finite after an epoch. Before any predictor exists,
-    check_fit() raises ConfigError, as TrainConfig does, unless epochs, seed,
-    batch (or None) and drop_every (or None) are ints or numpy integers,
-    epochs >= 1, batch >= 1, seed >= 0, lr0 and weight_decay are finite and
-    >= 0, and drop_every >= 1.
+    it raises ConfigError unless the settings pass check_fit(), as TrainConfig
+    does, and a and b both have the shape X.shape[:-1] and are finite; the
+    error names the first bad row.
     """
     check_fit(epochs, seed, batch, lr0, weight_decay, drop_every)
     X = model.as_input(X)
+    for name, w in (("a", a), ("b", b)):
+        if np.shape(w) != X.shape[:-1]:
+            raise ConfigError(f"weights {name} must have shape {X.shape[:-1]}, got {np.shape(w)}")
+        bad = np.argwhere(~np.isfinite(np.atleast_2d(w)))
+        if len(bad):
+            where = f"row {bad[0][1]}" if X.ndim == 2 else "trial {} row {}".format(*bad[0])
+            raise ConfigError(f"weight {name} of {where} is not finite")
     trials, n = (len(X) if X.ndim == 3 else None), X.shape[-2]
     if trials is not None and batch is not None and batch < n:
         raise ConfigError(f"a stack of {trials} trials trains full batch only, got batch {batch}")

@@ -338,7 +338,7 @@ class TestSweeps:
         assert run_cli(["sweep-n", f"--n-grid={grid}", "--trials", "1",
                         "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "n grid values must be at least 1 pair" in err and named in err
+        assert "n grid value must be at least 1, " in err and named in err
         assert os.listdir(tmp_path) == []
 
     def test_sweep_noise_schema(self, tmp_path):
@@ -436,7 +436,7 @@ class TestInputValidation:
     ])
     def test_zero_trials(self, tmp_path, capsys, command, output):
         assert run_cli([command, "--trials", "0", "--out", str(tmp_path)]) == 2
-        assert "at least one trial" in capsys.readouterr().err
+        assert "trials must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / output).exists()
 
     @pytest.mark.parametrize("text,named", [
@@ -567,11 +567,12 @@ class TestInputValidation:
         ("lr0=-1", "lr0"), ("estimator=bogus", "bogus"),
         ("estimator=corrected", "k > 0"), ("k=0.5", "k applies"),
         ("drop_every=0", "drop_every"), ("epochs=0", "epochs"), ("batch_pairs=0", "batch_pairs"),
-        ("arch=mlp:5", "arch"), ("arch=mlp:0,5", "hidden widths"), ("arch=cnn", "arch"),
+        ("arch=mlp:5", "arch"), ("arch=mlp:0,5", "hidden width h1 must be at least 1"),
+        ("arch=cnn", "arch"),
         ("pi_plus=1.5", "pi_plus"), ("pi_plus=0.5005", "1/2"),
         ("confidence_batch=0", "confidence_batch"), ("confidence_epochs=0", "confidence_epochs"),
         ("val_fraction=-0.5", "val_fraction"), ("val_fraction=1.5", "val_fraction"),
-        ("subsample=0", "subsample"), ("seed=-1", "seeds must be nonnegative"),
+        ("subsample=0", "subsample"), ("seed=-1", "seed must be at least 0, got -1"),
         ("confidence_lr0=-1", "confidence_lr0"), ("weight_decay=nan", "weight_decay"),
         ("weight_decay=inf", "weight_decay"), ("estimator=corrected\nk=inf", "finite k > 0"),
     ])
@@ -594,11 +595,11 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,named", [
-        ("gen-synth --seed -1", "seeds must be nonnegative"),
-        ("collapse-demo --seed -1", "seeds must be nonnegative"),
-        ("prior --seed -1 --n 100", "seeds must be nonnegative"),
-        ("sweep-n --seed -1 --trials 1", "seeds must be nonnegative"),
-        ("sweep-n --seed -1 --trials 1 --n-grid 15000", "seeds must be nonnegative"),
+        ("gen-synth --seed -1", "seed must be at least 0, got -1"),
+        ("collapse-demo --seed -1", "seed must be at least 0, got -1"),
+        ("prior --seed -1 --n 100", "seed must be at least 0, got -1"),
+        ("sweep-n --seed -1 --trials 1", "seed must be at least 0, got -1"),
+        ("sweep-n --seed -1 --trials 1 --n-grid 15000", "seed must be at least 0, got -1"),
         ("gen-synth --seed 1 --noise-std -1", "noise std"),
         ("prior --seed 1 --n 100 --noise-std nan", "noise std"),
     ])
@@ -627,7 +628,7 @@ class TestInputValidation:
         assert sorted(os.listdir(made)) == ["pairs.csv", "test.csv"]
 
     @pytest.mark.parametrize("setting,named", [
-        ("seed=-1", "seeds must be nonnegative"), ("noise_std=-1", "noise std"),
+        ("seed=-1", "seed must be at least 0, got -1"), ("noise_std=-1", "noise std"),
         ("noise_std=nan", "noise std"), ("weight_decay=nan", "weight_decay"),
         ("weight_decay=inf", "weight_decay"), ("estimator=corrected\nk=inf", "finite k > 0"),
     ])

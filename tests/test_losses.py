@@ -3,8 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from sconf.datagen import posterior_plus, preset, similarity_confidence
 from sconf.errors import ConfigError
 from sconf.losses import accuracy, loss_derivative, loss_value, weighted_derivative
+
+
+@pytest.mark.parametrize("call,shape", [
+    (lambda: loss_value("logistic", 0.5, 1), ()),
+    (lambda: loss_value("zero_one", -0.5, 1), ()),
+    (lambda: loss_derivative("logistic", 0.5, -1), ()),
+    (lambda: similarity_confidence(0.25, 0.5), ()),
+    (lambda: posterior_plus([0.5, -1.0], preset("B")), (1,)),  # one point is one row
+], ids=["loss_value-logistic", "loss_value-zero_one", "loss_derivative",
+        "similarity_confidence", "posterior_plus"])
+def test_scalar_input_gives_an_ndarray(call, shape):
+    out = call()
+    assert type(out) is np.ndarray and out.shape == shape and out.dtype == np.float64
 
 
 class TestValues:

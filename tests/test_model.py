@@ -393,8 +393,8 @@ class TestCheckpoint:
 
     # the error ends with the constructor's reason, when the fields parse
     DESCRIPTOR_ERROR_ENDS = {
-        b"linear 0": "'linear 0': input dimension must be positive",
-        b"mlp 4 0 5": "'mlp 4 0 5': architecture hidden widths must be positive, got 0, 5",
+        b"linear 0": "'linear 0': architecture input dimension d must be at least 1, got 0",
+        b"mlp 4 0 5": "'mlp 4 0 5': architecture hidden width h1 must be at least 1, got 0",
         b"\xff\xfe": "bad architecture descriptor '\ufffd\ufffd'",
     }
 

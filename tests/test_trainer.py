@@ -26,13 +26,13 @@ def small_test(setup, seed=99, n=400):
 # bad fit settings, each with the message that names it; bad_fit_id names a
 # case by the settings' values and the message
 BAD_FIT_SETTINGS = [
-    (dict(epochs=0, batch=None), "at least one epoch"),
-    (dict(epochs=-1, batch=40), "at least one epoch"),
-    (dict(epochs=2, batch=0), "batch size must be positive"),
-    (dict(epochs=2, batch=-3), "batch size must be positive"),
+    (dict(epochs=0, batch=None), "epochs must be at least 1, got 0"),
+    (dict(epochs=-1, batch=40), "epochs must be at least 1, got -1"),
+    (dict(epochs=2, batch=0), "batch size must be at least 1, got 0"),
+    (dict(epochs=2, batch=-3), "batch size must be at least 1, got -3"),
     (dict(lr0=np.nan), "learning rate lr0"), (dict(weight_decay=-1.0), "weight_decay"),
     (dict(weight_decay=np.inf), "weight_decay"), (dict(drop_every=0), "drop_every"),
-    (dict(seed=-1), "seeds must be nonnegative"),
+    (dict(seed=-1), "seed must be at least 0, got -1"),
     # a size, seed or drop_every that is not an int or numpy integer; two
     # cases share the value 1.5, so these four carry their own ids
     pytest.param(dict(epochs=2.5), "epochs must be an integer", id="epochs-2.5"),
@@ -414,6 +414,26 @@ class TestTrialStack:
                 fit = dict(epochs=2, lr0=0.1, batch=batch) | settings
                 with pytest.raises(ConfigError, match=match):
                     train_weighted_points(*stack, Architecture.linear(2), **fit)
+        assert inits == []
+
+    def test_bad_weights_fail_before_init(self, monkeypatch):
+        # weights of the wrong shape, or not finite, are refused where they
+        # enter, naming the weight and its first bad row
+        X, a, b = self._stack(trials=2)
+        b_nan = b.copy()
+        b_nan[1, [7, 9]] = np.nan
+        inits = []
+        monkeypatch.setattr(model, "init", lambda *args: inits.append(args))
+        for args, match in [
+            ((X[0], np.append(a[0], 1.0), b[0]), r"weights a must have shape \(80,\)"),
+            ((X[0], a[0], np.ones((3, 80))), r"weights b must have shape \(80,\).*\(3, 80\)"),
+            ((X[0], a[0], b_nan[1]), "^weight b of row 7 is not finite$"),
+            ((X, a, b_nan), "^weight b of trial 1 row 7 is not finite$"),
+            ((X, a[:, :-1], b), r"weights a must have shape \(2, 80\)"),
+            ((X[0], a[0], np.where(np.arange(80) == 4, np.inf, b[0])), "b of row 4 is not"),
+        ]:
+            with pytest.raises(ConfigError, match=match):
+                train_weighted_points(*args, Architecture.linear(2), 2, 0.1)
         assert inits == []
 
     def test_mlp_does_not_stack(self):
